@@ -15,25 +15,23 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
 
 from . import __version__
 from .eb_bounds import (BoundParams, eb_rate_bound, eb_rate_bound_continuous,
-                        rank_bound, verify_rank_monotonicity)
+                        rank_bound)
 from .errors import (DomainError, PreconditionError, QBoundsError,
                      ResourceBudgetError)
-from .geometry import (SUPPORTED_PRIMES, classify_rank, codim_guarantees,
-                       constants, derive_c_n0, derive_N, envelope_check,
-                       f1_monotonicity_scan, paper_tables, threshold_F,
-                       threshold_F_array, baseline_rank)
-from .oracle import (eb_soundness_sweep, johnson_suite, max_code_size,
-                     pigeonhole_suite, serialize_code)
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .geometry import (SUPPORTED_PRIMES, anchor_signs, classify_rank,
+                       codim_guarantees, constants, derive_c_n0, derive_N,
+                       paper_tables)
+from .oracle import max_code_size, serialize_code
+from .precision import DEFAULT_POLICY, PrecisionPolicy, check_digits
 from .qcore import (entropy, entropy_d1, entropy_d2, hamming_ball_volume,
                     johnson_radius, johnson_radius_d1, stirling_bounds)
+from .suites import SUITES
 
 SCHEMA_VERSION = "1"
 
@@ -103,15 +101,18 @@ def _render_pretty(doc, indent=0):
 
 
 def _digits(args):
-    if getattr(args, "digits", None):
-        return args.digits
-    env = os.environ.get("QB_PRECISION")
-    if env:
+    source, digits = "--digits", args.digits
+    if digits is None:
+        env = os.environ.get("QB_PRECISION")
+        if not env:
+            return None
+        source = "QB_PRECISION"
         try:
-            return int(env)
+            digits = int(env)
         except ValueError:
             raise DomainError(f"QB_PRECISION must be an integer, got {env!r}")
-    return None
+    check_digits(digits, source)
+    return digits
 
 
 def _policy(args) -> PrecisionPolicy:
@@ -132,38 +133,32 @@ def _num(x):
 
 # --- subcommand handlers ---------------------------------------------------
 
+# function -> (callable taking digits=, argument names)
+_EVAL = {
+    "entropy": (entropy, ("q", "x")),
+    "entropy_d1": (entropy_d1, ("q", "x")),
+    "entropy_d2": (entropy_d2, ("q", "x")),
+    "johnson": (johnson_radius, ("q", "delta")),
+    "johnson_d1": (johnson_radius_d1, ("q", "delta")),
+    "ball_volume": (lambda q, n, e, digits: hamming_ball_volume(q, n, e),
+                    ("q", "n", "e")),
+    "stirling": (stirling_bounds, ("k",)),
+}
+
+
 def cmd_eval(args) -> int:
     dig = _digits(args)
-    fn = args.function
-    diagnostics = []
-    if fn == "entropy":
-        res = {"value": computed(_num(entropy(args.q, args.x, digits=dig)))}
-        inputs = {"q": args.q, "x": args.x}
-    elif fn == "entropy_d1":
-        res = {"value": computed(_num(entropy_d1(args.q, args.x, digits=dig)))}
-        inputs = {"q": args.q, "x": args.x}
-    elif fn == "entropy_d2":
-        res = {"value": computed(_num(entropy_d2(args.q, args.x, digits=dig)))}
-        inputs = {"q": args.q, "x": args.x}
-    elif fn == "johnson":
-        res = {"value": computed(_num(johnson_radius(args.q, args.delta, digits=dig)))}
-        inputs = {"q": args.q, "delta": args.delta}
-    elif fn == "johnson_d1":
-        res = {"value": computed(_num(johnson_radius_d1(args.q, args.delta, digits=dig)))}
-        inputs = {"q": args.q, "delta": args.delta}
-    elif fn == "ball_volume":
-        res = {"value": computed(hamming_ball_volume(args.q, args.n, args.e))}
-        inputs = {"q": args.q, "n": args.n, "e": args.e}
-    elif fn == "stirling":
-        lo, hi = stirling_bounds(args.k, digits=dig)
-        res = {"lower": computed(_num(lo)), "upper": computed(_num(hi))}
-        inputs = {"k": args.k}
-    else:  # pragma: no cover - argparse choices guard this
-        raise DomainError(f"unknown function {fn!r}")
+    fn, names = _EVAL[args.function]
+    inputs = {name: getattr(args, name) for name in names}
+    value = fn(*inputs.values(), digits=dig)
+    if args.function == "stirling":
+        res = {"lower": computed(_num(value[0])),
+               "upper": computed(_num(value[1]))}
+    else:
+        res = {"value": computed(_num(value))}
     if dig is not None:
         inputs["digits"] = dig
-    _emit(_document("eval", inputs, res, diagnostics, args.deterministic),
-          args.pretty)
+    _emit(_document("eval", inputs, res, [], args.deterministic), args.pretty)
     return 0
 
 
@@ -200,6 +195,13 @@ def _tables_rows(which, primes, policy, diagnostics):
     paper = paper_tables()
     rows = []
     mismatch = False
+
+    def note(p, escalations):
+        if escalations:
+            diagnostics.append(
+                ["info", f"p={p}: {escalations} comparisons "
+                         f"escalated to {policy.escalation_digits} digits"])
+
     if which == "constants":
         for p in primes:
             k = constants(p)
@@ -209,10 +211,7 @@ def _tables_rows(which, primes, policy, diagnostics):
     elif which == "candn0":
         for p in primes:
             derived = derive_c_n0(p, policy=policy)
-            if derived.escalations:
-                diagnostics.append(
-                    ["info", f"p={p}: {derived.escalations} comparisons "
-                             f"escalated to {policy.escalation_digits} digits"])
+            note(p, derived.escalations)
             match = derived.n0 == paper["n0"][p]
             mismatch |= not match
             rows.append({"p": p, "c": paper_val(str(paper["c"][p])),
@@ -222,10 +221,7 @@ def _tables_rows(which, primes, policy, diagnostics):
     elif which == "Np":
         for p in primes:
             derived = derive_N(p, policy=policy)
-            if derived.escalations:
-                diagnostics.append(
-                    ["info", f"p={p}: {derived.escalations} comparisons "
-                             f"escalated to {policy.escalation_digits} digits"])
+            note(p, derived.escalations)
             match = derived.N == paper["N"][p]
             mismatch |= not match
             rows.append({"p": p, "N_paper": paper_val(paper["N"][p]),
@@ -233,13 +229,11 @@ def _tables_rows(which, primes, policy, diagnostics):
                          "first_failure": computed(derived.first_failure),
                          "match": match})
     elif which == "anchor":
-        import numpy as np
         for p in primes:
             N = paper["N"][p]
-            ns = np.arange(16, N + 1)
-            F = threshold_F_array(p, ns)
-            base = np.array([baseline_rank(int(n)) for n in ns])
-            holds = bool((F > base).all())
+            ns, signs, escalations = anchor_signs(p, N, policy)
+            note(p, escalations)
+            holds = bool((signs > 0).all())
             mismatch |= not holds
             rows.append({"p": p, "N_paper": paper_val(N),
                          "scanned": computed(int(ns.size)),
@@ -285,89 +279,19 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _verify_stirling():
-    from .report import VerificationReport
-    f = 1
-    checked = 0
-    for k in range(1, 10_001):
-        f *= k
-        lo, hi = stirling_bounds(k)
-        lk = math.log(f)
-        checked += 1
-        if not lo < lk < hi:
-            return VerificationReport(
-                suite="stirling", instances_checked=checked, passed=False,
-                counterexample={"k": k, "lower": lo, "ln_kfact": lk, "upper": hi})
-    for k in (10 ** 5, 10 ** 6):
-        with mpmath.workdps(50):
-            ref = mpmath.loggamma(k + 1)
-            lo, hi = stirling_bounds(k, digits=50)
-            checked += 1
-            if not lo < ref < hi:
-                return VerificationReport(
-                    suite="stirling", instances_checked=checked, passed=False,
-                    counterexample={"k": k, "lower": float(lo),
-                                    "ref": float(ref), "upper": float(hi)})
-    return VerificationReport(suite="stirling", instances_checked=checked,
-                              passed=True)
-
-
-def _verify_monotonicity():
-    from .report import VerificationReport
-    checked = 0
-    grid = list(range(16, 201)) + [10 ** 3, 10 ** 4, 10 ** 5]
-    for p in SUPPORTED_PRIMES:
-        for n in grid:
-            checked += 1
-            if not verify_rank_monotonicity(p, n):
-                return VerificationReport(
-                    suite="monotonicity", instances_checked=checked,
-                    passed=False, counterexample={"p": p, "n": n})
-    return VerificationReport(suite="monotonicity", instances_checked=checked,
-                              passed=True)
-
-
-def _verify_envelope():
-    from .report import VerificationReport
-    checked = 0
-    payload = {}
-    for p in SUPPORTED_PRIMES:
-        rep = envelope_check(p, 16, 10 ** 5)
-        checked += rep.instances_checked
-        if not rep.passed:
-            return VerificationReport(suite="envelope", instances_checked=checked,
-                                      passed=False,
-                                      counterexample=rep.counterexample)
-        payload[str(p)] = rep.payload["n_star"]
-    return VerificationReport(suite="envelope", instances_checked=checked,
-                              passed=True, payload={"n_star": payload})
-
-
-_SUITES = {
-    "stirling": lambda seed: _verify_stirling(),
-    "johnson": lambda seed: johnson_suite(seed=seed),
-    "pigeonhole": lambda seed: pigeonhole_suite(seed=seed),
-    "eb-soundness": lambda seed: eb_soundness_sweep(seed=seed),
-    "monotonicity": lambda seed: _verify_monotonicity(),
-    "f1": lambda seed: f1_monotonicity_scan(101),
-    "envelope": lambda seed: _verify_envelope(),
-}
-
-
 def cmd_verify(args) -> int:
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = []
     all_passed = True
     for name in suites:
-        rep = _SUITES[name](args.seed)
+        rep = SUITES[name](args.seed)
         all_passed &= rep.passed
         results.append({
             "suite": rep.suite,
             "instances_checked": computed(rep.instances_checked),
             "passed": rep.passed,
             "counterexample": rep.counterexample,
-            "payload": {k: _num(v) if not isinstance(v, dict) else v
-                        for k, v in rep.payload.items()},
+            "payload": {k: _num(v) for k, v in rep.payload.items()},
         })
     inputs = {"suite": args.suite, "seed": args.seed}
     doc = _document("verify", inputs, {"reports": results}, [],
@@ -443,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(beats QB_PRECISION)")
 
     p = sub.add_parser("eval", help="evaluate one special function")
-    p.add_argument("function", choices=["entropy", "entropy_d1", "entropy_d2",
-                                        "johnson", "johnson_d1",
-                                        "ball_volume", "stirling"])
+    p.add_argument("function", choices=list(_EVAL))
     p.add_argument("--q", type=int)
     p.add_argument("--x", type=float)
     p.add_argument("--delta", type=float)
@@ -475,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["all"] + list(_SUITES), default="all")
+    p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -501,6 +423,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _digits(args)  # every subcommand takes --digits; reject bad values
         return args.func(args)
     except (DomainError, PreconditionError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,14 +5,15 @@ number; the term labels are a stable contract consumed by the CLI.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import mpmath
 
 from .errors import DomainError, PreconditionError
-from .qcore import entropy, johnson_radius, _mpf
+from .precision import evaluate
+from .qcore import (_check_delta, _entropy, _johnson_radius, entropy,
+                    johnson_radius)
 
 __all__ = [
     "BoundParams", "BoundResult", "RankBoundResult",
@@ -66,50 +67,33 @@ class BoundParams:
         return self.delta
 
 
+class _Terms:
+    """A labelled term breakdown ``terms`` whose values sum to the bound."""
+
+    def term(self, label: str) -> float:
+        return dict(self.terms)[label]
+
+
 @dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Terms):
     rate_upper: float
     e: int
     terms: tuple[tuple[str, float], ...]
 
-    def term(self, label: str) -> float:
-        for lab, val in self.terms:
-            if lab == label:
-                return val
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
-class RankBoundResult:
+class RankBoundResult(_Terms):
     r_upper: float
     terms: tuple[tuple[str, float], ...]
-
-    def term(self, label: str) -> float:
-        for lab, val in self.terms:
-            if lab == label:
-                return val
-        raise KeyError(label)
-
-
-def _require_open_delta(q, delta):
-    top = Fraction(q - 1, q)
-    dv = delta if isinstance(delta, Rational) else delta
-    cmp_top = top if isinstance(dv, Rational) else float(top)
-    if not 0 < dv < cmp_top:
-        raise DomainError(
-            f"bound requires 0 < delta < (q-1)/q, got delta={delta}")
 
 
 def _johnson_e(q, n, delta):
     """e = ceil(n*J_q(delta)) - 1, with a guarded ceiling near integers."""
     t = n * johnson_radius(q, float(delta))
-    if abs(t - round(t)) < 1e-9:
-        with mpmath.workdps(50):
-            tm = n * johnson_radius(q, delta, digits=50)
-            e = int(mpmath.ceil(tm)) - 1
-    else:
-        e = math.ceil(t) - 1
-    return e
+    if abs(t - round(t)) >= 1e-9:
+        return math.ceil(t) - 1
+    with mpmath.workdps(50):
+        return int(mpmath.ceil(n * johnson_radius(q, delta, digits=50))) - 1
 
 
 def eb_rate_bound(params: BoundParams) -> BoundResult:
@@ -125,7 +109,7 @@ def eb_rate_bound(params: BoundParams) -> BoundResult:
     """
     q, n = params.q, params.n
     delta = params.delta_value
-    _require_open_delta(q, delta)
+    _check_delta(q, delta, open_lower=True, open_upper=True)
     e = _johnson_e(q, n, delta)
     if e < 1:
         raise PreconditionError(
@@ -157,7 +141,7 @@ def eb_rate_bound_continuous(params: BoundParams) -> BoundResult:
     """
     q, n = params.q, params.n
     delta = params.delta_value
-    _require_open_delta(q, delta)
+    _check_delta(q, delta, open_lower=True, open_upper=True)
     J = johnson_radius(q, float(delta))
     if n * J <= 1.0:
         raise PreconditionError(f"n > 1/J_q(delta) required (n*J = {n * J:.6g})")
@@ -192,38 +176,26 @@ def rank_bound(p: int, n: int, delta, digits=None) -> RankBoundResult:
         raise DomainError(f"rank_bound requires a prime alphabet, got p={p!r}")
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    _require_open_delta(p, delta)
-    if digits is not None:
-        with mpmath.workdps(digits):
-            J = johnson_radius(p, delta, digits=digits)
-            if n * J <= 1:
-                raise PreconditionError("n > 1/J_p(delta) required")
-            lp = mpmath.log(p)
-            dm = _mpf(delta)
-            terms = (
-                ("dominant_linear", (1 - entropy(p, J, digits=digits)) * n),
-                ("log_p_n", mpmath.mpf("2.5") * mpmath.log(n) / lp),
-                ("entropy_slope_at_J", mpmath.log((p - 1) * (1 - J) / J) / lp),
-                ("half_log_2piJ", mpmath.log(2 * mpmath.pi * J) / (2 * lp)),
-                ("log_p_pdelta", mpmath.log(p * dm) / lp),
-                ("two_over_13lnp", 2 / (13 * lp)),
-                ("inverse_n", (1 / (12 * lp) + 1 / (2 * lp * (1 - J))) / n),
-                ("johnson_tail", 1 / (2 * lp * J * n - 2 * lp)),
-            )
-            return RankBoundResult(r_upper=sum(v for _, v in terms), terms=terms)
-    J = johnson_radius(p, float(delta))
-    if n * J <= 1.0:
-        raise PreconditionError(f"n > 1/J_p(delta) required (n*J = {n * J:.6g})")
-    lp = math.log(p)
+    _check_delta(p, delta, open_lower=True, open_upper=True)
+    return evaluate(digits, _rank_bound, p, n, delta)
+
+
+def _rank_bound(m, p, n, delta):
+    delta = m.num(delta)
+    J = _johnson_radius(m, p, delta)
+    if n * J <= 1:
+        raise PreconditionError(
+            f"n > 1/J_p(delta) required (n*J = {float(n * J):.6g})")
+    lp = m.log(p)
     terms = (
-        ("dominant_linear", (1.0 - entropy(p, J)) * n),
-        ("log_p_n", 2.5 * math.log(n) / lp),
-        ("entropy_slope_at_J", math.log((p - 1) * (1.0 - J) / J) / lp),
-        ("half_log_2piJ", math.log(2.0 * math.pi * J) / (2.0 * lp)),
-        ("log_p_pdelta", math.log(p * float(delta)) / lp),
-        ("two_over_13lnp", 2.0 / (13.0 * lp)),
-        ("inverse_n", (1.0 / (12.0 * lp) + 1.0 / (2.0 * lp * (1.0 - J))) / n),
-        ("johnson_tail", 1.0 / (2.0 * lp * J * n - 2.0 * lp)),
+        ("dominant_linear", (1 - _entropy(m, p, J)) * n),
+        ("log_p_n", 2.5 * m.log(n) / lp),
+        ("entropy_slope_at_J", m.log((p - 1) * (1 - J) / J) / lp),
+        ("half_log_2piJ", m.log(2 * m.pi * J) / (2 * lp)),
+        ("log_p_pdelta", m.log(p * delta) / lp),
+        ("two_over_13lnp", 2 / (13 * lp)),
+        ("inverse_n", (1 / (12 * lp) + 1 / (2 * lp * (1 - J))) / n),
+        ("johnson_tail", 1 / (2 * lp * J * n - 2 * lp)),
     )
     return RankBoundResult(r_upper=sum(v for _, v in terms), terms=terms)
 

@@ -7,6 +7,7 @@ comparisons to high precision only when the margin is below the policy's
 decision margin; results are identical to a full high-precision scan.
 """
 
+import functools
 import importlib.resources
 import json
 import math
@@ -19,15 +20,16 @@ import numpy as np
 
 from .eb_bounds import is_prime, rank_bound
 from .errors import (DomainError, PreconditionError, SearchExhaustedError)
-from .precision import DEFAULT_POLICY, PrecisionPolicy, strict_sign
-from .qcore import entropy, johnson_radius
+from .precision import (DEFAULT_POLICY, NUMPY, PrecisionPolicy, evaluate,
+                        strict_sign)
+from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport
 
 __all__ = [
     "PrimeConstants", "Classification", "ThresholdReport", "CodimReport",
     "DerivedCN0", "DerivedN", "paper_tables", "constants", "threshold_F",
-    "threshold_F_array", "baseline_rank", "derive_c_n0", "derive_N",
-    "f1_monotonicity_scan", "envelope_check", "codim_guarantees",
+    "threshold_F_array", "baseline_rank", "anchor_signs", "derive_c_n0",
+    "derive_N", "f1_monotonicity_scan", "envelope_check", "codim_guarantees",
     "classify_rank", "primes_up_to",
 ]
 
@@ -75,6 +77,21 @@ def _check_odd_prime(p):
         raise DomainError(f"expected a prime >= 3, got {p!r}")
 
 
+def _constants(m, p):
+    J = _johnson_radius(m, p, Fraction(1, 4))
+    lp = m.log(p)
+    f1 = (1 - _entropy(m, p, J)) / 2
+    f2 = (m.log(p * (p - 1) * (1 - J) * m.sqrt(2 * m.pi * J) / (4 * J)) / lp
+          + 2 / (13 * lp) - 2.5 * m.log(2) / lp)
+    f3 = 1 / (6 * lp) + 1 / (lp * (1 - J))
+    return f1, f2, f3, 1 / lp, J
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _constant_values(p, digits):
+    return evaluate(digits, _constants, p)
+
+
 def constants(p: int, digits=None, attach_paper: bool = False) -> PrimeConstants:
     """The five threshold constants of a prime:
 
@@ -85,30 +102,16 @@ def constants(p: int, digits=None, attach_paper: bool = False) -> PrimeConstants
         f5 = J
     """
     _check_odd_prime(p)
-    quarter = Fraction(1, 4)
-    if digits is not None:
-        with mpmath.workdps(digits):
-            J = johnson_radius(p, quarter, digits=digits)
-            lp = mpmath.log(p)
-            f1 = (1 - entropy(p, J, digits=digits)) / 2
-            f2 = (mpmath.log(p * (p - 1) * (1 - J) * mpmath.sqrt(2 * mpmath.pi * J)
-                             / (4 * J)) / lp
-                  + 2 / (13 * lp) - mpmath.mpf("2.5") * mpmath.log(2) / lp)
-            f3 = 1 / (6 * lp) + 1 / (lp * (1 - J))
-            vals = (f1, f2, f3, 1 / lp, J)
-    else:
-        J = johnson_radius(p, quarter)
-        lp = math.log(p)
-        f1 = 0.5 * (1.0 - entropy(p, J))
-        f2 = (math.log(p * (p - 1) * (1.0 - J) * math.sqrt(2.0 * math.pi * J)
-                       / (4.0 * J)) / lp
-              + 2.0 / (13.0 * lp) - 2.5 * math.log(2.0) / lp)
-        f3 = 1.0 / (6.0 * lp) + 1.0 / (lp * (1.0 - J))
-        vals = (f1, f2, f3, 1.0 / lp, J)
     extra = {}
     if attach_paper and p in _PAPER["c"]:
         extra = {"c": _PAPER["c"][p], "n0": _PAPER["n0"][p], "N": _PAPER["N"][p]}
-    return PrimeConstants(p, *vals, **extra)
+    return PrimeConstants(p, *_constant_values(p, digits), **extra)
+
+
+def _threshold_F(m, p, n, k):
+    f1, f2, f3, f4, f5 = k
+    return (f1 * n + 2.5 * m.log(n) / m.log(p) + f2
+            + f3 / (n - 1) + f4 / (f5 * (n - 1) - 2))
 
 
 def _check_F_domain(p, n, f5):
@@ -123,25 +126,19 @@ def threshold_F(p: int, n: int, digits=None):
     """The rank threshold F(n, p) = f1 n + 2.5 log_p n + f2 + f3/(n-1)
     + f4/(f5 (n-1) - 2)."""
     _check_odd_prime(p)
-    k = constants(p, digits=digits)
-    _check_F_domain(p, n, float(k.f5))
-    if digits is not None:
-        with mpmath.workdps(digits):
-            return (k.f1 * n + mpmath.mpf("2.5") * mpmath.log(n) / mpmath.log(p)
-                    + k.f2 + k.f3 / (n - 1) + k.f4 / (k.f5 * (n - 1) - 2))
-    return (k.f1 * n + 2.5 * math.log(n) / math.log(p) + k.f2
-            + k.f3 / (n - 1) + k.f4 / (k.f5 * (n - 1) - 2))
+    k = _constant_values(p, digits)
+    _check_F_domain(p, n, float(k[4]))
+    return evaluate(digits, _threshold_F, p, n, k)
 
 
 def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     """Vectorized double-precision F(n, p) over an integer array of n."""
     _check_odd_prime(p)
-    k = constants(p)
-    ns = np.asarray(ns, dtype=np.float64)
-    if ns.size and (ns.min() < 16 or k.f5 * (ns.min() - 1) <= 2):
-        raise PreconditionError("F(n, p) requires n >= 16 and f5(n-1) > 2")
-    return (k.f1 * ns + 2.5 * np.log(ns) / math.log(p) + k.f2
-            + k.f3 / (ns - 1.0) + k.f4 / (k.f5 * (ns - 1.0) - 2.0))
+    k = _constant_values(p, None)
+    ns = NUMPY.num(ns)
+    if ns.size:
+        _check_F_domain(p, ns.min(), k[4])
+    return _threshold_F(NUMPY, p, ns, k)
 
 
 def baseline_rank(n: int) -> int:
@@ -166,9 +163,23 @@ class DerivedCN0:
     escalations: int
 
 
-def _scan_start(p: int) -> int:
-    f5 = constants(p).f5
-    return max(16, int(math.floor(2.0 / f5)) + 2)
+def _guarded_signs(p, ns, F, rhs, rhs_exact, policy):
+    """Signs (+1/-1) of F(n, p) - rhs(n) over ``ns``, given F and the
+    right-hand side as float arrays; each comparison closer than the
+    decision margin is re-decided by ``strict_sign`` against the exact
+    ``rhs_exact(n)``.  Returns ``(signs, escalations)``."""
+    diff = F - rhs
+    signs = np.sign(diff).astype(np.int8)
+    escalations = 0
+    for i in np.nonzero(np.abs(diff) < policy.decision_margin)[0]:
+        n = int(ns[i])
+        signs[i], esc = strict_sign(
+            float(diff[i]),
+            lambda: threshold_F(p, n, digits=policy.escalation_digits)
+            - rhs_exact(n),
+            policy)
+        escalations += esc
+    return signs, escalations
 
 
 def derive_c_n0(p: int, cap: int = 400_000,
@@ -187,20 +198,12 @@ def derive_c_n0(p: int, cap: int = 400_000,
     c = _PAPER["c"][p]
     if cap < _PAPER["n0"][p] + 10:
         raise PreconditionError(f"cap={cap} below published n0(p) + margin")
-    start = _scan_start(p)
+    start = max(16, int(math.floor(2.0 / constants(p).f5)) + 2)
     ns = np.arange(start, cap + 1, dtype=np.int64)
-    diff = threshold_F_array(p, ns) - float(c) * ns
-    escalations = 0
-    signs = np.sign(diff).astype(np.int8)  # +1 where F > c n (violation)
-    for i in np.nonzero(np.abs(diff) < policy.decision_margin)[0]:
-        n_i = int(ns[i])
-        s, esc = strict_sign(
-            float(diff[i]),
-            lambda n_i=n_i: threshold_F(p, n_i, digits=policy.escalation_digits)
-            - mpmath.mpf(c.numerator) / c.denominator * n_i,
-            policy)
-        signs[i] = s
-        escalations += esc
+    # +1 where F > c n (violation)
+    signs, escalations = _guarded_signs(
+        p, ns, threshold_F_array(p, ns), float(c) * ns,
+        lambda n: mpmath.mpf(c.numerator) / c.denominator * n, policy)
     viol = np.nonzero(signs > 0)[0]
     if viol.size == 0:
         raise SearchExhaustedError(
@@ -224,6 +227,18 @@ class DerivedN:
     escalations: int
 
 
+def anchor_signs(p: int, n_hi: int,
+                 policy: PrecisionPolicy = DEFAULT_POLICY):
+    """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
+    returns ``(ns, signs, escalations)`` with sign +1 where it holds."""
+    _check_odd_prime(p)
+    ns = np.arange(16, n_hi + 1, dtype=np.int64)
+    base = 3 * ns // 8 + np.where((ns % 8 == 2) | (ns % 8 == 4), 2, 1)
+    return (ns, *_guarded_signs(p, ns, threshold_F_array(p, ns),
+                                base.astype(np.float64), baseline_rank,
+                                policy))
+
+
 def derive_N(p: int, cap: int = 200_000,
              policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
@@ -231,20 +246,7 @@ def derive_N(p: int, cap: int = 200_000,
     _check_odd_prime(p)
     if p in _PAPER["N"] and cap < _PAPER["N"][p] + 10:
         raise PreconditionError(f"cap={cap} below published N(p) + margin")
-    ns = np.arange(16, cap + 1, dtype=np.int64)
-    base = 3 * ns // 8 + np.where((ns % 8 == 2) | (ns % 8 == 4), 2, 1)
-    diff = threshold_F_array(p, ns) - base.astype(np.float64)
-    escalations = 0
-    signs = np.sign(diff).astype(np.int8)  # +1 where the anchor claim holds
-    for i in np.nonzero(np.abs(diff) < policy.decision_margin)[0]:
-        n_i = int(ns[i])
-        s, esc = strict_sign(
-            float(diff[i]),
-            lambda n_i=n_i: threshold_F(p, n_i, digits=policy.escalation_digits)
-            - baseline_rank(n_i),
-            policy)
-        signs[i] = s
-        escalations += esc
+    ns, signs, escalations = anchor_signs(p, cap, policy)
     fails = np.nonzero(signs <= 0)[0]
     if fails.size == 0:
         raise SearchExhaustedError(
@@ -265,9 +267,7 @@ def f1_monotonicity_scan(p_max: int,
     f1 = {p: constants(p).f1 for p in primes}
 
     def hi_f1(p):
-        return (1 - entropy(p, johnson_radius(p, Fraction(1, 4),
-                                              digits=policy.escalation_digits),
-                            digits=policy.escalation_digits)) / 2
+        return _constant_values(p, policy.escalation_digits)[0]
 
     escalations = 0
     checked = 0
@@ -299,14 +299,20 @@ def f1_monotonicity_scan(p_max: int,
 def envelope_check(p: int, n_lo: int, n_hi: int,
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> VerificationReport:
     """Find the minimal n* in [n_lo, n_hi] from which
-    n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi."""
+    n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi.
+
+    Both comparisons are guarded by ``policy``; an exact tie on the upper
+    side is irrational and so cannot occur."""
     _check_odd_prime(p)
     if not 16 <= n_lo < n_hi:
         raise DomainError(f"need 16 <= n_lo < n_hi, got [{n_lo}, {n_hi}]")
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     F = threshold_F_array(p, ns)
-    ok = (ns / 4.0 < F) & (F <= math.sqrt(3.0) * ns / 4.0)
-    bad = np.nonzero(~ok)[0]
+    above, esc_lo = _guarded_signs(p, ns, F, ns / 4.0,
+                                   lambda n: mpmath.mpf(n) / 4, policy)
+    below, esc_hi = _guarded_signs(p, ns, F, math.sqrt(3.0) * ns / 4.0,
+                                   lambda n: mpmath.sqrt(3) * n / 4, policy)
+    bad = np.nonzero((above < 0) | (below > 0))[0]
     if bad.size and int(ns[bad[-1]]) == n_hi:
         return VerificationReport(
             suite="envelope", instances_checked=int(ns.size), passed=False,
@@ -315,7 +321,8 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     n_star = n_lo if bad.size == 0 else int(ns[bad[-1]]) + 1
     return VerificationReport(
         suite="envelope", instances_checked=int(ns.size), passed=True,
-        counterexample=None, payload={"p": p, "n_star": n_star})
+        counterexample=None,
+        payload={"p": p, "n_star": n_star, "escalations": esc_lo + esc_hi})
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class Code:
     """An explicit set of length-n words over a q-letter alphabet.
 
     Words are stored sorted and deduplicated; the minimum distance is
-    cached write-once on first computation.
+    computed once, by ``min_distance``, and cached on the code.
     """
 
     q: int
@@ -62,6 +62,23 @@ class Code:
 
     @property
     def cached_min_distance(self) -> int | None:
+        return self._min_distance
+
+    def min_distance(self) -> int:
+        """Exact minimum pairwise Hamming distance; cached on the code."""
+        if self.size < 2:
+            raise DomainError("minimum distance undefined for |C| < 2")
+        if self._min_distance is None:
+            # Singleton bound |C| <= q^(n-d+1): a larger code has distance 1
+            best = 1 if self.size > self.q ** (self.n - 1) else self.n
+            if best > 1:
+                arr = _words_array(self)
+                for i in range(self.size - 1):
+                    d = int((arr[i + 1:] != arr[i]).sum(axis=1).min())
+                    best = min(best, d)
+                    if best == 1:
+                        break
+            self._min_distance = best
         return self._min_distance
 
 
@@ -85,20 +102,7 @@ def _words_array(code: Code) -> np.ndarray:
 
 def min_distance(code: Code) -> int:
     """Exact minimum pairwise Hamming distance; cached on the code."""
-    if code.size < 2:
-        raise DomainError("minimum distance undefined for |C| < 2")
-    if code._min_distance is not None:
-        return code._min_distance
-    arr = _words_array(code)
-    best = code.n
-    for i in range(code.size - 1):
-        d = (arr[i + 1:] != arr[i]).sum(axis=1).min()
-        if d < best:
-            best = int(d)
-            if best == 1:
-                break
-    code._min_distance = best
-    return best
+    return code.min_distance()
 
 
 def all_words_array(q: int, n: int) -> np.ndarray:
@@ -167,10 +171,7 @@ def max_code_size(q: int, n: int, d: int, *,
     if d == 1:
         # distinct words always have distance >= 1: the whole space works
         words = [_word_from_index(q, n, i) for i in range(total)]
-        code = make_code(q, n, words)
-        if code.size >= 2:
-            code._min_distance = 1
-        return total, code
+        return total, make_code(q, n, words)
 
     deadline = time.monotonic() + time_limit
     space = all_words_array(q, n)
@@ -227,10 +228,7 @@ def max_code_size(q: int, n: int, d: int, *,
         expand((1 << m) - 1)
     witness_words = [(0,) * n] + [tuple(int(s) for s in cand[v])
                                   for v in sorted(best_clique)]
-    code = make_code(q, n, witness_words)
-    if code.size >= 2:
-        min_distance(code)
-    return best_size + 1, code
+    return best_size + 1, make_code(q, n, witness_words)
 
 
 # --- exhaustive lemma checks ---------------------------------------------

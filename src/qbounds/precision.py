@@ -1,17 +1,56 @@
-"""Working-precision policy and guarded strict comparisons.
+"""Numeric contexts, the working-precision policy and guarded strict
+comparisons.
 
-Everything in qbounds evaluates in double precision by default.  Scans that
-decide strict inequalities between nearly-equal quantities (the table
-re-derivations) escalate individual comparisons to software high precision
-whenever the double-precision margin falls below ``decision_margin``.
+Each real-valued formula is written once over a numeric context ``m``
+(``log``, ``sqrt``, ``pi``, ``num`` to convert an argument, ``one``):
+``FLOAT`` is double precision, ``MP`` is mpmath at the working precision
+and ``NUMPY`` evaluates over arrays.  Scans that decide strict inequalities
+between nearly-equal quantities escalate individual comparisons to software
+high precision whenever the double-precision margin falls below
+``decision_margin``.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Rational
+from types import SimpleNamespace
 from typing import Callable
 
 import mpmath
+import numpy as np
 
 from .errors import AmbiguousComparisonError, DomainError
+
+
+def _mpf(x):
+    """Lossless conversion to mpf at the current working precision."""
+    if isinstance(x, Rational) and not isinstance(x, int):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
+                        num=float, one=1.0)
+MP = SimpleNamespace(log=mpmath.log, sqrt=mpmath.sqrt, pi=mpmath.pi,
+                     num=_mpf, one=mpmath.mpf(1))
+NUMPY = SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
+                        num=lambda x: np.asarray(x, dtype=np.float64), one=1.0)
+
+
+def check_digits(digits, name="digits"):
+    """Reject a precision that is not a positive integer."""
+    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 1:
+        raise DomainError(f"{name} must be a positive integer, got {digits!r}")
+
+
+def evaluate(digits, formula, *args):
+    """``formula(m, *args)`` in double precision when ``digits`` is None,
+    else at ``digits`` decimal digits (a positive integer) with mpmath."""
+    if digits is None:
+        return formula(FLOAT, *args)
+    check_digits(digits)
+    with mpmath.workdps(digits):
+        return formula(MP, *args)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-import mpmath
-
 from .errors import DomainError
+from .precision import evaluate
 
 __all__ = [
     "entropy", "entropy_d1", "entropy_d2",
@@ -25,11 +24,26 @@ def _check_q(q):
         raise DomainError(f"alphabet size must be an integer >= 2, got {q!r}")
 
 
-def _mpf(x):
-    """Lossless conversion to mpf at the current working precision."""
-    if isinstance(x, Rational) and not isinstance(x, int):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def _check_delta(q, delta, *, open_lower=False, open_upper=False):
+    """Require delta in [0, (q-1)/q], with either end excluded on request;
+    a rational delta is compared exactly."""
+    top = Fraction(q - 1, q)
+    if not isinstance(delta, Rational):
+        top = float(top)
+    if not ((0 < delta if open_lower else 0 <= delta)
+            and (delta < top if open_upper else delta <= top)):
+        raise DomainError(
+            f"relative distance must satisfy 0 {'<' if open_lower else '<='} "
+            f"delta {'<' if open_upper else '<='} (q-1)/q, got {delta}")
+
+
+def _entropy(m, q, x):
+    x = m.num(x)
+    if x == 0:
+        return m.num(0)
+    if x == 1:
+        return m.log(q - 1) / m.log(q)
+    return (x * m.log(q - 1) - x * m.log(x) - (1 - x) * m.log(1 - x)) / m.log(q)
 
 
 def entropy(q, x, digits=None):
@@ -38,26 +52,14 @@ def entropy(q, x, digits=None):
     Uses the 0*log 0 = 0 convention at the endpoints.  Domain: 0 <= x <= 1.
     """
     _check_q(q)
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:
         raise DomainError(f"entropy argument must be in [0, 1], got {x}")
-    if digits is not None:
-        with mpmath.workdps(digits):
-            xm = _mpf(x)
-            if xm == 0:
-                return mpmath.mpf(0)
-            if xm == 1:
-                return mpmath.log(q - 1) / mpmath.log(q)
-            lq = mpmath.log(q)
-            return (xm * mpmath.log(q - 1) - xm * mpmath.log(xm)
-                    - (1 - xm) * mpmath.log(1 - xm)) / lq
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return math.log(q - 1) / math.log(q)
-    lq = math.log(q)
-    return (x * math.log(q - 1) - x * math.log(x)
-            - (1.0 - x) * math.log(1.0 - x)) / lq
+    return evaluate(digits, _entropy, q, x)
+
+
+def _entropy_d1(m, q, x):
+    x = m.num(x)
+    return m.log((q - 1) * (1 - x) / x) / m.log(q)
 
 
 def entropy_d1(q, x, digits=None):
@@ -65,12 +67,12 @@ def entropy_d1(q, x, digits=None):
     _check_q(q)
     if not 0 < x < 1:
         raise DomainError("entropy_d1 requires 0 < x < 1 (unbounded at endpoints)")
-    if digits is not None:
-        with mpmath.workdps(digits):
-            xm = _mpf(x)
-            return mpmath.log((q - 1) * (1 - xm) / xm) / mpmath.log(q)
-    x = float(x)
-    return math.log((q - 1) * (1.0 - x) / x) / math.log(q)
+    return evaluate(digits, _entropy_d1, q, x)
+
+
+def _entropy_d2(m, q, x):
+    x = m.num(x)
+    return -(1 / x + 1 / (1 - x)) / m.log(q)
 
 
 def entropy_d2(q, x, digits=None):
@@ -78,52 +80,32 @@ def entropy_d2(q, x, digits=None):
     _check_q(q)
     if not 0 < x < 1:
         raise DomainError("entropy_d2 requires 0 < x < 1")
-    if digits is not None:
-        with mpmath.workdps(digits):
-            xm = _mpf(x)
-            return -(1 / xm + 1 / (1 - xm)) / mpmath.log(q)
-    x = float(x)
-    return -(1.0 / x + 1.0 / (1.0 - x)) / math.log(q)
+    return evaluate(digits, _entropy_d2, q, x)
 
 
-def _check_delta(q, delta, *, strict_upper=False):
-    top = Fraction(q - 1, q)
-    dv = Fraction(delta) if isinstance(delta, Rational) else delta
-    cmp_top = top if isinstance(dv, Fraction) else float(top)
-    if dv < 0 or dv > cmp_top or (strict_upper and dv == cmp_top):
-        bound = "<" if strict_upper else "<="
-        raise DomainError(
-            f"relative distance must satisfy 0 <= delta {bound} (q-1)/q, got {delta}")
+def _johnson_radius(m, q, delta):
+    rad = 1 - q * m.num(delta) / (q - 1)
+    if rad < 0:  # rounding at the upper endpoint
+        rad = 0
+    return (1 - m.one / q) * (1 - m.sqrt(rad))
 
 
 def johnson_radius(q, delta, digits=None):
     """Johnson radius J_q(delta) = (1 - 1/q)(1 - sqrt(1 - q*delta/(q-1)))."""
     _check_q(q)
     _check_delta(q, delta)
-    if digits is not None:
-        with mpmath.workdps(digits):
-            dm = _mpf(delta)
-            rad = 1 - mpmath.mpf(q) * dm / (q - 1)
-            if rad < 0:
-                rad = mpmath.mpf(0)
-            return (1 - mpmath.mpf(1) / q) * (1 - mpmath.sqrt(rad))
-    d = float(delta)
-    rad = 1.0 - q * d / (q - 1)
-    if rad < 0.0:  # rounding at the upper endpoint
-        rad = 0.0
-    return (1.0 - 1.0 / q) * (1.0 - math.sqrt(rad))
+    return evaluate(digits, _johnson_radius, q, delta)
+
+
+def _johnson_radius_d1(m, q, delta):
+    return 0.5 / m.sqrt(1 - q * m.num(delta) / (q - 1))
 
 
 def johnson_radius_d1(q, delta, digits=None):
     """Derivative J_q'(delta) = (1/2)(1 - q*delta/(q-1))^(-1/2); >= 1/2."""
     _check_q(q)
-    _check_delta(q, delta, strict_upper=True)
-    if digits is not None:
-        with mpmath.workdps(digits):
-            dm = _mpf(delta)
-            return mpmath.mpf("0.5") / mpmath.sqrt(1 - mpmath.mpf(q) * dm / (q - 1))
-    d = float(delta)
-    return 0.5 / math.sqrt(1.0 - q * d / (q - 1))
+    _check_delta(q, delta, open_upper=True)
+    return evaluate(digits, _johnson_radius_d1, q, delta)
 
 
 def hamming_ball_volume(q, n, e):
@@ -137,6 +119,11 @@ def hamming_ball_volume(q, n, e):
     return sum(math.comb(n, i) * (q - 1) ** i for i in range(e + 1))
 
 
+def _stirling_bounds(m, k):
+    s = k * m.log(k) - k + m.log(2 * m.pi * k) / 2
+    return s + m.one / (12 * k + 1), s + m.one / (12 * k)
+
+
 def stirling_bounds(k, digits=None):
     """Two-sided Robbins bracket for ln k!, k >= 1.
 
@@ -146,13 +133,15 @@ def stirling_bounds(k, digits=None):
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"stirling_bounds requires an integer k >= 1, got {k!r}")
-    if digits is not None:
-        with mpmath.workdps(digits):
-            km = mpmath.mpf(k)
-            s = km * mpmath.log(km) - km + mpmath.log(2 * mpmath.pi * km) / 2
-            return s + mpmath.mpf(1) / (12 * k + 1), s + mpmath.mpf(1) / (12 * k)
-    s = k * math.log(k) - k + 0.5 * math.log(2.0 * math.pi * k)
-    return s + 1.0 / (12 * k + 1), s + 1.0 / (12 * k)
+    return evaluate(digits, _stirling_bounds, k)
+
+
+def _log_binomial_estimate(m, q, n, e):
+    lq = m.log(q)
+    value = (n * m.log(n) - e * m.log(e) - (n - e) * m.log(n - e)
+             + m.log(n / (2 * m.pi * e * (n - e))) / 2) / lq
+    cap = (m.one / (12 * n) + m.one / (12 * e) + m.one / (12 * (n - e))) / lq
+    return value, cap
 
 
 def log_binomial_estimate(q, n, e, digits=None):
@@ -168,18 +157,4 @@ def log_binomial_estimate(q, n, e, digits=None):
         raise DomainError(f"length must be an integer >= 2, got {n!r}")
     if not isinstance(e, int) or not 1 <= e <= n - 1:
         raise DomainError(f"log_binomial_estimate requires 1 <= e <= n-1, got e={e!r}")
-    if digits is not None:
-        with mpmath.workdps(digits):
-            lq = mpmath.log(q)
-            nm, em = mpmath.mpf(n), mpmath.mpf(e)
-            value = (nm * mpmath.log(nm) - em * mpmath.log(em)
-                     - (nm - em) * mpmath.log(nm - em)
-                     + mpmath.log(nm / (2 * mpmath.pi * em * (nm - em))) / 2) / lq
-            cap = (mpmath.mpf(1) / (12 * n) + mpmath.mpf(1) / (12 * e)
-                   + mpmath.mpf(1) / (12 * (n - e))) / lq
-            return value, cap
-    lq = math.log(q)
-    value = (n * math.log(n) - e * math.log(e) - (n - e) * math.log(n - e)
-             + 0.5 * math.log(n / (2.0 * math.pi * e * (n - e)))) / lq
-    cap = (1.0 / (12 * n) + 1.0 / (12 * e) + 1.0 / (12 * (n - e))) / lq
-    return value, cap
+    return evaluate(digits, _log_binomial_estimate, q, n, e)

@@ -1,0 +1,79 @@
+"""The verification suites behind ``qbounds verify``: ``SUITES`` maps each
+name to a callable taking the seed (unused by deterministic suites)."""
+
+import mpmath
+
+from .eb_bounds import verify_rank_monotonicity
+from .geometry import SUPPORTED_PRIMES, envelope_check, f1_monotonicity_scan
+from .oracle import eb_soundness_sweep, johnson_suite, pigeonhole_suite
+from .qcore import stirling_bounds
+from .report import VerificationReport
+
+# ln k! sits only ~1/(360 k^3) below the bracket's upper edge, inside
+# float64 noise from k ~ 1e3 on, so both sides are compared in software
+# precision.
+STIRLING_DIGITS = 50
+
+
+def verify_stirling() -> VerificationReport:
+    """The Robbins bracket holds for every k <= 10^4 and at 10^5, 10^6."""
+    checked = 0
+    with mpmath.workdps(STIRLING_DIGITS):
+        for k in [*range(1, 10_001), 10 ** 5, 10 ** 6]:
+            lo, hi = stirling_bounds(k, digits=STIRLING_DIGITS)
+            ref = mpmath.loggamma(k + 1)
+            checked += 1
+            if not lo < ref < hi:
+                return VerificationReport(
+                    suite="stirling", instances_checked=checked, passed=False,
+                    counterexample={"k": k, "lower": float(lo),
+                                    "ln_kfact": float(ref), "upper": float(hi)})
+    return VerificationReport(suite="stirling", instances_checked=checked,
+                              passed=True)
+
+
+def verify_monotonicity() -> VerificationReport:
+    """rank_bound(p, n, 1/3) < rank_bound(p, n, 1/4) on a grid of n."""
+    checked = 0
+    grid = list(range(16, 201)) + [10 ** 3, 10 ** 4, 10 ** 5]
+    for p in SUPPORTED_PRIMES:
+        for n in grid:
+            checked += 1
+            if not verify_rank_monotonicity(p, n):
+                return VerificationReport(
+                    suite="monotonicity", instances_checked=checked,
+                    passed=False, counterexample={"p": p, "n": n})
+    return VerificationReport(suite="monotonicity", instances_checked=checked,
+                              passed=True)
+
+
+def verify_envelope() -> VerificationReport:
+    """The envelope n/4 < F(n, p) <= sqrt(3) n/4 up to n = 10^5, with its
+    starting point n* for every supported prime."""
+    checked = 0
+    escalations = 0
+    n_star = {}
+    for p in SUPPORTED_PRIMES:
+        rep = envelope_check(p, 16, 10 ** 5)
+        checked += rep.instances_checked
+        if not rep.passed:
+            return VerificationReport(suite="envelope", instances_checked=checked,
+                                      passed=False,
+                                      counterexample=rep.counterexample)
+        n_star[str(p)] = rep.payload["n_star"]
+        escalations += rep.payload["escalations"]
+    return VerificationReport(suite="envelope", instances_checked=checked,
+                              passed=True,
+                              payload={"n_star": n_star,
+                                       "escalations": escalations})
+
+
+SUITES = {
+    "stirling": lambda seed: verify_stirling(),
+    "johnson": lambda seed: johnson_suite(seed=seed),
+    "pigeonhole": lambda seed: pigeonhole_suite(seed=seed),
+    "eb-soundness": lambda seed: eb_soundness_sweep(seed=seed),
+    "monotonicity": lambda seed: verify_monotonicity(),
+    "f1": lambda seed: f1_monotonicity_scan(101),
+    "envelope": lambda seed: verify_envelope(),
+}

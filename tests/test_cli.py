@@ -160,6 +160,14 @@ class TestVerify:
         assert rep["passed"]
         assert rep["payload"]["f1_29"] < 0.375 < rep["payload"]["f1_31"]
 
+    def test_stirling_suite(self, capsys):
+        # ln k! lies within float64 noise of the bracket's upper edge from
+        # k ~ 1e3 on; the suite must compare in software precision
+        code, doc, _ = run_json(capsys, "verify", "--suite", "stirling",
+                                "--deterministic")
+        assert code == 0
+        assert doc["results"]["reports"][0]["passed"]
+
 
 class TestOracle:
     def test_a3_4_3(self, capsys):
@@ -245,6 +253,27 @@ class TestDocumentContract:
                              "--x", "0.25", "--digits", "40",
                              "--deterministic")
         assert doc["inputs"]["digits"] == 40
+
+    @pytest.mark.parametrize("argv, env", [
+        (["eval", "entropy", "--digits", "-5"], None),
+        (["eval", "entropy", "--digits", "0"], None),
+        (["eval", "entropy"], "0"),
+        (["tables", "--which", "constants", "--digits", "0"], None),
+        (["bound", "--q", "3", "--n", "100", "--d", "25", "--digits", "-5"],
+         None),
+    ], ids=["digits-negative", "digits-zero", "env-zero", "tables-digits-zero",
+            "bound-digits-negative"])
+    def test_bad_precision_exit_2(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("QB_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("QB_PRECISION", env)
+        if argv[0] == "eval":
+            argv = argv + ["--q", "3", "--x", "0.3"]
+        code, out, err = run(capsys, *argv, "--deterministic")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     def test_pretty_renders(self, capsys):
         code, out, _ = run(capsys, "eval", "johnson", "--q", "3",

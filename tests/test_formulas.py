@@ -1,0 +1,97 @@
+"""Property tests for the single-body formulas: each real-valued function
+is written once over a numeric context, so its float64 and 50-digit
+evaluations must agree, and the vectorized threshold must reproduce the
+scalar one bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qbounds import (PreconditionError, PrimeConstants, RankBoundResult,
+                     constants, entropy, entropy_d1, entropy_d2,
+                     johnson_radius, johnson_radius_d1, log_binomial_estimate,
+                     rank_bound, stirling_bounds, threshold_F,
+                     threshold_F_array)
+from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
+
+Q = st.integers(2, 11)
+UNIT_OPEN = st.floats(1e-6, 1 - 1e-6)
+
+
+@st.composite
+def _delta_args(draw, alphabet=Q, lo=0.0, hi=1.0):
+    """(q, delta) with delta in [lo, hi] times the top (q-1)/q."""
+    q = draw(alphabet)
+    return q, draw(st.floats(lo, hi)) * (q - 1) / q
+
+
+@st.composite
+def _log_binomial_args(draw):
+    q, n = draw(Q), draw(st.integers(2, 1000))
+    return q, n, draw(st.integers(1, n - 1))
+
+
+@st.composite
+def _rank_args(draw):
+    p, delta = draw(_delta_args(st.sampled_from(primes_up_to(29)), 0.05, 0.9))
+    return p, draw(st.integers(16, 10 ** 5)), delta
+
+
+# Argument ranges keep clear of where float64 is ill-conditioned: the
+# square root in J_q has infinite slope at delta = (q-1)/q, and
+# log_binomial_estimate's n log n differences cancel more as n grows.
+CASES = {
+    "entropy": (entropy, st.tuples(Q, st.floats(0.0, 1.0))),
+    "entropy_d1": (entropy_d1, st.tuples(Q, UNIT_OPEN)),
+    "entropy_d2": (entropy_d2, st.tuples(Q, UNIT_OPEN)),
+    "johnson_radius": (johnson_radius, _delta_args(hi=0.99)),
+    "johnson_radius_d1": (johnson_radius_d1, _delta_args(hi=0.99)),
+    "stirling_bounds": (stirling_bounds, st.tuples(st.integers(1, 10 ** 6))),
+    "log_binomial_estimate": (log_binomial_estimate, _log_binomial_args()),
+    "rank_bound": (rank_bound, _rank_args()),
+    "constants": (constants, st.tuples(
+        st.sampled_from([p for p in primes_up_to(101) if p >= 3]))),
+    "threshold_F": (threshold_F, st.tuples(
+        st.sampled_from(SUPPORTED_PRIMES), st.integers(16, 10 ** 6))),
+}
+
+
+def _values(result):
+    if isinstance(result, RankBoundResult):
+        return [result.r_upper]
+    if isinstance(result, PrimeConstants):
+        return [result.f1, result.f2, result.f3, result.f4, result.f5]
+    if isinstance(result, tuple):
+        return list(result)
+    return [result]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_float64_and_50_digits_agree(name, data):
+    fn, args = CASES[name]
+    args = data.draw(args)
+    try:
+        low = fn(*args)
+    except PreconditionError:
+        assume(False)
+    high = fn(*args, digits=50)
+    for lo, hi in zip(_values(low), _values(high), strict=True):
+        assert isinstance(lo, float)
+        assert math.isclose(lo, float(hi), rel_tol=1e-12, abs_tol=1e-14), \
+            (name, args, lo, hi)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=st.sampled_from(SUPPORTED_PRIMES),
+       ns=st.lists(st.integers(16, 400_000), min_size=1, max_size=50))
+def test_threshold_F_array_matches_scalar(p, ns):
+    # numpy's vectorized log may differ from math.log by an ulp; on the
+    # supported primes and the scanned range the results still coincide
+    values = threshold_F_array(p, np.array(ns))
+    assert [float(v) for v in values] == [threshold_F(p, n) for n in ns]
+

@@ -126,14 +126,22 @@ class TestTableDerivation:
         with pytest.raises(PreconditionError):
             derive_c_n0(29, cap=1000)
 
-    def test_forced_escalation_changes_nothing(self):
+    @pytest.mark.parametrize("scan, args, margin, value, expected", [
+        (derive_c_n0, (3, 1918), 0.03, lambda r: r.n0, 1908),
+        (derive_N, (3, 120), 0.03, lambda r: r.N, 91),
+        (envelope_check, (3, 16, 200), 0.05, lambda r: r.payload["n_star"], 63),
+    ], ids=["derive_c_n0", "derive_N", "envelope_check"])
+    def test_forced_escalation_changes_nothing(self, scan, args, margin, value,
+                                               expected):
         # widening the decision margin routes the tightest comparison
-        # (|F - baseline| ~ 1.5e-3 on this range) through the
+        # (|diff| ~ 1.1e-3, 1.5e-3 and 3.4e-2 on these ranges) through the
         # high-precision path; the derived value must not change
-        eager = PrecisionPolicy(decision_margin=0.03)
-        result = derive_N(3, cap=120, policy=eager)
-        assert result.N == 91
-        assert result.escalations >= 1
+        eager = PrecisionPolicy(decision_margin=margin)
+        result = scan(*args, policy=eager)
+        assert value(result) == value(scan(*args)) == expected
+        escalations = (result.payload["escalations"]
+                       if scan is envelope_check else result.escalations)
+        assert escalations >= 1
 
 
 class TestScans:
