@@ -5,12 +5,15 @@ threshold function F(n, p) = f1*n + 2.5*log_p n + ... whose leading slope
 f1(p) climbs toward, and past, 3/8 as p grows.  Two derived integer tables
 summarize its behaviour:
 
-  n0(p) - the length from which F(n, p) > c(p) * n holds for good,
+  n0(p) - the least length from which F(n, p) <= c(p) * n holds for
+          every n >= n0(p),
   N(p)  - the largest length for which F(n, p) still beats the baseline
           rank floor(3n/8) + O(1) at every n in [16, N(p)].
 
 Both are recomputed here by direct scan and compared to the shipped
-reference values.
+reference values.  Each scan stops at a length past which F(n, p) - s n
+is proven to decrease and is already negative (s = c(p), resp. 3/8), so
+both tables hold for every n, not just up to a cap.
 """
 
 from qbounds.geometry import (SUPPORTED_PRIMES, baseline_rank, constants,

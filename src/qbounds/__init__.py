@@ -3,7 +3,7 @@ radius, the finite-length Elias-Bassalygo rate bound, symmetry-rank
 thresholds derived from it, and an exhaustive small-instance oracle."""
 
 from .errors import (AmbiguousComparisonError, DomainError, PreconditionError,
-                     QBoundsError, ResourceBudgetError, SearchExhaustedError)
+                     QBoundsError, ResourceBudgetError)
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .qcore import (entropy, entropy_d1, entropy_d2, hamming_ball_volume,
                     johnson_radius, johnson_radius_d1, log_binomial_estimate,

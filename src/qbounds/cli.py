@@ -28,7 +28,8 @@ from .geometry import (SUPPORTED_PRIMES, anchor_signs, classify_rank,
                        codim_guarantees, constants, derive_c_n0, derive_N,
                        paper_tables)
 from .oracle import max_code_size, serialize_code
-from .precision import DEFAULT_POLICY, PrecisionPolicy, check_digits
+from .precision import (DEFAULT_POLICY, DOUBLE_DIGITS, PrecisionPolicy,
+                        check_digits)
 from .qcore import (entropy, entropy_d1, entropy_d2, hamming_ball_volume,
                     johnson_radius, johnson_radius_d1, stirling_bounds)
 from .suites import SUITES
@@ -119,7 +120,7 @@ def _policy(args) -> PrecisionPolicy:
     dig = _digits(args)
     if dig is None:
         return DEFAULT_POLICY
-    return PrecisionPolicy(escalation_digits=max(dig, 17))
+    return PrecisionPolicy(escalation_digits=max(dig, DOUBLE_DIGITS))
 
 
 def _num(x):
@@ -228,7 +229,7 @@ def _tables_rows(which, primes, policy, diagnostics):
                          "N_recomputed": computed(derived.N),
                          "first_failure": computed(derived.first_failure),
                          "match": match})
-    elif which == "anchor":
+    else:  # anchor
         for p in primes:
             N = paper["N"][p]
             ns, signs, escalations = anchor_signs(p, N, policy)
@@ -238,8 +239,6 @@ def _tables_rows(which, primes, policy, diagnostics):
             rows.append({"p": p, "N_paper": paper_val(N),
                          "scanned": computed(int(ns.size)),
                          "anchor_holds": holds})
-    else:  # pragma: no cover
-        raise DomainError(f"unknown table {which!r}")
     return rows, mismatch
 
 

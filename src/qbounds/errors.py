@@ -17,10 +17,6 @@ class ResourceBudgetError(QBoundsError, RuntimeError):
     """An exhaustive computation exceeded its size or wall-clock budget."""
 
 
-class SearchExhaustedError(QBoundsError, RuntimeError):
-    """A scan reached its cap without establishing the sought property."""
-
-
 class AmbiguousComparisonError(QBoundsError, RuntimeError):
     """A strict comparison stayed below the decision margin even after
     escalating to high precision."""

@@ -19,9 +19,9 @@ import mpmath
 import numpy as np
 
 from .eb_bounds import is_prime, rank_bound
-from .errors import (DomainError, PreconditionError, SearchExhaustedError)
-from .precision import (DEFAULT_POLICY, NUMPY, PrecisionPolicy, evaluate,
-                        strict_sign)
+from .errors import DomainError, PreconditionError
+from .precision import (DEFAULT_POLICY, MP, NUMPY, PrecisionPolicy,
+                        evaluate, strict_sign)
 from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport
 
@@ -157,9 +157,8 @@ class DerivedCN0:
     p: int
     c: Fraction
     n0: int
-    cap: int
-    last_violation: int
-    decreasing_at_cap: bool
+    cap: int  # the proven end of the scan
+    last_violation: int | None  # None if F <= c n on all of F's domain
     escalations: int
 
 
@@ -182,41 +181,46 @@ def _guarded_signs(p, ns, F, rhs, rhs_exact, policy):
     return signs, escalations
 
 
-def derive_c_n0(p: int, cap: int = 400_000,
-                policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
-    """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
-    n in [n0, cap], taking c(p) from the published table.
+def _scan_end(p, s, t, policy):
+    """``(n, escalations)`` with F(m, p) < s m + t proven for all m >= n: as
+    f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p),
+    so once f1 < s, g decreases from n_mono = ceil(2.5/((s - f1) ln p)) + 1
+    on, and doubling n from n_mono until g(n) < 0 finds the end."""
+    hi = policy.escalation_digits
+    with mpmath.workdps(hi):  # s - f1 and n_mono at escalation precision
+        gap = MP.num(s) - constants(p, hi).f1
+        n = int(mpmath.ceil(2.5 / (gap * mpmath.log(p)))) + 1
+    sign, esc = strict_sign(float(s) - constants(p).f1, lambda: gap, policy)
+    if sign < 0:
+        raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
+    while True:  # threshold_F rejects an n outside F's domain
+        sign, more = strict_sign(
+            threshold_F(p, n) - float(s) * n - float(t),
+            lambda: threshold_F(p, n, digits=hi) - MP.num(s) * n - MP.num(t),
+            policy)
+        esc += more
+        if sign < 0:
+            return n, esc
+        n *= 2
 
-    Every pointwise comparison whose double-precision margin is below the
-    policy's decision margin is re-decided at escalation precision.  The
-    certificate field ``decreasing_at_cap`` records that F(n,p) - c(p) n
-    is still decreasing at the cap, so the property persists beyond it.
-    """
-    _check_odd_prime(p)
+
+def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
+    """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
+    n >= n0, taking c(p) from the published table.  The guarded scan
+    stops at the end ``_scan_end`` proves for (c(p), 0)."""
     if p not in _PAPER["c"]:
         raise DomainError(f"no published c(p) for p={p}")
     c = _PAPER["c"][p]
-    if cap < _PAPER["n0"][p] + 10:
-        raise PreconditionError(f"cap={cap} below published n0(p) + margin")
+    end, esc_end = _scan_end(p, c, 0, policy)
     start = max(16, int(math.floor(2.0 / constants(p).f5)) + 2)
-    ns = np.arange(start, cap + 1, dtype=np.int64)
+    ns = np.arange(start, end + 1, dtype=np.int64)
     # +1 where F > c n (violation)
-    signs, escalations = _guarded_signs(
-        p, ns, threshold_F_array(p, ns), float(c) * ns,
-        lambda n: mpmath.mpf(c.numerator) / c.denominator * n, policy)
+    signs, esc = _guarded_signs(p, ns, threshold_F_array(p, ns),
+                                float(c) * ns, lambda n: MP.num(c) * n, policy)
     viol = np.nonzero(signs > 0)[0]
-    if viol.size == 0:
-        raise SearchExhaustedError(
-            f"no crossing of F(n,{p}) = c n found above n = {start}")
-    last = int(ns[viol[-1]])
-    if last >= cap:
-        raise SearchExhaustedError(
-            f"F(n,{p}) > c n still holds at the cap n = {cap}")
-    g_cap = threshold_F(p, cap) - float(c) * cap
-    g_next = threshold_F(p, cap + 1) - float(c) * (cap + 1)
-    return DerivedCN0(p=p, c=c, n0=last + 1, cap=cap, last_violation=last,
-                      decreasing_at_cap=bool(g_next < g_cap),
-                      escalations=escalations)
+    last = int(ns[viol[-1]]) if viol.size else None
+    return DerivedCN0(p=p, c=c, n0=start if last is None else last + 1,
+                      cap=end, last_violation=last, escalations=esc_end + esc)
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,6 @@ def anchor_signs(p: int, n_hi: int,
                  policy: PrecisionPolicy = DEFAULT_POLICY):
     """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
     returns ``(ns, signs, escalations)`` with sign +1 where it holds."""
-    _check_odd_prime(p)
     ns = np.arange(16, n_hi + 1, dtype=np.int64)
     base = 3 * ns // 8 + np.where((ns % 8 == 2) | (ns % 8 == 4), 2, 1)
     return (ns, *_guarded_signs(p, ns, threshold_F_array(p, ns),
@@ -239,22 +242,18 @@ def anchor_signs(p: int, n_hi: int,
                                 policy))
 
 
-def derive_N(p: int, cap: int = 200_000,
-             policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
+def derive_N(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
-    all n in [16, N]; also reports the first failing n (= N + 1)."""
-    _check_odd_prime(p)
-    if p in _PAPER["N"] and cap < _PAPER["N"][p] + 10:
-        raise PreconditionError(f"cap={cap} below published N(p) + margin")
-    ns, signs, escalations = anchor_signs(p, cap, policy)
-    fails = np.nonzero(signs <= 0)[0]
-    if fails.size == 0:
-        raise SearchExhaustedError(
-            f"F(n,{p}) > baseline still holds at the cap n = {cap}")
-    first = int(ns[fails[0]])
+    all n in [16, N]; also reports the first failing n (= N + 1).  As
+    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
+    ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out."""
+    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), policy)
+    ns, signs, esc = anchor_signs(p, end, policy)
+    first = int(ns[np.nonzero(signs <= 0)[0][0]])
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
-    return DerivedN(p=p, N=first - 1, first_failure=first, escalations=escalations)
+    return DerivedN(p=p, N=first - 1, first_failure=first,
+                    escalations=escalations + esc)
 
 
 def f1_monotonicity_scan(p_max: int,

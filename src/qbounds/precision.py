@@ -53,29 +53,28 @@ def evaluate(digits, formula, *args):
         return formula(MP, *args)
 
 
+# Decimal digits of a double: escalating to fewer would gain nothing.
+DOUBLE_DIGITS = 17
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Precision contract for real-valued evaluation.
 
-    working_digits
-        Decimal digits of the default working precision (binary floating
-        point gives ~17).
     escalation_digits
-        Digits used when a comparison is re-run in software precision.
+        Digits used when a comparison is re-run in software precision
+        (at least ``DOUBLE_DIGITS``).
     decision_margin
         Minimum |difference| at which a strict comparison is accepted
         without escalation.
     """
 
-    working_digits: int = 17
     escalation_digits: int = 50
     decision_margin: float = 1e-9
 
     def __post_init__(self):
-        if self.working_digits < 15:
-            raise DomainError("working_digits must be >= 15")
-        if self.escalation_digits < self.working_digits:
-            raise DomainError("escalation_digits must be >= working_digits")
+        if self.escalation_digits < DOUBLE_DIGITS:
+            raise DomainError(f"escalation_digits must be >= {DOUBLE_DIGITS}")
         if not self.decision_margin > 0:
             raise DomainError("decision_margin must be positive")
 

@@ -83,11 +83,17 @@ def entropy_d2(q, x, digits=None):
     return evaluate(digits, _entropy_d2, q, x)
 
 
-def _johnson_radius(m, q, delta):
+def _johnson_radicand(m, q, delta):
+    """1 - q delta/(q-1) >= 0, the radicand of J_q and J_q'."""
     rad = 1 - q * m.num(delta) / (q - 1)
-    if rad < 0:  # rounding at the upper endpoint
-        rad = 0
-    return (1 - m.one / q) * (1 - m.sqrt(rad))
+    # below 1e-3 a float's rounding costs > 1e-13 in J': redo it exactly
+    if isinstance(rad, float) and rad < 1e-3:
+        rad = float(1 - q * Fraction(delta) / (q - 1))
+    return max(rad, 0)
+
+
+def _johnson_radius(m, q, delta):
+    return (1 - m.one / q) * (1 - m.sqrt(_johnson_radicand(m, q, delta)))
 
 
 def johnson_radius(q, delta, digits=None):
@@ -98,7 +104,7 @@ def johnson_radius(q, delta, digits=None):
 
 
 def _johnson_radius_d1(m, q, delta):
-    return 0.5 / m.sqrt(1 - q * m.num(delta) / (q - 1))
+    return 0.5 / m.sqrt(_johnson_radicand(m, q, delta))
 
 
 def johnson_radius_d1(q, delta, digits=None):

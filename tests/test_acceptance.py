@@ -2,24 +2,23 @@
 line.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines
 as they complete."""
 
-import math
 import time
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from qbounds import (BoundParams, eb_rate_bound, eb_rate_bound_continuous,
                      entropy, entropy_d1, entropy_d2, johnson_radius,
-                     johnson_radius_d1, rank_bound)
+                     johnson_radius_d1)
 from qbounds.errors import DomainError, PreconditionError
-from qbounds.geometry import (SUPPORTED_PRIMES, baseline_rank, constants,
-                              derive_c_n0, derive_N, envelope_check,
-                              f1_monotonicity_scan, paper_tables, threshold_F,
+from qbounds.geometry import (SUPPORTED_PRIMES, baseline_rank, derive_c_n0,
+                              derive_N, paper_tables, threshold_F,
                               threshold_F_array)
-from qbounds.oracle import (eb_soundness_sweep, johnson_suite, max_code_size,
-                            pigeonhole_suite)
+from qbounds.oracle import eb_soundness_sweep, max_code_size
 from qbounds.qcore import stirling_bounds
+from qbounds.suites import SUITES
+
+SEED = 1  # for the seeded suites; the others ignore it
 
 
 def report(num, label, ok, detail=""):
@@ -70,7 +69,7 @@ def test_criterion_02_N_tables_and_anchor_scan():
 
 
 def test_criterion_03_f1_crossover():
-    rep = f1_monotonicity_scan(101)
+    rep = SUITES["f1"](SEED)
     f1_29 = rep.payload["f1_29"]
     f1_31 = rep.payload["f1_31"]
     ok = (rep.passed
@@ -82,33 +81,20 @@ def test_criterion_03_f1_crossover():
 
 
 def test_criterion_04_rank_bound_monotonicity():
-    ns = list(range(16, 201)) + [10 ** 3, 10 ** 4, 10 ** 5]
-    violations = []
-    for p in SUPPORTED_PRIMES:
-        for n in ns:
-            wide = rank_bound(p, n, Fraction(1, 4)).r_upper
-            tight = rank_bound(p, n, Fraction(1, 3)).r_upper
-            if not tight < wide:
-                violations.append((p, n))
+    rep = SUITES["monotonicity"](SEED)
     report(4, "rank bound at relative distance 1/3 is strictly below the "
               "bound at 1/4 on the full prime/length grid",
-           not violations,
-           f"{len(SUPPORTED_PRIMES) * len(ns)} pairs"
-           + (f", violations={violations[:3]}" if violations else ""))
+           rep.passed, f"{rep.instances_checked} pairs"
+           + (f", violation={rep.counterexample}" if not rep.passed else ""))
 
 
 def test_criterion_05_envelope():
-    failures = []
-    stars = {}
-    for p in SUPPORTED_PRIMES:
-        rep = envelope_check(p, 16, 10 ** 5)
-        if not rep.passed or rep.payload["n_star"] > 10 ** 5:
-            failures.append(p)
-        else:
-            stars[p] = rep.payload["n_star"]
+    rep = SUITES["envelope"](SEED)
+    stars = rep.payload["n_star"] if rep.passed else {}
     # at p=3 the lower inequality n/4 < F(n,3) must already hold by n=92
     lower_at_92 = threshold_F(3, 92) > 92 / 4
-    ok = not failures and lower_at_92
+    ok = (rep.passed and len(stars) == len(SUPPORTED_PRIMES)
+          and max(stars.values()) <= 10 ** 5 and lower_at_92)
     report(5, "n/4 < F(n,p) <= sqrt(3)n/4 from some n* <= 1e5 per prime, "
               "lower inequality at (p=3, n=92)",
            ok, f"max n*={max(stars.values()) if stars else '-'}")
@@ -127,8 +113,8 @@ def test_criterion_06_bound_soundness_vs_oracle():
 
 
 def test_criterion_07_lemma_checks():
-    pig = pigeonhole_suite(trials=200, seed=1)
-    joh = johnson_suite(trials=200, seed=1)
+    pig = SUITES["pigeonhole"](SEED)
+    joh = SUITES["johnson"](SEED)
     ok = (pig.passed and joh.passed
           and pig.instances_checked >= 200 and joh.instances_checked >= 200)
     report(7, "pigeonhole and Johnson-ball lemma checks over all centers "

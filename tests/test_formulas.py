@@ -22,10 +22,13 @@ UNIT_OPEN = st.floats(1e-6, 1 - 1e-6)
 
 
 @st.composite
-def _delta_args(draw, alphabet=Q, lo=0.0, hi=1.0):
-    """(q, delta) with delta in [lo, hi] times the top (q-1)/q."""
+def _delta_args(draw, alphabet=Q, lo=0.0, hi=1.0, open_upper=False):
+    """(q, delta) with delta in [lo, hi] times the top (q-1)/q, below the
+    top itself if ``open_upper``."""
     q = draw(alphabet)
-    return q, draw(st.floats(lo, hi)) * (q - 1) / q
+    delta = draw(st.floats(lo, hi)) * (q - 1) / q
+    assume(not open_upper or delta < (q - 1) / q)
+    return q, delta
 
 
 @st.composite
@@ -40,15 +43,15 @@ def _rank_args(draw):
     return p, draw(st.integers(16, 10 ** 5)), delta
 
 
-# Argument ranges keep clear of where float64 is ill-conditioned: the
-# square root in J_q has infinite slope at delta = (q-1)/q, and
-# log_binomial_estimate's n log n differences cancel more as n grows.
+# Argument ranges keep clear of where float64 is ill-conditioned:
+# log_binomial_estimate's n log n differences cancel more as n grows.  J_q
+# and J_q' cover their whole domain, up to delta = (q-1)/q.
 CASES = {
     "entropy": (entropy, st.tuples(Q, st.floats(0.0, 1.0))),
     "entropy_d1": (entropy_d1, st.tuples(Q, UNIT_OPEN)),
     "entropy_d2": (entropy_d2, st.tuples(Q, UNIT_OPEN)),
-    "johnson_radius": (johnson_radius, _delta_args(hi=0.99)),
-    "johnson_radius_d1": (johnson_radius_d1, _delta_args(hi=0.99)),
+    "johnson_radius": (johnson_radius, _delta_args()),
+    "johnson_radius_d1": (johnson_radius_d1, _delta_args(open_upper=True)),
     "stirling_bounds": (stirling_bounds, st.tuples(st.integers(1, 10 ** 6))),
     "log_binomial_estimate": (log_binomial_estimate, _log_binomial_args()),
     "rank_bound": (rank_bound, _rank_args()),
@@ -84,6 +87,19 @@ def test_float64_and_50_digits_agree(name, data):
         assert isinstance(lo, float)
         assert math.isclose(lo, float(hi), rel_tol=1e-12, abs_tol=1e-14), \
             (name, args, lo, hi)
+
+
+@pytest.mark.parametrize("fn, q, delta", [
+    (johnson_radius, 3, 0.6666666666666666),
+    (johnson_radius, 5, 0.7999999999999999),
+    (johnson_radius_d1, 5, 0.7999999999999999),
+    (johnson_radius_d1, 4, 0.7499999999999999),
+])
+def test_johnson_near_top(fn, q, delta):
+    # 1 - q delta/(q-1) is a few ulps here; rounding it in float64 once
+    # cost up to 15% in J_q'
+    assert math.isclose(fn(q, delta), float(fn(q, delta, digits=50)),
+                        rel_tol=1e-12)
 
 
 @settings(max_examples=100, deadline=None, database=None)

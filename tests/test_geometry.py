@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,7 +107,6 @@ class TestTableDerivation:
         res = derive_c_n0(3)
         assert res.n0 == 1908
         assert res.c == Fraction(9, 32)
-        assert res.decreasing_at_cap
         # minimality witness at the boundary
         assert threshold_F(3, 1907) > (9 / 32) * 1907
         assert res.last_violation == 1907
@@ -122,13 +122,24 @@ class TestTableDerivation:
     def test_N_for_p23(self):
         assert derive_N(23).N == 1395
 
-    def test_cap_too_small(self):
-        with pytest.raises(PreconditionError):
-            derive_c_n0(29, cap=1000)
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_scan_end_is_proven(self, p):
+        # past n_mono, F(n, p) - c n decreases; it is negative at the end
+        res = derive_c_n0(p)
+        with mpmath.workdps(50):
+            c = mpmath.mpf(res.c.numerator) / res.c.denominator
+            f1 = constants(p, digits=50).f1
+            n_mono = int(mpmath.ceil(2.5 / ((c - f1) * mpmath.log(p)))) + 1
+            assert res.cap >= n_mono
+            assert threshold_F(p, res.cap, digits=50) < c * res.cap
+
+    def test_N_needs_f1_below_three_eighths(self):
+        with pytest.raises(DomainError):
+            derive_N(31)
 
     @pytest.mark.parametrize("scan, args, margin, value, expected", [
-        (derive_c_n0, (3, 1918), 0.03, lambda r: r.n0, 1908),
-        (derive_N, (3, 120), 0.03, lambda r: r.N, 91),
+        (derive_c_n0, (3,), 0.03, lambda r: r.n0, 1908),
+        (derive_N, (3,), 0.03, lambda r: r.N, 91),
         (envelope_check, (3, 16, 200), 0.05, lambda r: r.payload["n_star"], 63),
     ], ids=["derive_c_n0", "derive_N", "envelope_check"])
     def test_forced_escalation_changes_nothing(self, scan, args, margin, value,
