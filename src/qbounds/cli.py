@@ -27,7 +27,7 @@ from .errors import (DomainError, PreconditionError, QBoundsError,
 from .geometry import (SUPPORTED_PRIMES, anchor_signs, classify_rank,
                        codim_guarantees, constants, derive_c_n0, derive_N,
                        paper_tables)
-from .oracle import max_code_size, serialize_code
+from .oracle import max_code_size, serialize_code, upper_bound
 from .precision import (DEFAULT_POLICY, DOUBLE_DIGITS, PrecisionPolicy,
                         check_digits)
 from .qcore import (entropy, entropy_d1, entropy_d2, hamming_ball_volume,
@@ -302,9 +302,13 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     size, witness = max_code_size(args.q, args.n, args.d,
                                   time_limit=args.time_limit)
+    ub = upper_bound(args.q, args.n, args.d)
     results = {
         "max_code_size": computed(size),
         "witness": serialize_code(witness),
+        "upper_bound": {**computed(ub.value), "by": ub.by},
+        "optimality": ("bound met" if size == ub.value
+                       else "search exhausted"),
     }
     diagnostics = []
     try:

@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .report import VerificationReport
 
 __all__ = [
     "Code", "make_code", "hamming_weight", "hamming_distance",
-    "min_distance", "max_code_size", "pigeonhole_witness",
+    "min_distance", "max_code_size", "upper_bound", "UpperBound",
+    "pigeonhole_witness",
     "johnson_ball_check", "eb_soundness_sweep", "random_code",
     "pigeonhole_suite", "johnson_suite",
     "serialize_code", "parse_code", "all_words_array",
@@ -110,9 +112,7 @@ def all_words_array(q: int, n: int) -> np.ndarray:
     total = q ** n
     if total > SPACE_BUDGET:
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
-    idx = np.arange(total, dtype=np.int64)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers) % q).astype(np.uint8)
+    return np.indices((q,) * n, dtype=np.uint8).reshape(n, total).T
 
 
 def _word_from_index(q: int, n: int, idx: int) -> tuple:
@@ -124,6 +124,31 @@ def _word_from_index(q: int, n: int, idx: int) -> tuple:
 
 
 # --- maximum code size via branch-and-bound clique search ----------------
+
+def _check_qnd(q, n, d):
+    if not isinstance(q, int) or q < 2:
+        raise DomainError(f"q must be an integer >= 2, got {q!r}")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(d, int) or not 1 <= d <= n:
+        raise DomainError(f"d must satisfy 1 <= d <= n, got {d!r}")
+
+
+class UpperBound(NamedTuple):
+    value: int
+    by: str  # "singleton" or "sphere-packing"
+
+
+def upper_bound(q: int, n: int, d: int) -> UpperBound:
+    """Proven A_q(n, d) <= min(q^(n-d+1), floor(q^n / V_q(n, floor((d-1)/2))))
+    (Singleton and sphere packing); a tie is credited to Singleton."""
+    _check_qnd(q, n, d)
+    singleton = q ** (n - d + 1)
+    packing = q ** n // hamming_ball_volume(q, n, (d - 1) // 2)
+    if singleton <= packing:
+        return UpperBound(singleton, "singleton")
+    return UpperBound(packing, "sphere-packing")
+
 
 def _greedy_color_order(cand: list[int], adj: list[int]) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; returns candidates reordered
@@ -147,24 +172,63 @@ def _greedy_color_order(cand: list[int], adj: list[int]) -> tuple[list[int], lis
     return order, bounds
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
+    """Row i as an int whose bit j is set iff cand[i], cand[j] are at
+    distance >= d; built a block of rows at a time."""
+    m, n = cand.shape
+    rows = max(1, (1 << 22) // max(m, 1))
+    adj: list[int] = []
+    for lo in range(0, m, rows):
+        if time.monotonic() > deadline:
+            raise ResourceBudgetError("adjacency construction exceeded time limit")
+        block = cand[lo:lo + rows]
+        dist = np.zeros((len(block), m), dtype=np.uint8)
+        for k in range(n):
+            dist += block[:, k, None] != cand[None, :, k]
+        bits = np.packbits(dist >= d, axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
+    return adj
+
+
 def max_code_size(q: int, n: int, d: int, *,
                   time_limit: float = 60.0,
                   max_candidates: int = 8192) -> tuple[int, Code]:
     """Exact A_q(n, d) with an extremal witness.
 
-    Deterministic: translation invariance fixes the all-zero word in the
-    witness, and the remaining maximum-clique search over the distance->=d
-    graph runs depth-first with greedy-coloring upper bounds in
-    lexicographic candidate order.  Raises ResourceBudgetError when q^n
-    exceeds the space budget, the candidate set exceeds
-    ``max_candidates``, or the wall clock exceeds ``time_limit`` seconds.
+    Symmetry: for d >= 2 some optimal code contains the all-zero word and
+    w2 = 0^(n-d) 1^d.  Take an optimal code; while its minimum distance
+    d' exceeds d, move one symbol of a word u toward its nearest
+    neighbour v (set one coordinate where they differ to v's symbol):
+    u-v drops to d' - 1 >= d, every other distance drops by at most one,
+    so the size and the distance >= d are kept.  The result has a pair at
+    distance exactly d.  Translating by the first word of the pair, then
+    permuting coordinates and, in each coordinate, the symbols with 0
+    fixed, maps the pair to (0, w2); all three are isometries.  The
+    remaining words are a maximum clique among the candidates, the words
+    at distance >= d from both 0 and w2, in the distance->=d graph.
+
+    Search: the incumbent is seeded with the greedy clique taken in
+    candidate (lexicographic) order; a depth-first search on an explicit
+    stack with greedy-coloring upper bounds then tries to beat it.  Both
+    stop as soon as the code meets the proven ``upper_bound``, so a
+    result equal to that bound is optimal by the bound, and any other
+    result by the exhausted search.  Deterministic.
+
+    Raises ResourceBudgetError when q^n exceeds the space budget, the
+    words of weight >= d outnumber ``max_candidates``, or the wall clock
+    exceeds ``time_limit`` seconds.
     """
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or not 1 <= d <= n:
-        raise DomainError(f"d must satisfy 1 <= d <= n, got {d!r}")
+    _check_qnd(q, n, d)
     total = q ** n
     if total > SPACE_BUDGET:
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
@@ -175,60 +239,57 @@ def max_code_size(q: int, n: int, d: int, *,
 
     deadline = time.monotonic() + time_limit
     space = all_words_array(q, n)
-    weights = (space != 0).sum(axis=1)
-    cand_rows = np.nonzero(weights >= d)[0]  # lexicographic by construction
-    m = cand_rows.size
-    if m > max_candidates:
+    heavy = space[np.count_nonzero(space, axis=1) >= d]  # lexicographic
+    if len(heavy) > max_candidates:
         raise ResourceBudgetError(
-            f"candidate set of {m} words exceeds cap {max_candidates}")
-    cand = space[cand_rows]
+            f"candidate set of {len(heavy)} words exceeds cap {max_candidates}")
+    w2 = np.zeros(n, dtype=np.uint8)
+    w2[n - d:] = 1
+    cand = heavy[np.count_nonzero(heavy != w2, axis=1) >= d]
+    adj = _adjacency(cand, d, deadline)
+    target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
 
-    # adjacency bitsets over candidate indices
-    adj = [0] * m
-    for i in range(m):
-        if time.monotonic() > deadline:
-            raise ResourceBudgetError("adjacency construction exceeded time limit")
-        ok = np.nonzero((cand != cand[i]).sum(axis=1) >= d)[0]
-        mask = 0
-        for j in ok:
-            mask |= 1 << int(j)
-        mask &= ~(1 << i)
-        adj[i] = mask
+    best_mask = 0
+    for v in range(len(cand)):
+        if adj[v] & best_mask == best_mask:
+            best_mask |= 1 << v
+    best_clique = _bits(best_mask)
+    best_size = len(best_clique)
 
-    best_size = 0
-    best_clique: list[int] = []
+    def frame(cand_mask: int) -> list:
+        order, bounds = _greedy_color_order(_bits(cand_mask), adj)
+        return [order, bounds, len(order) - 1, cand_mask]
+
+    # each frame: [coloring order, color bounds, next index, candidate mask];
+    # current[k] is the vertex chosen in frame k
+    stack = [frame((1 << len(cand)) - 1)] if best_size < target else []
     current: list[int] = []
-
-    def expand(cand_mask: int):
-        nonlocal best_size, best_clique
-        if time.monotonic() > deadline:
-            raise ResourceBudgetError("clique search exceeded time limit")
-        verts = []
-        mask = cand_mask
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            verts.append(v)
-            mask &= mask - 1
-        order, bounds = _greedy_color_order(verts, adj)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[idx] <= best_size:
-                return
-            v = order[idx]
+    while stack:
+        top = stack[-1]
+        order, bounds, idx, cand_mask = top
+        if idx < 0 or len(current) + bounds[idx] <= best_size:
+            stack.pop()
+            if current:
+                current.pop()
+            continue
+        v = order[idx]
+        top[2] = idx - 1
+        top[3] = cand_mask & ~(1 << v)
+        sub = cand_mask & adj[v]
+        if sub:
+            if time.monotonic() > deadline:
+                raise ResourceBudgetError("clique search exceeded time limit")
             current.append(v)
-            sub = cand_mask & adj[v]
-            if sub:
-                expand(sub)
-            elif len(current) > best_size:
-                best_size = len(current)
-                best_clique = list(current)
-            current.pop()
-            cand_mask &= ~(1 << v)
+            stack.append(frame(sub))
+        elif len(current) + 1 > best_size:
+            best_clique = current + [v]
+            best_size = len(best_clique)
+            if best_size == target:
+                break
 
-    if m:
-        expand((1 << m) - 1)
-    witness_words = [(0,) * n] + [tuple(int(s) for s in cand[v])
-                                  for v in sorted(best_clique)]
-    return best_size + 1, make_code(q, n, witness_words)
+    witness_words = [(0,) * n, tuple(int(s) for s in w2)] + [
+        tuple(int(s) for s in cand[v]) for v in best_clique]
+    return best_size + 2, make_code(q, n, witness_words)
 
 
 # --- exhaustive lemma checks ---------------------------------------------

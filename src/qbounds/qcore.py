@@ -93,11 +93,14 @@ def _johnson_radicand(m, q, delta):
 
 
 def _johnson_radius(m, q, delta):
-    return (1 - m.one / q) * (1 - m.sqrt(_johnson_radicand(m, q, delta)))
+    # equal to (1 - 1/q)(1 - s) with s = sqrt(radicand), without its
+    # cancellation as delta -> 0
+    return m.num(delta) / (1 + m.sqrt(_johnson_radicand(m, q, delta)))
 
 
 def johnson_radius(q, delta, digits=None):
-    """Johnson radius J_q(delta) = (1 - 1/q)(1 - sqrt(1 - q*delta/(q-1)))."""
+    """Johnson radius J_q(delta) = (1 - 1/q)(1 - sqrt(1 - q*delta/(q-1))),
+    evaluated as delta / (1 + sqrt(1 - q*delta/(q-1)))."""
     _check_q(q)
     _check_delta(q, delta)
     return evaluate(digits, _johnson_radius, q, delta)

@@ -200,6 +200,29 @@ class TestOracle:
                            "--d", "3")
         assert code == 2
 
+    def test_deep_clique_exit_0(self, capsys):
+        code, doc, _ = run_json(capsys, "oracle", "--q", "2", "--n", "11",
+                                "--d", "2", "--deterministic")
+        assert code == 0
+        assert doc["results"]["max_code_size"]["value"] == 1024
+
+    @pytest.mark.parametrize("q, n, d, value, by, optimality", [
+        (3, 4, 3, 9, "singleton", "bound met"),
+        (2, 7, 3, 16, "sphere-packing", "bound met"),
+        (2, 8, 4, 28, "sphere-packing", "search exhausted"),
+    ])
+    def test_upper_bound_and_optimality(self, capsys, q, n, d, value, by,
+                                        optimality):
+        argv = ("oracle", "--q", str(q), "--n", str(n), "--d", str(d),
+                "--deterministic")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["upper_bound"] == {"value": value, "by": by,
+                                          "provenance": "computed"}
+        assert results["optimality"] == optimality
+        assert run(capsys, *argv)[1] == out
+
 
 class TestClassify:
     def test_main_theorem(self, capsys):

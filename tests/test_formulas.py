@@ -102,6 +102,15 @@ def test_johnson_near_top(fn, q, delta):
                         rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("q, delta", [(3, 1e-12), (2, 1e-10)])
+def test_johnson_near_zero(q, delta):
+    # 1 - sqrt(1 - q delta/(q-1)) cancels here; J_3(1e-12) was once 8.9e-5
+    # off, which abs_tol in the property test above does not see
+    assert math.isclose(johnson_radius(q, delta),
+                        float(johnson_radius(q, delta, digits=50)),
+                        rel_tol=1e-12)
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(p=st.sampled_from(SUPPORTED_PRIMES),
        ns=st.lists(st.integers(16, 400_000), min_size=1, max_size=50))

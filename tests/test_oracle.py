@@ -4,8 +4,10 @@ sizes, lemma checks, and the witness serialization format."""
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
@@ -14,6 +16,48 @@ from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
                      johnson_suite, make_code, max_code_size, min_distance,
                      parse_code, pigeonhole_suite, pigeonhole_witness,
                      random_code, serialize_code)
+from qbounds.oracle import upper_bound
+
+# A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
+# earlier recursive search (fixed zero word only, no seed, no early exit)
+# finished within 20 s; pinned from it, so the symmetry-reduced search must
+# agree with it exactly.
+GRID = {
+    (2, 2): {2: 2},
+    (2, 3): {2: 4, 3: 2},
+    (2, 4): {2: 8, 3: 2, 4: 2},
+    (2, 5): {2: 16, 3: 4, 4: 2, 5: 2},
+    (2, 6): {2: 32, 3: 8, 4: 4, 5: 2, 6: 2},
+    (2, 7): {2: 64, 3: 16, 4: 8, 5: 2, 6: 2, 7: 2},
+    (2, 8): {2: 128, 4: 16, 5: 4, 6: 2, 7: 2, 8: 2},
+    (2, 9): {2: 256, 5: 6, 6: 4, 7: 2, 8: 2, 9: 2},
+    (2, 10): {2: 512, 6: 6, 7: 2, 8: 2, 9: 2, 10: 2},
+    (2, 11): {2: 1024, 7: 4, 8: 2, 9: 2, 10: 2, 11: 2},
+    (3, 2): {2: 3},
+    (3, 3): {2: 9, 3: 3},
+    (3, 4): {2: 27, 3: 9, 4: 3},
+    (3, 5): {2: 81, 3: 18, 4: 6, 5: 3},
+    (3, 6): {2: 243, 5: 4, 6: 3},
+    (4, 2): {2: 4},
+    (4, 3): {2: 16, 3: 4},
+    (4, 4): {2: 64, 3: 16, 4: 4},
+    (4, 5): {4: 16, 5: 4},
+    (5, 2): {2: 5},
+    (5, 3): {2: 25, 3: 5},
+    (5, 4): {4: 5},
+}
+
+
+def _witness_ok(code, q, n, d, size):
+    """Check a witness with numpy alone: size distinct words over the
+    alphabet, pairwise at distance >= d."""
+    words = np.array(code.words, dtype=np.int64).reshape(-1, n)
+    if len(words) != size or len(np.unique(words, axis=0)) != size:
+        return False
+    if not ((0 <= words) & (words < q)).all():
+        return False
+    return all((words[i + 1:] != words[i]).sum(axis=1).min() >= d
+               for i in range(size - 1))
 
 
 class TestWordOps:
@@ -140,6 +184,55 @@ class TestMaxCodeSize:
     def test_candidate_cap(self):
         with pytest.raises(ResourceBudgetError):
             max_code_size(2, 12, 2, max_candidates=100)
+
+    @pytest.mark.parametrize("q, n, d", [(q, n, d) for (q, n), row in GRID.items()
+                                         for d in row])
+    def test_pinned_grid(self, q, n, d):
+        size, witness = max_code_size(q, n, d)
+        assert size == GRID[q, n][d]
+        assert _witness_ok(witness, q, n, d, size)
+
+    def test_deep_clique(self):
+        # a clique of 1022 words beside 0 and w2; once beyond the
+        # recursion limit of a recursive search
+        size, witness = max_code_size(2, 11, 2)
+        assert size == 1024
+        assert _witness_ok(witness, 2, 11, 2, size)
+
+    def test_search_needs_no_recursion(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            size, _ = max_code_size(3, 6, 2)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert size == 243
+
+
+class TestUpperBound:
+    def test_values(self):
+        assert upper_bound(2, 7, 3) == (16, "sphere-packing")
+        assert upper_bound(2, 8, 4) == (28, "sphere-packing")
+        assert upper_bound(3, 4, 3) == (9, "singleton")
+        assert upper_bound(2, 10, 2) == (512, "singleton")
+
+    def test_tie_goes_to_singleton(self):
+        # d = 1: both are q^n
+        assert upper_bound(3, 4, 1) == (81, "singleton")
+
+    def test_bounds_every_grid_value(self):
+        for (q, n), row in GRID.items():
+            for d, size in row.items():
+                assert size <= upper_bound(q, n, d).value
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            upper_bound(2, 4, 5)
 
 
 class TestPigeonhole:
