@@ -67,38 +67,28 @@ def _emit(doc, pretty=False):
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
 
 
-def _render_pretty(doc, indent=0):
+def _render_pretty(doc):
+    """One ``key: value`` line per scalar, nested blocks indented under
+    their key; a {value, provenance} pair prints as ``value  [provenance]``."""
     out = []
 
-    def walk(obj, depth):
-        pad = "  " * depth
-        if isinstance(obj, dict):
-            if set(obj) == {"value", "provenance"}:
-                out.append(f"{obj['value']}  [{obj['provenance']}]")
-                return
-            out.append("")
-            for k, v in obj.items():
-                out.append(f"{pad}{k}: ")
-                prev = len(out)
-                walk(v, depth + 1)
-                if len(out) > prev:  # nested block: merge marker line
-                    out[prev - 1] = out[prev - 1].rstrip()
-                else:
-                    out[prev - 1] += str(v)
+    def walk(obj, head, depth):
+        if isinstance(obj, dict) and set(obj) != {"value", "provenance"}:
+            items = [(f"{k}: ", v) for k, v in obj.items()]
         elif isinstance(obj, list):
-            out.append("")
-            for v in obj:
-                out.append(f"{pad}- ")
-                prev = len(out)
-                walk(v, depth + 1)
-                if len(out) == prev:
-                    out[prev - 1] += str(v)
+            items = [("- ", v) for v in obj]
         else:
-            out[-1] += str(obj)
+            if isinstance(obj, dict):
+                obj = f"{obj['value']}  [{obj['provenance']}]"
+            out.extend(f"{head}{obj}".splitlines())  # a witness spans lines
+            return
+        if head:
+            out.append(head.rstrip())
+        for label, v in items:
+            walk(v, "  " * depth + label, depth + 1)
 
-    out.append("")
-    walk(doc, indent)
-    return "\n".join(ln for ln in out if ln.strip())
+    walk(doc, "", 0)
+    return "\n".join(out)
 
 
 def _digits(args):
@@ -151,6 +141,9 @@ def cmd_eval(args) -> int:
     dig = _digits(args)
     fn, names = _EVAL[args.function]
     inputs = {name: getattr(args, name) for name in names}
+    missing = [f"--{name}" for name, v in inputs.items() if v is None]
+    if missing:
+        raise DomainError(f"eval {args.function} requires {', '.join(missing)}")
     value = fn(*inputs.values(), digits=dig)
     if args.function == "stirling":
         res = {"lower": computed(_num(value[0])),
@@ -171,15 +164,14 @@ def cmd_bound(args) -> int:
         raise DomainError("exactly one of --d / --delta is required")
     inputs = {"q": q, "n": args.n, "d": args.d, "delta": args.delta,
               "form": args.form}
+    params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
     if args.form == "rank":
-        delta = Fraction(args.d, args.n) if args.d is not None else args.delta
-        rb = rank_bound(q, args.n, delta)
+        rb = rank_bound(q, args.n, params.delta_value)
         results = {
             "r_upper": computed(rb.r_upper),
             "terms": [{"label": lab, **computed(val)} for lab, val in rb.terms],
         }
     else:
-        params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
         fn = eb_rate_bound if args.form == "finite" else eb_rate_bound_continuous
         br = fn(params)
         results = {

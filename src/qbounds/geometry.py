@@ -5,7 +5,10 @@ scans that re-derive the published c/n0 and N tables.
 All scans run a vectorized double-precision pass and escalate individual
 comparisons to high precision only when the margin is below the policy's
 decision margin; results are identical to a full high-precision scan.
+numpy is imported only by the functions that build arrays.
 """
+
+from __future__ import annotations
 
 import functools
 import importlib.resources
@@ -14,14 +17,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
-import numpy as np
 
 from .eb_bounds import is_prime, rank_bound
 from .errors import DomainError, PreconditionError
-from .precision import (DEFAULT_POLICY, MP, NUMPY, PrecisionPolicy,
-                        evaluate, strict_sign)
+from .precision import (DEFAULT_POLICY, MP, PrecisionPolicy, evaluate,
+                        strict_sign)
 from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport
 
@@ -132,13 +135,17 @@ def threshold_F(p: int, n: int, digits=None):
 
 
 def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
-    """Vectorized double-precision F(n, p) over an integer array of n."""
+    """Vectorized double-precision F(n, p) over an integer array of n:
+    threshold_F's own formula over a numpy context."""
     _check_odd_prime(p)
+    import numpy as np
+    m = SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
+                        num=lambda x: np.asarray(x, dtype=np.float64), one=1.0)
     k = _constant_values(p, None)
-    ns = NUMPY.num(ns)
+    ns = m.num(ns)
     if ns.size:
         _check_F_domain(p, ns.min(), k[4])
-    return _threshold_F(NUMPY, p, ns, k)
+    return _threshold_F(m, p, ns, k)
 
 
 def baseline_rank(n: int) -> int:
@@ -167,6 +174,7 @@ def _guarded_signs(p, ns, F, rhs, rhs_exact, policy):
     right-hand side as float arrays; each comparison closer than the
     decision margin is re-decided by ``strict_sign`` against the exact
     ``rhs_exact(n)``.  Returns ``(signs, escalations)``."""
+    import numpy as np
     diff = F - rhs
     signs = np.sign(diff).astype(np.int8)
     escalations = 0
@@ -213,6 +221,7 @@ def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
     c = _PAPER["c"][p]
     end, esc_end = _scan_end(p, c, 0, policy)
     start = max(16, int(math.floor(2.0 / constants(p).f5)) + 2)
+    import numpy as np
     ns = np.arange(start, end + 1, dtype=np.int64)
     # +1 where F > c n (violation)
     signs, esc = _guarded_signs(p, ns, threshold_F_array(p, ns),
@@ -235,6 +244,7 @@ def anchor_signs(p: int, n_hi: int,
                  policy: PrecisionPolicy = DEFAULT_POLICY):
     """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
     returns ``(ns, signs, escalations)`` with sign +1 where it holds."""
+    import numpy as np
     ns = np.arange(16, n_hi + 1, dtype=np.int64)
     base = 3 * ns // 8 + np.where((ns % 8 == 2) | (ns % 8 == 4), 2, 1)
     return (ns, *_guarded_signs(p, ns, threshold_F_array(p, ns),
@@ -249,7 +259,7 @@ def derive_N(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
     ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out."""
     end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), policy)
     ns, signs, esc = anchor_signs(p, end, policy)
-    first = int(ns[np.nonzero(signs <= 0)[0][0]])
+    first = int(ns[(signs <= 0).nonzero()[0][0]])
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
     return DerivedN(p=p, N=first - 1, first_failure=first,
@@ -305,6 +315,7 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     _check_odd_prime(p)
     if not 16 <= n_lo < n_hi:
         raise DomainError(f"need 16 <= n_lo < n_hi, got [{n_lo}, {n_hi}]")
+    import numpy as np
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     F = threshold_F_array(p, ns)
     above, esc_lo = _guarded_signs(p, ns, F, ns / 4.0,

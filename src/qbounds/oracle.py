@@ -4,8 +4,11 @@ of the pigeonhole and Johnson ball-counting lemmas.
 
 Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
 q^n <= 10^6; larger instances raise ResourceBudgetError, as do searches
-that exceed their wall-clock cap.
+that exceed their wall-clock cap.  numpy is imported only by the
+functions that build arrays.
 """
+
+from __future__ import annotations
 
 import math
 import random
@@ -13,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .eb_bounds import BoundParams, eb_rate_bound
 from .errors import DomainError, PreconditionError, ResourceBudgetError
@@ -99,6 +100,7 @@ def make_code(q: int, n: int, words) -> Code:
 
 
 def _words_array(code: Code) -> np.ndarray:
+    import numpy as np
     return np.array(code.words, dtype=np.uint8).reshape(code.size, code.n)
 
 
@@ -112,6 +114,7 @@ def all_words_array(q: int, n: int) -> np.ndarray:
     total = q ** n
     if total > SPACE_BUDGET:
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
+    import numpy as np
     return np.indices((q,) * n, dtype=np.uint8).reshape(n, total).T
 
 
@@ -185,6 +188,7 @@ def _bits(mask: int) -> list[int]:
 def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
     """Row i as an int whose bit j is set iff cand[i], cand[j] are at
     distance >= d; built a block of rows at a time."""
+    import numpy as np
     m, n = cand.shape
     rows = max(1, (1 << 22) // max(m, 1))
     adj: list[int] = []
@@ -237,6 +241,7 @@ def max_code_size(q: int, n: int, d: int, *,
         words = [_word_from_index(q, n, i) for i in range(total)]
         return total, make_code(q, n, words)
 
+    import numpy as np
     deadline = time.monotonic() + time_limit
     space = all_words_array(q, n)
     heavy = space[np.count_nonzero(space, axis=1) >= d]  # lexicographic
@@ -296,6 +301,7 @@ def max_code_size(q: int, n: int, d: int, *,
 
 def _ball_counts(code: Code, e: int) -> np.ndarray:
     """|C /\\ B(y, e)| for every center y, in lexicographic center order."""
+    import numpy as np
     space = all_words_array(code.q, code.n)
     counts = np.zeros(space.shape[0], dtype=np.int64)
     for w in code.words:
@@ -313,7 +319,7 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     if not 0 <= e <= code.n:
         raise DomainError(f"radius must satisfy 0 <= e <= n, got {e!r}")
     counts = _ball_counts(code, e)
-    idx = int(np.argmax(counts))  # argmax returns the first (lex-least) max
+    idx = int(counts.argmax())  # argmax returns the first (lex-least) max
     return _word_from_index(code.q, code.n, idx), int(counts[idx])
 
 
@@ -336,7 +342,7 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
             f"Johnson bound needs e/n < J_q(d/n); e={e}, n={code.n}, d={d}")
     counts = _ball_counts(code, e)
     cap = code.q * code.n * d
-    worst = int(np.argmax(counts))
+    worst = int(counts.argmax())
     passed = bool(counts[worst] <= cap)
     return VerificationReport(
         suite="johnson-ball", instances_checked=int(counts.size), passed=passed,

@@ -3,8 +3,9 @@ comparisons.
 
 Each real-valued formula is written once over a numeric context ``m``
 (``log``, ``sqrt``, ``pi``, ``num`` to convert an argument, ``one``):
-``FLOAT`` is double precision, ``MP`` is mpmath at the working precision
-and ``NUMPY`` evaluates over arrays.  Scans that decide strict inequalities
+``FLOAT`` is double precision and ``MP`` is mpmath at the working
+precision; ``geometry.threshold_F_array`` builds a numpy context over
+arrays for its one formula.  Scans that decide strict inequalities
 between nearly-equal quantities escalate individual comparisons to software
 high precision whenever the double-precision margin falls below
 ``decision_margin``.
@@ -17,7 +18,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import mpmath
-import numpy as np
 
 from .errors import AmbiguousComparisonError, DomainError
 
@@ -33,8 +33,6 @@ FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
                         num=float, one=1.0)
 MP = SimpleNamespace(log=mpmath.log, sqrt=mpmath.sqrt, pi=mpmath.pi,
                      num=_mpf, one=mpmath.mpf(1))
-NUMPY = SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
-                        num=lambda x: np.asarray(x, dtype=np.float64), one=1.0)
 
 
 def check_digits(digits, name="digits"):

@@ -1,11 +1,21 @@
 """End-to-end tests of the command-line interface: exit codes, JSON
-round-trips, determinism, and the CSV table variant."""
+round-trips, determinism, the CSV table variant, which requests load
+numpy, and a fuzz of the exit-code contract."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbounds.cli import main
+from qbounds.cli import _EVAL, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -56,6 +66,16 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("function, flag", [
+        ("entropy", "--x"), ("entropy_d1", "--x"), ("entropy_d2", "--x"),
+        ("johnson", "--delta"), ("johnson_d1", "--delta"),
+    ])
+    def test_missing_argument_exit_2(self, capsys, function, flag):
+        code, out, err = run(capsys, "eval", function, "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: eval {function} requires {flag}\n"
+
 
 class TestBound:
     def test_finite_includes_e13(self, capsys):
@@ -96,6 +116,13 @@ class TestBound:
                            "--d", "1")
         assert code == 2
         assert "error" in err
+
+    def test_rank_zero_length_exit_2(self, capsys):
+        code, out, err = run(capsys, "bound", "--p", "3", "--n", "0",
+                             "--d", "1", "--form", "rank")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be an integer >= 1, got 0\n"
 
 
 class TestTables:
@@ -303,3 +330,142 @@ class TestDocumentContract:
                            "--delta", "0.25", "--pretty", "--deterministic")
         assert code == 0
         assert "computed" in out
+        lines = out.splitlines()
+        assert "command: eval" in lines
+        assert "  q: 3" in lines
+        assert "schema_version: 1" in lines
+
+
+# Requests that need no array: none of them may load numpy.
+_NUMPY_FREE = [
+    (["eval", "entropy", "--q", "3", "--x", "0.3"], 0),
+    (["bound", "--q", "3", "--n", "100", "--d", "25"], 0),
+    (["bound", "--p", "3", "--n", "16", "--delta", "0.25", "--form", "rank"],
+     0),
+    (["classify", "--p", "3", "--n", "2000", "--r", "600"], 0),
+    (["tables", "--which", "constants"], 0),
+    (["verify", "--suite", "f1"], 0),
+    (["verify", "--suite", "monotonicity"], 0),
+    (["oracle", "--q", "2", "--n", "30", "--d", "3"], 2),  # over budget
+]
+_NUMPY_USERS = [
+    (["tables", "--which", "candn0", "--primes", "3"], 0),
+    (["oracle", "--q", "3", "--n", "4", "--d", "3"], 0),
+]
+
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import qbounds, qbounds.cli
+
+def run(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return qbounds.cli.main(argv + ["--deterministic"])
+
+light, heavy = json.loads(sys.argv[1])
+result = {"light": [run(argv) for argv in light],
+          "numpy_loaded": "numpy" in sys.modules}
+result["heavy"] = [run(argv) for argv in heavy]
+print(json.dumps(result))
+"""
+
+
+def test_numpy_loads_only_for_arrays():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("QB_PRECISION", None)
+    argvs = [[argv for argv, _ in _NUMPY_FREE],
+             [argv for argv, _ in _NUMPY_USERS]]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["light"] == [code for _, code in _NUMPY_FREE]
+    assert not result["numpy_loaded"]
+    assert result["heavy"] == [code for _, code in _NUMPY_USERS]
+
+
+# --- fuzz: every request ends with exit 0, 1 or 2, never a traceback ------
+
+_INTS = st.integers(-3, 300)
+_SIZES = st.integers(-3, 40) | st.integers(-3, 10 ** 6)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-0.5, 1.5)
+
+
+def _flags(draw, options):
+    """``--name=value`` for a drawn subset of ``options`` (name -> values);
+    the ``=`` form keeps a value such as -inf from reading as a flag."""
+    argv = []
+    for name, values in options.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    return argv
+
+
+@st.composite
+def _eval_argv(draw):
+    return ["eval", draw(st.sampled_from(list(_EVAL))), *_flags(draw, {
+        "q": _INTS, "x": _FLOATS, "delta": _FLOATS, "n": _INTS, "e": _INTS,
+        "k": st.integers(-3, 10 ** 9), "digits": st.integers(-2, 60)})]
+
+
+@st.composite
+def _bound_argv(draw):
+    form = draw(st.sampled_from(["finite", "continuous", "rank"]))
+    return ["bound", f"--form={form}", f"--n={draw(_SIZES)}", *_flags(draw, {
+        "q": _INTS, "p": _INTS, "d": _SIZES, "delta": _FLOATS})]
+
+
+@st.composite
+def _classify_argv(draw):
+    return ["classify", *(f"--{name}={draw(_SIZES)}" for name in "pnr")]
+
+
+@st.composite
+def _oracle_argv(draw):
+    q, n = draw(st.integers(-1, 16)), draw(st.integers(0, 12))
+    if q ** n > 4096:
+        n = 1
+    d = draw(st.integers(-1, n + 1))
+    limit = draw(st.floats(0.0, 0.3))
+    return ["oracle", f"--q={q}", f"--n={n}", f"--d={d}",
+            f"--time-limit={limit!r}"]
+
+
+def _check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--deterministic"])
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        json.loads(out.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_eval_argv())
+def test_fuzz_eval_requests(argv):
+    _check_contract(argv)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_bound_argv())
+def test_fuzz_bound_requests(argv):
+    _check_contract(argv)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=_classify_argv())
+def test_fuzz_classify_requests(argv):
+    _check_contract(argv)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(argv=_oracle_argv())
+def test_fuzz_oracle_requests(argv):
+    _check_contract(argv)
