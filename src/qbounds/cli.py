@@ -16,8 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-
-import mpmath
+from numbers import Rational, Real
 
 from . import __version__
 from .eb_bounds import (BoundParams, eb_rate_bound, eb_rate_bound_continuous,
@@ -61,10 +60,13 @@ def _document(command, inputs, results, diagnostics, deterministic):
 
 
 def _emit(doc, pretty=False):
-    if pretty:
-        print(_render_pretty(doc))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=str,
+                          allow_nan=False)
+    except ValueError:  # inf or nan: not a JSON number
+        raise DomainError("a result is not a finite double; if float64 "
+                          "overflowed, retry with --digits") from None
+    print(_render_pretty(doc) if pretty else text)
 
 
 def _render_pretty(doc):
@@ -106,6 +108,14 @@ def _digits(args):
     return digits
 
 
+def _double_only(dig):
+    """Diagnostics for a request that computes in double precision only."""
+    if dig is None:
+        return []
+    return [["info", f"computed in double precision; the {dig} digits "
+                     "requested do not apply"]]
+
+
 def _policy(args) -> PrecisionPolicy:
     dig = _digits(args)
     if dig is None:
@@ -117,7 +127,7 @@ def _num(x):
     """JSON-safe numeric conversion (mpf -> float, Fraction -> str)."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, mpmath.mpf):
+    if isinstance(x, Real) and not isinstance(x, Rational):
         return float(x)
     return x
 
@@ -157,6 +167,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    dig = _digits(args)
     q = args.q if args.q is not None else args.p
     if q is None:
         raise DomainError("one of --q / --p is required")
@@ -165,12 +176,16 @@ def cmd_bound(args) -> int:
     inputs = {"q": q, "n": args.n, "d": args.d, "delta": args.delta,
               "form": args.form}
     params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
+    diagnostics = []
     if args.form == "rank":
-        rb = rank_bound(q, args.n, params.delta_value)
+        rb = rank_bound(q, args.n, params.delta_value, digits=dig)
         results = {
-            "r_upper": computed(rb.r_upper),
-            "terms": [{"label": lab, **computed(val)} for lab, val in rb.terms],
+            "r_upper": computed(_num(rb.r_upper)),
+            "terms": [{"label": lab, **computed(_num(val))}
+                      for lab, val in rb.terms],
         }
+        if dig is not None:
+            inputs["digits"] = dig
     else:
         fn = eb_rate_bound if args.form == "finite" else eb_rate_bound_continuous
         br = fn(params)
@@ -179,7 +194,8 @@ def cmd_bound(args) -> int:
             "e": computed(br.e),
             "terms": [{"label": lab, **computed(val)} for lab, val in br.terms],
         }
-    _emit(_document("bound", inputs, results, [], args.deterministic),
+        diagnostics = _double_only(dig)
+    _emit(_document("bound", inputs, results, diagnostics, args.deterministic),
           args.pretty)
     return 0
 
@@ -337,8 +353,8 @@ def cmd_classify(args) -> int:
             "rank_bound_third": computed(codim.rank_bound_third),
         }
     inputs = {"p": args.p, "n": args.n, "r": args.r}
-    _emit(_document("classify", inputs, results, [], args.deterministic),
-          args.pretty)
+    _emit(_document("classify", inputs, results, _double_only(_digits(args)),
+                    args.deterministic), args.pretty)
     return 0
 
 

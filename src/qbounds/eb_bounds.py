@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DomainError, PreconditionError
 from .precision import evaluate
 from .qcore import (_check_delta, _entropy, _johnson_radius, entropy,
@@ -92,8 +90,8 @@ def _johnson_e(q, n, delta):
     t = n * johnson_radius(q, float(delta))
     if abs(t - round(t)) >= 1e-9:
         return math.ceil(t) - 1
-    with mpmath.workdps(50):
-        return int(mpmath.ceil(n * johnson_radius(q, delta, digits=50))) - 1
+    return int(evaluate(
+        50, lambda m: m.ceil(n * _johnson_radius(m, q, delta)))) - 1
 
 
 def eb_rate_bound(params: BoundParams) -> BoundResult:

@@ -19,8 +19,6 @@ from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
 
-import mpmath
-
 from .eb_bounds import is_prime, rank_bound
 from .errors import DomainError, PreconditionError
 from .precision import (DEFAULT_POLICY, MP, PrecisionPolicy, evaluate,
@@ -195,9 +193,8 @@ def _scan_end(p, s, t, policy):
     so once f1 < s, g decreases from n_mono = ceil(2.5/((s - f1) ln p)) + 1
     on, and doubling n from n_mono until g(n) < 0 finds the end."""
     hi = policy.escalation_digits
-    with mpmath.workdps(hi):  # s - f1 and n_mono at escalation precision
-        gap = MP.num(s) - constants(p, hi).f1
-        n = int(mpmath.ceil(2.5 / (gap * mpmath.log(p)))) + 1
+    gap = evaluate(hi, lambda m: m.num(s) - constants(p, hi).f1)
+    n = evaluate(hi, lambda m: int(m.ceil(2.5 / (gap * m.log(p))))) + 1
     sign, esc = strict_sign(float(s) - constants(p).f1, lambda: gap, policy)
     if sign < 0:
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
@@ -293,7 +290,7 @@ def f1_monotonicity_scan(p_max: int,
     for p, want_below in ((29, True), (31, False)):
         checked += 1
         s, esc = strict_sign(0.375 - f1[p],
-                             lambda p=p: mpmath.mpf(3) / 8 - hi_f1(p), policy)
+                             lambda p=p: MP.num(3) / 8 - hi_f1(p), policy)
         escalations += esc
         if (s > 0) != want_below:
             return VerificationReport(
@@ -319,9 +316,9 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     F = threshold_F_array(p, ns)
     above, esc_lo = _guarded_signs(p, ns, F, ns / 4.0,
-                                   lambda n: mpmath.mpf(n) / 4, policy)
+                                   lambda n: MP.num(n) / 4, policy)
     below, esc_hi = _guarded_signs(p, ns, F, math.sqrt(3.0) * ns / 4.0,
-                                   lambda n: mpmath.sqrt(3) * n / 4, policy)
+                                   lambda n: MP.sqrt(3) * n / 4, policy)
     bad = np.nonzero((above < 0) | (below > 0))[0]
     if bad.size and int(ns[bad[-1]]) == n_hi:
         return VerificationReport(

@@ -228,11 +228,14 @@ def max_code_size(q: int, n: int, d: int, *,
     result equal to that bound is optimal by the bound, and any other
     result by the exhausted search.  Deterministic.
 
-    Raises ResourceBudgetError when q^n exceeds the space budget, the
-    words of weight >= d outnumber ``max_candidates``, or the wall clock
-    exceeds ``time_limit`` seconds.
+    Raises DomainError when ``time_limit`` is not > 0 (NaN included, as a
+    NaN deadline never passes), and ResourceBudgetError when q^n exceeds
+    the space budget, the words of weight >= d outnumber
+    ``max_candidates``, or the wall clock exceeds ``time_limit`` seconds.
     """
     _check_qnd(q, n, d)
+    if not time_limit > 0:
+        raise DomainError(f"time_limit must be > 0 seconds, got {time_limit!r}")
     total = q ** n
     if total > SPACE_BUDGET:
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")

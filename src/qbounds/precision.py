@@ -2,13 +2,18 @@
 comparisons.
 
 Each real-valued formula is written once over a numeric context ``m``
-(``log``, ``sqrt``, ``pi``, ``num`` to convert an argument, ``one``):
-``FLOAT`` is double precision and ``MP`` is mpmath at the working
+(``log``, ``sqrt``, ``pi``, ``ceil``, ``num`` to convert an argument,
+``one``): ``FLOAT`` is double precision and ``MP`` is mpmath at the working
 precision; ``geometry.threshold_F_array`` builds a numpy context over
 arrays for its one formula.  Scans that decide strict inequalities
 between nearly-equal quantities escalate individual comparisons to software
 high precision whenever the double-precision margin falls below
 ``decision_margin``.
+
+This module is the single entry point to mpmath, and it imports mpmath on
+first use: ``evaluate`` with ``digits``, the escalation branch of
+``strict_sign`` and the first use of ``MP``.  Work in double precision
+never loads it.
 """
 
 import math
@@ -17,22 +22,31 @@ from numbers import Rational
 from types import SimpleNamespace
 from typing import Callable
 
-import mpmath
-
 from .errors import AmbiguousComparisonError, DomainError
 
 
 def _mpf(x):
     """Lossless conversion to mpf at the current working precision."""
+    import mpmath
     if isinstance(x, Rational) and not isinstance(x, int):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
 
 
+class _MPContext(SimpleNamespace):
+    """The mpmath context; it imports mpmath and sets its members the first
+    time one is looked up."""
+
+    def __getattr__(self, name):
+        import mpmath
+        vars(self).update(log=mpmath.log, sqrt=mpmath.sqrt, pi=mpmath.pi,
+                          ceil=mpmath.ceil, num=_mpf, one=mpmath.mpf(1))
+        return object.__getattribute__(self, name)
+
+
 FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
-                        num=float, one=1.0)
-MP = SimpleNamespace(log=mpmath.log, sqrt=mpmath.sqrt, pi=mpmath.pi,
-                     num=_mpf, one=mpmath.mpf(1))
+                        ceil=math.ceil, num=float, one=1.0)
+MP = _MPContext()
 
 
 def check_digits(digits, name="digits"):
@@ -47,6 +61,7 @@ def evaluate(digits, formula, *args):
     if digits is None:
         return formula(FLOAT, *args)
     check_digits(digits)
+    import mpmath
     with mpmath.workdps(digits):
         return formula(MP, *args)
 
@@ -93,6 +108,7 @@ def strict_sign(diff: float,
     """
     if abs(diff) >= policy.decision_margin:
         return (1 if diff > 0 else -1), False
+    import mpmath
     with mpmath.workdps(policy.escalation_digits):
         hd = hires()
         if abs(hd) < mpmath.mpf(policy.decision_margin) ** 2:

@@ -1,8 +1,6 @@
 """The verification suites behind ``qbounds verify``: ``SUITES`` maps each
 name to a callable taking the seed (unused by deterministic suites)."""
 
-import mpmath
-
 from .eb_bounds import verify_rank_monotonicity
 from .geometry import SUPPORTED_PRIMES, envelope_check, f1_monotonicity_scan
 from .oracle import eb_soundness_sweep, johnson_suite, pigeonhole_suite
@@ -17,6 +15,7 @@ STIRLING_DIGITS = 50
 
 def verify_stirling() -> VerificationReport:
     """The Robbins bracket holds for every k <= 10^4 and at 10^5, 10^6."""
+    import mpmath
     checked = 0
     with mpmath.workdps(STIRLING_DIGITS):
         for k in [*range(1, 10_001), 10 ** 5, 10 ** 6]:

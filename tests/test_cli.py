@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface: exit codes, JSON
 round-trips, determinism, the CSV table variant, which requests load
-numpy, and a fuzz of the exit-code contract."""
+numpy and mpmath, and a fuzz of the exit-code contract."""
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,6 +18,14 @@ from hypothesis import given, settings, strategies as st
 from qbounds.cli import _EVAL, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _src_env():
+    """The environment for a child process that imports qbounds from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("QB_PRECISION", None)
+    return env
 
 
 def run(capsys, *argv):
@@ -76,6 +86,17 @@ class TestEval:
         assert out == ""
         assert err == f"error: eval {function} requires {flag}\n"
 
+    @pytest.mark.parametrize("function", ["entropy_d1", "entropy_d2"])
+    def test_non_finite_result_exit_2(self, capsys, function):
+        # in float64 the value overflows to +-inf, which is not JSON
+        code, out, err = run(capsys, "eval", function, "--q", "2",
+                             "--x", "5e-324", "--deterministic")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--digits" in lines[0]
+
 
 class TestBound:
     def test_finite_includes_e13(self, capsys):
@@ -123,6 +144,36 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert err == "error: n must be an integer >= 1, got 0\n"
+
+    def test_rank_digits(self, capsys):
+        from qbounds import rank_bound
+        code, doc, _ = run_json(capsys, "bound", "--p", "3", "--n", "100",
+                                "--delta", "0.25", "--form", "rank",
+                                "--digits", "30", "--deterministic")
+        assert code == 0
+        assert doc["inputs"]["digits"] == 30
+        assert doc["diagnostics"] == []
+        want = rank_bound(3, 100, 0.25, digits=30)
+        assert doc["results"]["r_upper"]["value"] == float(want.r_upper)
+        assert [t["value"] for t in doc["results"]["terms"]] == \
+            [float(v) for _, v in want.terms]
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--q", "3", "--n", "100", "--d", "25"],
+        ["bound", "--q", "3", "--n", "100", "--d", "25",
+         "--form", "continuous"],
+        ["classify", "--p", "3", "--n", "2000", "--r", "600"],
+    ], ids=["finite", "continuous", "classify"])
+    def test_double_only_digits_noted(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("QB_PRECISION", raising=False)
+        _, plain, _ = run_json(capsys, *argv, "--deterministic")
+        code, doc, _ = run_json(capsys, *argv, "--digits", "30",
+                                "--deterministic")
+        assert code == 0
+        assert plain["diagnostics"] == []
+        assert doc["results"] == plain["results"]
+        [(level, text)] = doc["diagnostics"]
+        assert level == "info" and "double precision" in text
 
 
 class TestTables:
@@ -226,6 +277,19 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--q", "5", "--n", "10",
                            "--d", "3")
         assert code == 2
+
+    def test_nan_time_limit_exit_2(self):
+        # a NaN deadline never passes, so the search would never stop; a
+        # fresh process with a timeout turns such a hang into a failure
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbounds.cli", "oracle", "--q", "2",
+             "--n", "12", "--d", "3", "--time-limit", "nan"],
+            capture_output=True, text=True, env=_src_env(), timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: time_limit must be > 0 seconds, got nan\n"
 
     def test_deep_clique_exit_0(self, capsys):
         code, doc, _ = run_json(capsys, "oracle", "--q", "2", "--n", "11",
@@ -336,7 +400,8 @@ class TestDocumentContract:
         assert "schema_version: 1" in lines
 
 
-# Requests that need no array: none of them may load numpy.
+# Requests that need no array: none of them may load numpy.  No request
+# here or in _NUMPY_USERS asks for high precision, so none may load mpmath.
 _NUMPY_FREE = [
     (["eval", "entropy", "--q", "3", "--x", "0.3"], 0),
     (["bound", "--q", "3", "--n", "100", "--d", "25"], 0),
@@ -349,49 +414,56 @@ _NUMPY_FREE = [
     (["oracle", "--q", "2", "--n", "30", "--d", "3"], 2),  # over budget
 ]
 _NUMPY_USERS = [
-    (["tables", "--which", "candn0", "--primes", "3"], 0),
     (["oracle", "--q", "3", "--n", "4", "--d", "3"], 0),
+]
+# Requests that need mpmath: high precision, and the proven scan end.
+_MPMATH_USERS = [
+    (["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
+    (["tables", "--which", "candn0", "--primes", "3"], 0),
 ]
 
 _IMPORT_PROBE = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
-import qbounds, qbounds.cli
 
 def run(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         return qbounds.cli.main(argv + ["--deterministic"])
 
-light, heavy = json.loads(sys.argv[1])
-result = {"light": [run(argv) for argv in light],
-          "numpy_loaded": "numpy" in sys.modules}
-result["heavy"] = [run(argv) for argv in heavy]
+def loaded():
+    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+
+import qbounds, qbounds.cli
+result = [[[], loaded()]]
+for stage in json.loads(sys.argv[1]):
+    result.append([[run(argv) for argv in stage], loaded()])
 print(json.dumps(result))
 """
 
 
-def test_numpy_loads_only_for_arrays():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("QB_PRECISION", None)
-    argvs = [[argv for argv, _ in _NUMPY_FREE],
-             [argv for argv, _ in _NUMPY_USERS]]
+def test_heavy_imports_load_only_on_use():
+    stages = (_NUMPY_FREE, _NUMPY_USERS, _MPMATH_USERS)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(argvs)],
-                          capture_output=True, text=True, env=env,
+                           json.dumps([[argv for argv, _ in stage]
+                                       for stage in stages])],
+                          capture_output=True, text=True, env=_src_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["light"] == [code for _, code in _NUMPY_FREE]
-    assert not result["numpy_loaded"]
-    assert result["heavy"] == [code for _, code in _NUMPY_USERS]
+    assert json.loads(proc.stdout) == [
+        [[], []],  # after import qbounds, qbounds.cli
+        [[code for _, code in _NUMPY_FREE], []],
+        [[code for _, code in _NUMPY_USERS], ["numpy"]],
+        [[code for _, code in _MPMATH_USERS], ["numpy", "mpmath"]],
+    ]
 
 
 # --- fuzz: every request ends with exit 0, 1 or 2, never a traceback ------
 
 _INTS = st.integers(-3, 300)
 _SIZES = st.integers(-3, 40) | st.integers(-3, 10 ** 6)
-_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-0.5, 1.5)
+# subnormal floats reach values that overflow a double (entropy_d1 near 0)
+_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.floats(-0.5, 1.5) | st.floats(0.0, 1e-308))
 
 
 def _flags(draw, options):
@@ -430,9 +502,13 @@ def _oracle_argv(draw):
     if q ** n > 4096:
         n = 1
     d = draw(st.integers(-1, n + 1))
-    limit = draw(st.floats(0.0, 0.3))
+    limit = draw(st.floats(0.0, 0.3) | st.just(math.nan))
     return ["oracle", f"--q={q}", f"--n={n}", f"--d={d}",
             f"--time-limit={limit!r}"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _check_contract(argv):
@@ -440,8 +516,8 @@ def _check_contract(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main([*argv, "--deterministic"])
     assert code in (0, 1, 2), argv
-    if code == 0:
-        json.loads(out.getvalue())
+    if code == 0:  # strict JSON: no Infinity, -Infinity or NaN
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -181,6 +181,12 @@ class TestMaxCodeSize:
         with pytest.raises(ResourceBudgetError):
             max_code_size(2, 12, 3, time_limit=0.01)
 
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+    def test_time_limit_must_be_positive(self, limit):
+        # a NaN deadline never passes, so a long search would never stop
+        with pytest.raises(DomainError):
+            max_code_size(3, 4, 3, time_limit=limit)
+
     def test_candidate_cap(self):
         with pytest.raises(ResourceBudgetError):
             max_code_size(2, 12, 2, max_candidates=100)
