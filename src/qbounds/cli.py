@@ -108,16 +108,7 @@ def _digits(args):
     return digits
 
 
-def _double_only(dig):
-    """Diagnostics for a request that computes in double precision only."""
-    if dig is None:
-        return []
-    return [["info", f"computed in double precision; the {dig} digits "
-                     "requested do not apply"]]
-
-
-def _policy(args) -> PrecisionPolicy:
-    dig = _digits(args)
+def _policy(dig) -> PrecisionPolicy:
     if dig is None:
         return DEFAULT_POLICY
     return PrecisionPolicy(escalation_digits=max(dig, DOUBLE_DIGITS))
@@ -176,32 +167,26 @@ def cmd_bound(args) -> int:
     inputs = {"q": q, "n": args.n, "d": args.d, "delta": args.delta,
               "form": args.form}
     params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
-    diagnostics = []
     if args.form == "rank":
-        rb = rank_bound(q, args.n, params.delta_value, digits=dig)
-        results = {
-            "r_upper": computed(_num(rb.r_upper)),
-            "terms": [{"label": lab, **computed(_num(val))}
-                      for lab, val in rb.terms],
-        }
-        if dig is not None:
-            inputs["digits"] = dig
+        res = rank_bound(q, args.n, params.delta_value, digits=dig)
+        results = {"r_upper": computed(_num(res.r_upper))}
     else:
         fn = eb_rate_bound if args.form == "finite" else eb_rate_bound_continuous
-        br = fn(params)
-        results = {
-            "rate_upper": computed(br.rate_upper),
-            "e": computed(br.e),
-            "terms": [{"label": lab, **computed(val)} for lab, val in br.terms],
-        }
-        diagnostics = _double_only(dig)
-    _emit(_document("bound", inputs, results, diagnostics, args.deterministic),
+        res = fn(params, digits=dig)
+        results = {"rate_upper": computed(_num(res.rate_upper)),
+                   "e": computed(res.e)}
+    results["terms"] = [{"label": lab, **computed(_num(val))}
+                        for lab, val in res.terms]
+    if dig is not None:
+        inputs["digits"] = dig
+    _emit(_document("bound", inputs, results, [], args.deterministic),
           args.pretty)
     return 0
 
 
-def _tables_rows(which, primes, policy, diagnostics):
+def _tables_rows(which, primes, dig, diagnostics):
     paper = paper_tables()
+    policy = _policy(dig)
     rows = []
     mismatch = False
 
@@ -213,10 +198,9 @@ def _tables_rows(which, primes, policy, diagnostics):
 
     if which == "constants":
         for p in primes:
-            k = constants(p)
-            rows.append({"p": p, "f1": computed(k.f1), "f2": computed(k.f2),
-                         "f3": computed(k.f3), "f4": computed(k.f4),
-                         "f5": computed(k.f5)})
+            k = constants(p, dig)
+            rows.append({"p": p, **{f: computed(_num(getattr(k, f)))
+                                    for f in ("f1", "f2", "f3", "f4", "f5")}})
     elif which == "candn0":
         for p in primes:
             derived = derive_c_n0(p, policy=policy)
@@ -270,10 +254,12 @@ def cmd_tables(args) -> int:
         if p not in SUPPORTED_PRIMES:
             raise DomainError(f"prime {p} is not in the supported set "
                               f"{SUPPORTED_PRIMES}")
-    policy = _policy(args)
+    dig = _digits(args)
     diagnostics = []
-    rows, mismatch = _tables_rows(args.which, primes, policy, diagnostics)
+    rows, mismatch = _tables_rows(args.which, primes, dig, diagnostics)
     inputs = {"which": args.which, "primes": list(primes), "format": args.format}
+    if dig is not None:
+        inputs["digits"] = dig
     if args.format == "csv":
         sys.stdout.write(_rows_to_csv(rows))
     else:
@@ -334,10 +320,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    report = classify_rank(args.p, args.n, args.r)
+    dig = _digits(args)
+    report = classify_rank(args.p, args.n, args.r, dig)
     results = {
         "classification": report.classification.value,
-        "F_value": computed(report.F_value),
+        "F_value": computed(_num(report.F_value)),
         "baseline": computed(report.baseline),
         "max_rank": computed(report.max_rank),
     }
@@ -345,16 +332,18 @@ def cmd_classify(args) -> int:
                                        "MAX_RANK_ONLY"):
         results["conclusion"] = HOMOTOPY_NOTE
     if report.classification.value == "MAIN_THEOREM":
-        codim = codim_guarantees(args.p, args.n, args.r)
+        codim = codim_guarantees(args.p, args.n, args.r, dig)
         results["codim_caps"] = {
             "tau1": computed(str(codim.tau1_codim_cap)),
             "tau2": computed(str(codim.tau2_codim_cap)),
-            "rank_bound_quarter": computed(codim.rank_bound_quarter),
-            "rank_bound_third": computed(codim.rank_bound_third),
+            "rank_bound_quarter": computed(_num(codim.rank_bound_quarter)),
+            "rank_bound_third": computed(_num(codim.rank_bound_third)),
         }
     inputs = {"p": args.p, "n": args.n, "r": args.r}
-    _emit(_document("classify", inputs, results, _double_only(_digits(args)),
-                    args.deterministic), args.pretty)
+    if dig is not None:
+        inputs["digits"] = dig
+    _emit(_document("classify", inputs, results, [], args.deterministic),
+          args.pretty)
     return 0
 
 

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .precision import evaluate
-from .qcore import (_check_delta, _entropy, _johnson_radius, entropy,
-                    johnson_radius)
+from .precision import DEFAULT_POLICY, evaluate
+from .qcore import _check_delta, _entropy, _johnson_radius, johnson_radius
 
 __all__ = [
     "BoundParams", "BoundResult", "RankBoundResult",
@@ -65,22 +64,15 @@ class BoundParams:
         return self.delta
 
 
-class _Terms:
-    """A labelled term breakdown ``terms`` whose values sum to the bound."""
-
-    def term(self, label: str) -> float:
-        return dict(self.terms)[label]
-
-
 @dataclass(frozen=True)
-class BoundResult(_Terms):
+class BoundResult:
     rate_upper: float
     e: int
     terms: tuple[tuple[str, float], ...]
 
 
 @dataclass(frozen=True)
-class RankBoundResult(_Terms):
+class RankBoundResult:
     r_upper: float
     terms: tuple[tuple[str, float], ...]
 
@@ -88,13 +80,22 @@ class RankBoundResult(_Terms):
 def _johnson_e(q, n, delta):
     """e = ceil(n*J_q(delta)) - 1, with a guarded ceiling near integers."""
     t = n * johnson_radius(q, float(delta))
-    if abs(t - round(t)) >= 1e-9:
+    if abs(t - round(t)) >= DEFAULT_POLICY.decision_margin:
         return math.ceil(t) - 1
-    return int(evaluate(
-        50, lambda m: m.ceil(n * _johnson_radius(m, q, delta)))) - 1
+    ceil = evaluate(DEFAULT_POLICY.escalation_digits,
+                    lambda m: m.ceil(n * _johnson_radius(m, q, delta)))
+    return int(ceil) - 1
 
 
-def eb_rate_bound(params: BoundParams) -> BoundResult:
+def _eb_inputs(params):
+    """``(q, n, delta, e)`` of an instance in the bounds' domain."""
+    q, n = params.q, params.n
+    delta = params.delta_value
+    _check_delta(q, delta, open_lower=True, open_upper=True)
+    return q, n, delta, _johnson_e(q, n, delta)
+
+
+def eb_rate_bound(params: BoundParams, digits=None) -> BoundResult:
     """Finite-length Elias-Bassalygo bound on the rate of any q-ary
     length-n code with minimum relative distance delta.
 
@@ -105,30 +106,28 @@ def eb_rate_bound(params: BoundParams) -> BoundResult:
              + (1/n) log_q(q n^2 delta)
              + (1/(n ln q)) (1/(12n) + 1/(12e+1) + 1/(12(n-e)+1))
     """
-    q, n = params.q, params.n
-    delta = params.delta_value
-    _check_delta(q, delta, open_lower=True, open_upper=True)
-    e = _johnson_e(q, n, delta)
+    q, n, delta, e = _eb_inputs(params)
     if e < 1:
         raise PreconditionError(
             f"n > 1/J_q(delta) required (e = {e} < 1 at n = {n})")
-    lq = math.log(q)
-    en = e / n
-    t_entropy = 1.0 - entropy(q, en)
-    t_ball = math.log(2.0 * math.pi * en * (1.0 - en) * n) / (2.0 * n * lq)
-    t_size = math.log(q * n * n * float(delta)) / (n * lq)
-    t_resid = (1.0 / (12 * n) + 1.0 / (12 * e + 1)
-               + 1.0 / (12 * (n - e) + 1)) / (n * lq)
+    return evaluate(digits, _eb_rate_bound, q, n, delta, e)
+
+
+def _eb_rate_bound(m, q, n, delta, e):
+    lq = m.log(q)
+    en = m.num(e) / n
     terms = (
-        ("one_minus_entropy", t_entropy),
-        ("half_log_ball_geometry", t_ball),
-        ("log_qn2delta", t_size),
-        ("stirling_residue", t_resid),
+        ("one_minus_entropy", 1 - _entropy(m, q, en)),
+        ("half_log_ball_geometry",
+         m.log(2 * m.pi * en * (1 - en) * n) / (2 * n * lq)),
+        ("log_qn2delta", m.log(q * n * n * m.num(delta)) / (n * lq)),
+        ("stirling_residue", (m.one / (12 * n) + m.one / (12 * e + 1)
+                              + m.one / (12 * (n - e) + 1)) / (n * lq)),
     )
     return BoundResult(rate_upper=sum(v for _, v in terms), e=e, terms=terms)
 
 
-def eb_rate_bound_continuous(params: BoundParams) -> BoundResult:
+def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:
     """Continuous relaxation of the finite-length bound (no ceilings):
 
         R <= 1 - H_q(J) + (1/n) log_q((q-1)(1-J)/J) + (1/2n) log_q(2 pi n J)
@@ -137,26 +136,23 @@ def eb_rate_bound_continuous(params: BoundParams) -> BoundResult:
 
     Always >= eb_rate_bound on the same parameters.
     """
-    q, n = params.q, params.n
-    delta = params.delta_value
-    _check_delta(q, delta, open_lower=True, open_upper=True)
-    J = johnson_radius(q, float(delta))
-    if n * J <= 1.0:
-        raise PreconditionError(f"n > 1/J_q(delta) required (n*J = {n * J:.6g})")
-    e = _johnson_e(q, n, delta)
-    lq = math.log(q)
-    t_entropy = 1.0 - entropy(q, J)
-    t_taylor = math.log((q - 1) * (1.0 - J) / J) / (n * lq)
-    t_ball = math.log(2.0 * math.pi * n * J) / (2.0 * n * lq)
-    t_size = math.log(q * n * n * float(delta)) / (n * lq)
-    t_resid = (1.0 / (12.0 * n * n * lq) + 2.0 / (13.0 * n * lq)
-               + (1.0 / (J - 1.0 / n) + 1.0 / (1.0 - J)) / (2.0 * n * n * lq))
+    return evaluate(digits, _eb_rate_bound_continuous, *_eb_inputs(params))
+
+
+def _eb_rate_bound_continuous(m, q, n, delta, e):
+    delta = m.num(delta)
+    J = _johnson_radius(m, q, delta)
+    if n * J <= 1:
+        raise PreconditionError(
+            f"n > 1/J_q(delta) required (n*J = {float(n * J):.6g})")
+    lq = m.log(q)
     terms = (
-        ("one_minus_entropy_at_J", t_entropy),
-        ("taylor_first_order", t_taylor),
-        ("half_log_2pinJ", t_ball),
-        ("log_qn2delta", t_size),
-        ("residues", t_resid),
+        ("one_minus_entropy_at_J", 1 - _entropy(m, q, J)),
+        ("taylor_first_order", m.log((q - 1) * (1 - J) / J) / (n * lq)),
+        ("half_log_2pinJ", m.log(2 * m.pi * n * J) / (2 * n * lq)),
+        ("log_qn2delta", m.log(q * n * n * delta) / (n * lq)),
+        ("residues", 1 / (12 * n * n * lq) + 2 / (13 * n * lq)
+         + (1 / (J - m.one / n) + 1 / (1 - J)) / (2 * n * n * lq)),
     )
     return BoundResult(rate_upper=sum(v for _, v in terms), e=e, terms=terms)
 

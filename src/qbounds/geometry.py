@@ -59,8 +59,7 @@ _PAPER = paper_tables()
 
 @dataclass(frozen=True)
 class PrimeConstants:
-    """The f1..f5 bundle for one prime, optionally with the published
-    rationals attached."""
+    """The f1..f5 bundle for one prime."""
 
     p: int
     f1: float
@@ -68,9 +67,6 @@ class PrimeConstants:
     f3: float
     f4: float
     f5: float
-    c: Fraction | None = None
-    n0: int | None = None
-    N: int | None = None
 
 
 def _check_odd_prime(p):
@@ -93,7 +89,7 @@ def _constant_values(p, digits):
     return evaluate(digits, _constants, p)
 
 
-def constants(p: int, digits=None, attach_paper: bool = False) -> PrimeConstants:
+def constants(p: int, digits=None) -> PrimeConstants:
     """The five threshold constants of a prime:
 
         f1 = (1/2)(1 - H_p(J)),  J = J_p(1/4)
@@ -103,10 +99,7 @@ def constants(p: int, digits=None, attach_paper: bool = False) -> PrimeConstants
         f5 = J
     """
     _check_odd_prime(p)
-    extra = {}
-    if attach_paper and p in _PAPER["c"]:
-        extra = {"c": _PAPER["c"][p], "n0": _PAPER["n0"][p], "N": _PAPER["N"][p]}
-    return PrimeConstants(p, *_constant_values(p, digits), **extra)
+    return PrimeConstants(p, *_constant_values(p, digits))
 
 
 def _threshold_F(m, p, n, k):
@@ -347,7 +340,7 @@ class CodimReport:
     exceeds_third: bool
 
 
-def codim_guarantees(p: int, n: int, r: int) -> CodimReport:
+def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
     """Codimension caps for the two small-codimension symmetries forced by
     a rank above the threshold: codim <= (n+3)/4 and codim <= (n+1)/3.
 
@@ -362,10 +355,10 @@ def codim_guarantees(p: int, n: int, r: int) -> CodimReport:
         raise DomainError(f"n must be an integer >= 16, got {n!r}")
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
-    F = threshold_F(p, n)
+    F = threshold_F(p, n, digits)
     m = n // 2
-    rb14 = rank_bound(p, m, Fraction(1, 4)).r_upper
-    rb13 = rank_bound(p, m, Fraction(1, 3)).r_upper
+    rb14 = rank_bound(p, m, Fraction(1, 4), digits).r_upper
+    rb13 = rank_bound(p, m, Fraction(1, 3), digits).r_upper
     return CodimReport(
         p=p, n=n, r=r, applicable=bool(r > F), F_value=F,
         tau1_codim_cap=Fraction(n + 3, 4), tau2_codim_cap=Fraction(n + 1, 3),
@@ -392,7 +385,7 @@ class ThresholdReport:
     classification: Classification
 
 
-def classify_rank(p: int, n: int, r: int) -> ThresholdReport:
+def classify_rank(p: int, n: int, r: int, digits=None) -> ThresholdReport:
     """Deterministic classification of a rank r against all three
     thresholds, strongest applicable conclusion first:
 
@@ -412,7 +405,7 @@ def classify_rank(p: int, n: int, r: int) -> ThresholdReport:
     F = None
     if n >= 16 and p <= 29:
         try:
-            F = threshold_F(p, n)
+            F = threshold_F(p, n, digits)
         except PreconditionError:
             F = None
     if r > max_rank:

@@ -442,21 +442,19 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
             if q ** n > SPACE_BUDGET:
                 continue
             for d in range(2, n + 1):
-                if Fraction(d, n) >= Fraction(q - 1, q):
+                try:
+                    bound = eb_rate_bound(BoundParams(q=q, n=n, d=d))
+                except (DomainError, PreconditionError):
                     skipped_pre += 1
                     continue
-                if n * johnson_radius(q, Fraction(d, n)) <= 1.0:
-                    skipped_pre += 1
-                    continue
-                instances.append((q, n, d))
-    for q, n, d in instances:
+                instances.append((q, n, d, bound.rate_upper))
+    for q, n, d, bound in instances:
         try:
             size, witness = max_code_size(q, n, d, time_limit=time_limit,
                                           max_candidates=max_candidates)
         except ResourceBudgetError:
             skipped_resource += 1
             continue
-        bound = eb_rate_bound(BoundParams(q=q, n=n, d=d)).rate_upper
         rate = math.log(size) / (n * math.log(q))
         solved += 1
         if rate > bound:
@@ -470,11 +468,11 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
             sub_size = rng.randint(2, witness.size)
             sub = make_code(q, n, rng.sample(list(witness.words), sub_size))
             d_sub = min_distance(sub)
-            if Fraction(d_sub, n) >= Fraction(q - 1, q):
+            try:
+                sub_bound = eb_rate_bound(
+                    BoundParams(q=q, n=n, d=d_sub)).rate_upper
+            except (DomainError, PreconditionError):
                 continue
-            if n * johnson_radius(q, Fraction(d_sub, n)) <= 1.0:
-                continue
-            sub_bound = eb_rate_bound(BoundParams(q=q, n=n, d=d_sub)).rate_upper
             sub_rate = math.log(sub.size) / (n * math.log(q))
             if sub_rate > sub_bound:
                 return VerificationReport(

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbounds import (BoundParams, classify_rank, codim_guarantees, constants,
+                     eb_rate_bound, eb_rate_bound_continuous, rank_bound)
 from qbounds.cli import _EVAL, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +39,15 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+_P = BoundParams(q=3, n=100, d=25)
+
+
+def _bound_values(res):
+    """The values the CLI prints for a bound: the headline, then the terms."""
+    headline = res.rate_upper if hasattr(res, "rate_upper") else res.r_upper
+    return [headline, *(v for _, v in res.terms)]
 
 
 class TestEval:
@@ -145,35 +156,38 @@ class TestBound:
         assert out == ""
         assert err == "error: n must be an integer >= 1, got 0\n"
 
-    def test_rank_digits(self, capsys):
-        from qbounds import rank_bound
-        code, doc, _ = run_json(capsys, "bound", "--p", "3", "--n", "100",
-                                "--delta", "0.25", "--form", "rank",
-                                "--digits", "30", "--deterministic")
-        assert code == 0
-        assert doc["inputs"]["digits"] == 30
-        assert doc["diagnostics"] == []
-        want = rank_bound(3, 100, 0.25, digits=30)
-        assert doc["results"]["r_upper"]["value"] == float(want.r_upper)
-        assert [t["value"] for t in doc["results"]["terms"]] == \
-            [float(v) for _, v in want.terms]
-
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--q", "3", "--n", "100", "--d", "25"],
-        ["bound", "--q", "3", "--n", "100", "--d", "25",
-         "--form", "continuous"],
-        ["classify", "--p", "3", "--n", "2000", "--r", "600"],
-    ], ids=["finite", "continuous", "classify"])
-    def test_double_only_digits_noted(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, printed, library", [
+        (["bound", "--p", "3", "--n", "100", "--delta", "0.25",
+          "--form", "rank"],
+         lambda r: [r["r_upper"], *r["terms"]],
+         lambda dig: _bound_values(rank_bound(3, 100, 0.25, dig))),
+        (["bound", "--q", "3", "--n", "100", "--d", "25"],
+         lambda r: [r["rate_upper"], *r["terms"]],
+         lambda dig: _bound_values(eb_rate_bound(_P, dig))),
+        (["bound", "--q", "3", "--n", "100", "--d", "25",
+          "--form", "continuous"],
+         lambda r: [r["rate_upper"], *r["terms"]],
+         lambda dig: _bound_values(eb_rate_bound_continuous(_P, dig))),
+        (["classify", "--p", "3", "--n", "2000", "--r", "600"],
+         lambda r: [r["F_value"], r["codim_caps"]["rank_bound_quarter"],
+                    r["codim_caps"]["rank_bound_third"]],
+         lambda dig: [classify_rank(3, 2000, 600, dig).F_value,
+                      codim_guarantees(3, 2000, 600, dig).rank_bound_quarter,
+                      codim_guarantees(3, 2000, 600, dig).rank_bound_third]),
+        (["tables", "--which", "constants", "--primes", "3"],
+         lambda r: [r["rows"][0][f] for f in ("f1", "f2", "f3", "f4", "f5")],
+         lambda dig: [getattr(constants(3, dig), f)
+                      for f in ("f1", "f2", "f3", "f4", "f5")]),
+    ], ids=["rank", "finite", "continuous", "classify", "constants"])
+    def test_rank_digits(self, capsys, monkeypatch, argv, printed, library):
         monkeypatch.delenv("QB_PRECISION", raising=False)
-        _, plain, _ = run_json(capsys, *argv, "--deterministic")
         code, doc, _ = run_json(capsys, *argv, "--digits", "30",
                                 "--deterministic")
         assert code == 0
-        assert plain["diagnostics"] == []
-        assert doc["results"] == plain["results"]
-        [(level, text)] = doc["diagnostics"]
-        assert level == "info" and "double precision" in text
+        assert doc["inputs"]["digits"] == 30
+        assert doc["diagnostics"] == []
+        assert [v["value"] for v in printed(doc["results"])] == \
+            [float(v) for v in library(30)]
 
 
 class TestTables:
@@ -488,12 +502,14 @@ def _eval_argv(draw):
 def _bound_argv(draw):
     form = draw(st.sampled_from(["finite", "continuous", "rank"]))
     return ["bound", f"--form={form}", f"--n={draw(_SIZES)}", *_flags(draw, {
-        "q": _INTS, "p": _INTS, "d": _SIZES, "delta": _FLOATS})]
+        "q": _INTS, "p": _INTS, "d": _SIZES, "delta": _FLOATS,
+        "digits": st.integers(-2, 60)})]
 
 
 @st.composite
 def _classify_argv(draw):
-    return ["classify", *(f"--{name}={draw(_SIZES)}" for name in "pnr")]
+    return ["classify", *(f"--{name}={draw(_SIZES)}" for name in "pnr"),
+            *_flags(draw, {"digits": st.integers(-2, 60)})]
 
 
 @st.composite

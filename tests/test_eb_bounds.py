@@ -123,7 +123,7 @@ class TestRankBound:
     def test_dominant_term(self):
         res = rank_bound(3, 100, Fraction(1, 4))
         expected = (1 - entropy(3, johnson_radius(3, 0.25))) * 100
-        assert res.term("dominant_linear") == pytest.approx(expected, rel=1e-12)
+        assert dict(res.terms)["dominant_linear"] == pytest.approx(expected, rel=1e-12)
 
     def test_term_sum_consistency(self):
         res = rank_bound(29, 5000, Fraction(1, 4))

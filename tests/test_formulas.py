@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbounds import (PreconditionError, PrimeConstants, RankBoundResult,
-                     constants, entropy, entropy_d1, entropy_d2,
-                     johnson_radius, johnson_radius_d1, log_binomial_estimate,
-                     rank_bound, stirling_bounds, threshold_F,
-                     threshold_F_array)
+from qbounds import (BoundParams, BoundResult, PreconditionError,
+                     PrimeConstants, RankBoundResult, constants,
+                     eb_rate_bound, eb_rate_bound_continuous, entropy,
+                     entropy_d1, entropy_d2, johnson_radius,
+                     johnson_radius_d1, log_binomial_estimate, rank_bound,
+                     stirling_bounds, threshold_F, threshold_F_array)
 from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
 
 Q = st.integers(2, 11)
@@ -38,13 +39,30 @@ def _log_binomial_args(draw):
 
 
 @st.composite
+def _eb_args(draw, min_nJ=0.0):
+    """An instance given by d or by delta, inside the bounds' domain
+    0 < delta < (q-1)/q, with n J_q(delta) >= ``min_nJ``."""
+    q, n = draw(Q), draw(st.integers(2, 10 ** 5))
+    if draw(st.booleans()):
+        top = (n * (q - 1) - 1) // q  # the largest d with d/n < (q-1)/q
+        assume(top >= 1)
+        params = BoundParams(q=q, n=n, d=draw(st.integers(1, top)))
+    else:
+        _, delta = draw(_delta_args(st.just(q), 0.01, 1.0, open_upper=True))
+        params = BoundParams(q=q, n=n, delta=delta)
+    assume(n * johnson_radius(q, float(params.delta_value)) >= min_nJ)
+    return (params,)
+
+
+@st.composite
 def _rank_args(draw):
     p, delta = draw(_delta_args(st.sampled_from(primes_up_to(29)), 0.05, 0.9))
     return p, draw(st.integers(16, 10 ** 5)), delta
 
 
 # Argument ranges keep clear of where float64 is ill-conditioned:
-# log_binomial_estimate's n log n differences cancel more as n grows.  J_q
+# log_binomial_estimate's n log n differences cancel more as n grows, and
+# the continuous EB bound's 1/(J - 1/n) cancels as n J -> 1.  J_q
 # and J_q' cover their whole domain, up to delta = (q-1)/q.
 CASES = {
     "entropy": (entropy, st.tuples(Q, st.floats(0.0, 1.0))),
@@ -54,6 +72,9 @@ CASES = {
     "johnson_radius_d1": (johnson_radius_d1, _delta_args(open_upper=True)),
     "stirling_bounds": (stirling_bounds, st.tuples(st.integers(1, 10 ** 6))),
     "log_binomial_estimate": (log_binomial_estimate, _log_binomial_args()),
+    "eb_rate_bound": (eb_rate_bound, _eb_args()),
+    "eb_rate_bound_continuous": (eb_rate_bound_continuous,
+                                 _eb_args(min_nJ=1.1)),
     "rank_bound": (rank_bound, _rank_args()),
     "constants": (constants, st.tuples(
         st.sampled_from([p for p in primes_up_to(101) if p >= 3]))),
@@ -65,6 +86,8 @@ CASES = {
 def _values(result):
     if isinstance(result, RankBoundResult):
         return [result.r_upper]
+    if isinstance(result, BoundResult):
+        return [result.rate_upper, *(v for _, v in result.terms)]
     if isinstance(result, PrimeConstants):
         return [result.f1, result.f2, result.f3, result.f4, result.f5]
     if isinstance(result, tuple):

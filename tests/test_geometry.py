@@ -47,12 +47,6 @@ class TestConstants:
             assert 0 < k.f1 < 0.5
             assert 0 < k.f5 <= 0.25
 
-    def test_attach_paper(self):
-        k = constants(3, attach_paper=True)
-        assert k.c == Fraction(9, 32)
-        assert k.n0 == 1908
-        assert k.N == 91
-
     def test_rejects_composite(self):
         with pytest.raises(DomainError):
             constants(9)
