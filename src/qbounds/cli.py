@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: eval, bound, tables, verify, oracle, classify.  One structured
-JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
-0 = success / all-pass, 1 = verification or table mismatch, 2 = usage or
-precondition error.  QB_PRECISION (decimal digits) overrides the default
+Subcommands: eval, bound, tables, verify, oracle, classify.  Each handler
+imports the library modules it uses, so a request loads only those.  One
+structured JSON document goes to stdout; diagnostics go to stderr.  Exit
+codes: 0 = success / all-pass, 1 = verification or table mismatch, 2 = usage
+or precondition error.  QB_PRECISION (decimal digits) overrides the default
 working precision; the --digits flag beats the environment variable.
 """
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -19,18 +19,10 @@ from fractions import Fraction
 from numbers import Rational, Real
 
 from . import __version__
-from .eb_bounds import (BoundParams, eb_rate_bound, eb_rate_bound_continuous,
-                        rank_bound)
 from .errors import (DomainError, PreconditionError, QBoundsError,
                      ResourceBudgetError)
-from .geometry import (SUPPORTED_PRIMES, anchor_signs, classify_rank,
-                       codim_guarantees, constants, derive_c_n0, derive_N,
-                       paper_tables)
-from .oracle import max_code_size, serialize_code, upper_bound
 from .precision import (DEFAULT_POLICY, DOUBLE_DIGITS, PrecisionPolicy,
                         check_digits)
-from .qcore import (entropy, entropy_d1, entropy_d2, hamming_ball_volume,
-                    johnson_radius, johnson_radius_d1, stirling_bounds)
 from .suites import SUITES
 
 SCHEMA_VERSION = "1"
@@ -114,43 +106,52 @@ def _policy(dig) -> PrecisionPolicy:
     return PrecisionPolicy(escalation_digits=max(dig, DOUBLE_DIGITS))
 
 
-def _num(x):
-    """JSON-safe numeric conversion (mpf -> float, Fraction -> str)."""
+def _num(x, digits=None):
+    """JSON-safe numeric conversion (mpf -> float, Fraction -> str).  An mpf
+    computed at ``digits`` digits that a double cannot hold (it overflows,
+    or a nonzero value underflows to zero) is printed as a decimal string
+    with ``digits`` significant digits."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Real) and not isinstance(x, Rational):
-        return float(x)
+        f = float(x)
+        if digits is not None and (math.isinf(f) or (f == 0 and x != 0)):
+            import mpmath
+            return mpmath.nstr(x, digits)
+        return f
     return x
 
 
 # --- subcommand handlers ---------------------------------------------------
 
-# function -> (callable taking digits=, argument names)
+# function -> (qcore function taking digits=, argument names)
 _EVAL = {
-    "entropy": (entropy, ("q", "x")),
-    "entropy_d1": (entropy_d1, ("q", "x")),
-    "entropy_d2": (entropy_d2, ("q", "x")),
-    "johnson": (johnson_radius, ("q", "delta")),
-    "johnson_d1": (johnson_radius_d1, ("q", "delta")),
-    "ball_volume": (lambda q, n, e, digits: hamming_ball_volume(q, n, e),
-                    ("q", "n", "e")),
-    "stirling": (stirling_bounds, ("k",)),
+    "entropy": ("entropy", ("q", "x")),
+    "entropy_d1": ("entropy_d1", ("q", "x")),
+    "entropy_d2": ("entropy_d2", ("q", "x")),
+    "johnson": ("johnson_radius", ("q", "delta")),
+    "johnson_d1": ("johnson_radius_d1", ("q", "delta")),
+    "ball_volume": ("hamming_ball_volume", ("q", "n", "e")),
+    "stirling": ("stirling_bounds", ("k",)),
 }
 
 
 def cmd_eval(args) -> int:
+    from . import qcore
     dig = _digits(args)
-    fn, names = _EVAL[args.function]
+    fn_name, names = _EVAL[args.function]
     inputs = {name: getattr(args, name) for name in names}
     missing = [f"--{name}" for name, v in inputs.items() if v is None]
     if missing:
         raise DomainError(f"eval {args.function} requires {', '.join(missing)}")
-    value = fn(*inputs.values(), digits=dig)
+    fn = getattr(qcore, fn_name)
+    value = (fn(*inputs.values()) if fn is qcore.hamming_ball_volume  # exact
+             else fn(*inputs.values(), digits=dig))
     if args.function == "stirling":
-        res = {"lower": computed(_num(value[0])),
-               "upper": computed(_num(value[1]))}
+        res = {"lower": computed(_num(value[0], dig)),
+               "upper": computed(_num(value[1], dig))}
     else:
-        res = {"value": computed(_num(value))}
+        res = {"value": computed(_num(value, dig))}
     if dig is not None:
         inputs["digits"] = dig
     _emit(_document("eval", inputs, res, [], args.deterministic), args.pretty)
@@ -158,6 +159,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .eb_bounds import (BoundParams, eb_rate_bound,
+                            eb_rate_bound_continuous, rank_bound)
     dig = _digits(args)
     q = args.q if args.q is not None else args.p
     if q is None:
@@ -169,13 +172,13 @@ def cmd_bound(args) -> int:
     params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
     if args.form == "rank":
         res = rank_bound(q, args.n, params.delta_value, digits=dig)
-        results = {"r_upper": computed(_num(res.r_upper))}
+        results = {"r_upper": computed(_num(res.r_upper, dig))}
     else:
         fn = eb_rate_bound if args.form == "finite" else eb_rate_bound_continuous
         res = fn(params, digits=dig)
-        results = {"rate_upper": computed(_num(res.rate_upper)),
+        results = {"rate_upper": computed(_num(res.rate_upper, dig)),
                    "e": computed(res.e)}
-    results["terms"] = [{"label": lab, **computed(_num(val))}
+    results["terms"] = [{"label": lab, **computed(_num(val, dig))}
                         for lab, val in res.terms]
     if dig is not None:
         inputs["digits"] = dig
@@ -185,6 +188,8 @@ def cmd_bound(args) -> int:
 
 
 def _tables_rows(which, primes, dig, diagnostics):
+    from .geometry import (anchor_signs, constants, derive_c_n0, derive_N,
+                           paper_tables)
     paper = paper_tables()
     policy = _policy(dig)
     rows = []
@@ -199,7 +204,7 @@ def _tables_rows(which, primes, dig, diagnostics):
     if which == "constants":
         for p in primes:
             k = constants(p, dig)
-            rows.append({"p": p, **{f: computed(_num(getattr(k, f)))
+            rows.append({"p": p, **{f: computed(_num(getattr(k, f), dig))
                                     for f in ("f1", "f2", "f3", "f4", "f5")}})
     elif which == "candn0":
         for p in primes:
@@ -235,6 +240,8 @@ def _tables_rows(which, primes, dig, diagnostics):
 
 
 def _rows_to_csv(rows):
+    import csv
+
     def flat(v):
         if isinstance(v, dict) and set(v) == {"value", "provenance"}:
             return v["value"]
@@ -249,6 +256,7 @@ def _rows_to_csv(rows):
 
 
 def cmd_tables(args) -> int:
+    from .geometry import SUPPORTED_PRIMES
     primes = tuple(args.primes) if args.primes else SUPPORTED_PRIMES
     for p in primes:
         if p not in SUPPORTED_PRIMES:
@@ -273,20 +281,24 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    dig = _digits(args)
+    policy = _policy(dig)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = []
     all_passed = True
     for name in suites:
-        rep = SUITES[name](args.seed)
+        rep = SUITES[name](args.seed, policy)
         all_passed &= rep.passed
         results.append({
             "suite": rep.suite,
             "instances_checked": computed(rep.instances_checked),
             "passed": rep.passed,
             "counterexample": rep.counterexample,
-            "payload": {k: _num(v) for k, v in rep.payload.items()},
+            "payload": {k: _num(v, dig) for k, v in rep.payload.items()},
         })
     inputs = {"suite": args.suite, "seed": args.seed}
+    if dig is not None:
+        inputs["digits"] = dig
     doc = _document("verify", inputs, {"reports": results}, [],
                     args.deterministic)
     _emit(doc, args.pretty)
@@ -294,6 +306,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .eb_bounds import BoundParams, eb_rate_bound
+    from .oracle import max_code_size, serialize_code, upper_bound
+    dig = _digits(args)
     size, witness = max_code_size(args.q, args.n, args.d,
                                   time_limit=args.time_limit)
     ub = upper_bound(args.q, args.n, args.d)
@@ -306,25 +321,29 @@ def cmd_oracle(args) -> int:
     }
     diagnostics = []
     try:
-        bound = eb_rate_bound(BoundParams(q=args.q, n=args.n, d=args.d))
+        bound = eb_rate_bound(BoundParams(q=args.q, n=args.n, d=args.d),
+                              digits=dig)
         rate = math.log(size) / (args.n * math.log(args.q))
         results["rate"] = computed(rate)
-        results["eb_rate_bound"] = computed(bound.rate_upper)
+        results["eb_rate_bound"] = computed(_num(bound.rate_upper, dig))
         results["sound"] = bool(rate <= bound.rate_upper)
     except (DomainError, PreconditionError) as exc:
         diagnostics.append(["info", f"bound comparison skipped: {exc}"])
     inputs = {"q": args.q, "n": args.n, "d": args.d}
+    if dig is not None:
+        inputs["digits"] = dig
     _emit(_document("oracle", inputs, results, diagnostics,
                     args.deterministic), args.pretty)
     return 0
 
 
 def cmd_classify(args) -> int:
+    from .geometry import classify_rank, codim_guarantees
     dig = _digits(args)
     report = classify_rank(args.p, args.n, args.r, dig)
     results = {
         "classification": report.classification.value,
-        "F_value": computed(_num(report.F_value)),
+        "F_value": computed(_num(report.F_value, dig)),
         "baseline": computed(report.baseline),
         "max_rank": computed(report.max_rank),
     }
@@ -336,8 +355,9 @@ def cmd_classify(args) -> int:
         results["codim_caps"] = {
             "tau1": computed(str(codim.tau1_codim_cap)),
             "tau2": computed(str(codim.tau2_codim_cap)),
-            "rank_bound_quarter": computed(_num(codim.rank_bound_quarter)),
-            "rank_bound_third": computed(_num(codim.rank_bound_third)),
+            "rank_bound_quarter": computed(_num(codim.rank_bound_quarter,
+                                                dig)),
+            "rank_bound_third": computed(_num(codim.rank_bound_third, dig)),
         }
     inputs = {"p": args.p, "n": args.n, "r": args.r}
     if dig is not None:

@@ -5,8 +5,8 @@ number; the term labels are a stable contract consumed by the CLI.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .precision import DEFAULT_POLICY, evaluate
@@ -34,28 +34,33 @@ def is_prime(p) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class _BoundFields(NamedTuple):
+    q: int
+    n: int
+    d: int | None
+    delta: float | Fraction | None
+
+
+class BoundParams(_BoundFields):
     """One rate-bound instance: alphabet q, block length n, and exactly one
     of minimum distance d or relative distance delta.  Supplying d fixes
     delta = d/n as an exact rational."""
 
-    q: int
-    n: int
-    d: int | None = None
-    delta: float | Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
-            raise DomainError(f"q must be an integer >= 2, got {self.q!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        if (self.d is None) == (self.delta is None):
+    def __new__(cls, q: int, n: int, d: int | None = None,
+                delta: float | Fraction | None = None):
+        if not isinstance(q, int) or q < 2:
+            raise DomainError(f"q must be an integer >= 2, got {q!r}")
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"n must be an integer >= 1, got {n!r}")
+        if (d is None) == (delta is None):
             raise DomainError("exactly one of d, delta must be supplied")
-        if self.d is not None and not 1 <= self.d <= self.n:
-            raise DomainError(f"d must satisfy 1 <= d <= n, got d={self.d!r}")
-        if self.delta is not None and not 0 <= self.delta <= 1:
-            raise DomainError(f"delta must lie in [0, 1], got {self.delta!r}")
+        if d is not None and not 1 <= d <= n:
+            raise DomainError(f"d must satisfy 1 <= d <= n, got d={d!r}")
+        if delta is not None and not 0 <= delta <= 1:
+            raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+        return super().__new__(cls, q, n, d, delta)
 
     @property
     def delta_value(self):
@@ -64,15 +69,13 @@ class BoundParams:
         return self.delta
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     rate_upper: float
     e: int
     terms: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class RankBoundResult:
+class RankBoundResult(NamedTuple):
     r_upper: float
     terms: tuple[tuple[str, float], ...]
 

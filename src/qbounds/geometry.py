@@ -5,19 +5,19 @@ scans that re-derive the published c/n0 and N tables.
 All scans run a vectorized double-precision pass and escalate individual
 comparisons to high precision only when the margin is below the policy's
 decision margin; results are identical to a full high-precision scan.
-numpy is imported only by the functions that build arrays.
+numpy is imported only by the functions that build arrays, and the
+published tables are read from ``paper_constants.json`` on first use.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .eb_bounds import is_prime, rank_bound
 from .errors import DomainError, PreconditionError
@@ -43,6 +43,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 def paper_tables() -> dict:
     """The published c(p)/n0(p)/N(p) tables (provenance: paper-constant)."""
+    import importlib.resources
     raw = json.loads(importlib.resources.files("qbounds.data")
                      .joinpath("paper_constants.json").read_text())
     return {
@@ -54,11 +55,13 @@ def paper_tables() -> dict:
     }
 
 
-_PAPER = paper_tables()
+@functools.lru_cache(maxsize=1)
+def _published_c() -> dict:
+    """The published c(p) table, read from the data file on first use."""
+    return paper_tables()["c"]
 
 
-@dataclass(frozen=True)
-class PrimeConstants:
+class PrimeConstants(NamedTuple):
     """The f1..f5 bundle for one prime."""
 
     p: int
@@ -150,8 +153,7 @@ def baseline_rank(n: int) -> int:
     return 3 * n // 8 + (2 if n % 8 in (2, 4) else 1)
 
 
-@dataclass(frozen=True)
-class DerivedCN0:
+class DerivedCN0(NamedTuple):
     p: int
     c: Fraction
     n0: int
@@ -206,9 +208,9 @@ def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
     n >= n0, taking c(p) from the published table.  The guarded scan
     stops at the end ``_scan_end`` proves for (c(p), 0)."""
-    if p not in _PAPER["c"]:
+    c = _published_c().get(p)
+    if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    c = _PAPER["c"][p]
     end, esc_end = _scan_end(p, c, 0, policy)
     start = max(16, int(math.floor(2.0 / constants(p).f5)) + 2)
     import numpy as np
@@ -222,8 +224,7 @@ def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
                       cap=end, last_violation=last, escalations=esc_end + esc)
 
 
-@dataclass(frozen=True)
-class DerivedN:
+class DerivedN(NamedTuple):
     p: int
     N: int
     first_failure: int
@@ -325,8 +326,7 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
         payload={"p": p, "n_star": n_star, "escalations": esc_lo + esc_hi})
 
 
-@dataclass(frozen=True)
-class CodimReport:
+class CodimReport(NamedTuple):
     p: int
     n: int
     r: int
@@ -374,8 +374,7 @@ class Classification(Enum):
     NO_CONCLUSION = "NO_CONCLUSION"
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     p: int
     n: int
     r: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,18 +45,21 @@ def hamming_distance(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-@dataclass
-class Code:
-    """An explicit set of length-n words over a q-letter alphabet.
-
-    Words are stored sorted and deduplicated; the minimum distance is
-    computed once, by ``min_distance``, and cached on the code.
-    """
-
+class _CodeFields(NamedTuple):
     q: int
     n: int
     words: tuple
-    _min_distance: int | None = field(default=None, repr=False, compare=False)
+
+
+class Code(_CodeFields):
+    """An explicit set of length-n words over a q-letter alphabet.
+
+    Words are stored sorted and deduplicated; the minimum distance is
+    computed once, by ``min_distance``, and cached on the code outside its
+    fields, so equality and ``repr`` ignore it.
+    """
+
+    _min_distance: int | None = None
 
     @property
     def size(self) -> int:

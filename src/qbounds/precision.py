@@ -17,10 +17,9 @@ never loads it.
 """
 
 import math
-from dataclasses import dataclass
 from numbers import Rational
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import AmbiguousComparisonError, DomainError
 
@@ -70,8 +69,12 @@ def evaluate(digits, formula, *args):
 DOUBLE_DIGITS = 17
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class _PolicyFields(NamedTuple):
+    escalation_digits: int
+    decision_margin: float
+
+
+class PrecisionPolicy(_PolicyFields):
     """Precision contract for real-valued evaluation.
 
     escalation_digits
@@ -82,14 +85,15 @@ class PrecisionPolicy:
         without escalation.
     """
 
-    escalation_digits: int = 50
-    decision_margin: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.escalation_digits < DOUBLE_DIGITS:
+    def __new__(cls, escalation_digits: int = 50,
+                decision_margin: float = 1e-9):
+        if escalation_digits < DOUBLE_DIGITS:
             raise DomainError(f"escalation_digits must be >= {DOUBLE_DIGITS}")
-        if not self.decision_margin > 0:
+        if not decision_margin > 0:
             raise DomainError("decision_margin must be positive")
+        return super().__new__(cls, escalation_digits, decision_margin)
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -1,22 +1,32 @@
 """Pass/fail records for verification suites."""
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one oracle or scan suite.
-
-    A failed report always carries the violating instance, fully
-    serialized, in ``counterexample``.
-    """
-
+class _ReportFields(NamedTuple):
     suite: str
     instances_checked: int
     passed: bool
-    counterexample: dict | None = None
-    payload: dict = field(default_factory=dict)
+    counterexample: dict | None
+    payload: dict
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+
+class VerificationReport(_ReportFields):
+    """Outcome of one oracle or scan suite.
+
+    A failed report always carries the violating instance, fully
+    serialized, in ``counterexample``; each report gets its own
+    ``payload`` dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, suite: str, instances_checked: int, passed: bool,
+                counterexample: dict | None = None,
+                payload: dict | None = None):
+        if not passed and counterexample is None:
             raise ValueError("failed report must carry a counterexample")
+        if payload is None:
+            payload = {}
+        return super().__new__(cls, suite, instances_checked, passed,
+                               counterexample, payload)

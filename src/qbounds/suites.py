@@ -1,10 +1,11 @@
 """The verification suites behind ``qbounds verify``: ``SUITES`` maps each
-name to a callable taking the seed (unused by deterministic suites)."""
+name to a callable taking the seed (unused by deterministic suites) and a
+``PrecisionPolicy`` (used by the suites that escalate comparisons).  A
+suite's library module is imported only when the suite runs."""
 
-from .eb_bounds import verify_rank_monotonicity
-from .geometry import SUPPORTED_PRIMES, envelope_check, f1_monotonicity_scan
-from .oracle import eb_soundness_sweep, johnson_suite, pigeonhole_suite
-from .qcore import stirling_bounds
+import qbounds
+
+from .precision import DEFAULT_POLICY
 from .report import VerificationReport
 
 # ln k! sits only ~1/(360 k^3) below the bracket's upper edge, inside
@@ -16,6 +17,7 @@ STIRLING_DIGITS = 50
 def verify_stirling() -> VerificationReport:
     """The Robbins bracket holds for every k <= 10^4 and at 10^5, 10^6."""
     import mpmath
+    from .qcore import stirling_bounds
     checked = 0
     with mpmath.workdps(STIRLING_DIGITS):
         for k in [*range(1, 10_001), 10 ** 5, 10 ** 6]:
@@ -33,6 +35,8 @@ def verify_stirling() -> VerificationReport:
 
 def verify_monotonicity() -> VerificationReport:
     """rank_bound(p, n, 1/3) < rank_bound(p, n, 1/4) on a grid of n."""
+    from .eb_bounds import verify_rank_monotonicity
+    from .geometry import SUPPORTED_PRIMES
     checked = 0
     grid = list(range(16, 201)) + [10 ** 3, 10 ** 4, 10 ** 5]
     for p in SUPPORTED_PRIMES:
@@ -46,14 +50,15 @@ def verify_monotonicity() -> VerificationReport:
                               passed=True)
 
 
-def verify_envelope() -> VerificationReport:
+def verify_envelope(policy=DEFAULT_POLICY) -> VerificationReport:
     """The envelope n/4 < F(n, p) <= sqrt(3) n/4 up to n = 10^5, with its
     starting point n* for every supported prime."""
+    from .geometry import SUPPORTED_PRIMES, envelope_check
     checked = 0
     escalations = 0
     n_star = {}
     for p in SUPPORTED_PRIMES:
-        rep = envelope_check(p, 16, 10 ** 5)
+        rep = envelope_check(p, 16, 10 ** 5, policy)
         checked += rep.instances_checked
         if not rep.passed:
             return VerificationReport(suite="envelope", instances_checked=checked,
@@ -68,11 +73,15 @@ def verify_envelope() -> VerificationReport:
 
 
 SUITES = {
-    "stirling": lambda seed: verify_stirling(),
-    "johnson": lambda seed: johnson_suite(seed=seed),
-    "pigeonhole": lambda seed: pigeonhole_suite(seed=seed),
-    "eb-soundness": lambda seed: eb_soundness_sweep(seed=seed),
-    "monotonicity": lambda seed: verify_monotonicity(),
-    "f1": lambda seed: f1_monotonicity_scan(101),
-    "envelope": lambda seed: verify_envelope(),
+    "stirling": lambda seed, policy=DEFAULT_POLICY: verify_stirling(),
+    "johnson": lambda seed, policy=DEFAULT_POLICY:
+        qbounds.johnson_suite(seed=seed),
+    "pigeonhole": lambda seed, policy=DEFAULT_POLICY:
+        qbounds.pigeonhole_suite(seed=seed),
+    "eb-soundness": lambda seed, policy=DEFAULT_POLICY:
+        qbounds.eb_soundness_sweep(seed=seed),
+    "monotonicity": lambda seed, policy=DEFAULT_POLICY: verify_monotonicity(),
+    "f1": lambda seed, policy=DEFAULT_POLICY:
+        qbounds.f1_monotonicity_scan(101, policy),
+    "envelope": lambda seed, policy=DEFAULT_POLICY: verify_envelope(policy),
 }

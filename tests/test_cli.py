@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line interface: exit codes, JSON
-round-trips, determinism, the CSV table variant, which requests load
-numpy and mpmath, and a fuzz of the exit-code contract."""
+round-trips, determinism, the CSV table variant, which modules each request
+loads, and a fuzz of the exit-code contract."""
 
 import io
 import json
@@ -15,8 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbounds import (BoundParams, classify_rank, codim_guarantees, constants,
-                     eb_rate_bound, eb_rate_bound_continuous, rank_bound)
+import qbounds
+from qbounds import (DEFAULT_POLICY, BoundParams, PrecisionPolicy,
+                     VerificationReport, classify_rank, codim_guarantees,
+                     constants, eb_rate_bound, eb_rate_bound_continuous,
+                     entropy_d2, johnson_radius, rank_bound)
 from qbounds.cli import _EVAL, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,6 +111,21 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "--digits" in lines[0]
 
+    @pytest.mark.parametrize("function, flag, library", [
+        ("entropy_d2", "--x", lambda: entropy_d2(2, 5e-324, 30)),  # overflow
+        ("johnson", "--delta", lambda: johnson_radius(2, 5e-324, 30)),  # to 0
+    ])
+    def test_out_of_double_range_at_digits(self, capsys, function, flag,
+                                           library):
+        # computed at --digits, a value a double cannot hold prints as a
+        # decimal string with that many significant digits
+        import mpmath
+        code, doc, err = run_json(capsys, "eval", function, "--q", "2",
+                                  flag, "5e-324", "--digits", "30",
+                                  "--deterministic")
+        assert code == 0, err
+        assert doc["results"]["value"]["value"] == mpmath.nstr(library(), 30)
+
 
 class TestBound:
     def test_finite_includes_e13(self, capsys):
@@ -178,7 +196,12 @@ class TestBound:
          lambda r: [r["rows"][0][f] for f in ("f1", "f2", "f3", "f4", "f5")],
          lambda dig: [getattr(constants(3, dig), f)
                       for f in ("f1", "f2", "f3", "f4", "f5")]),
-    ], ids=["rank", "finite", "continuous", "classify", "constants"])
+        (["oracle", "--q", "2", "--n", "6", "--d", "2"],
+         lambda r: [r["eb_rate_bound"]],
+         lambda dig: [eb_rate_bound(BoundParams(q=2, n=6, d=2),
+                                    dig).rate_upper]),
+    ], ids=["rank", "finite", "continuous", "classify", "constants",
+            "oracle"])
     def test_rank_digits(self, capsys, monkeypatch, argv, printed, library):
         monkeypatch.delenv("QB_PRECISION", raising=False)
         code, doc, _ = run_json(capsys, *argv, "--digits", "30",
@@ -251,6 +274,33 @@ class TestVerify:
         rep = doc["results"]["reports"][0]
         assert rep["passed"]
         assert rep["payload"]["f1_29"] < 0.375 < rep["payload"]["f1_31"]
+
+    @pytest.mark.parametrize("suite, library", [
+        ("f1", "f1_monotonicity_scan"), ("envelope", "envelope_check")])
+    @pytest.mark.parametrize("digits, policy", [
+        (None, DEFAULT_POLICY), (40, PrecisionPolicy(escalation_digits=40))])
+    def test_digits_sets_the_policy(self, capsys, monkeypatch, suite, library,
+                                    digits, policy):
+        import qbounds.geometry
+        seen = []
+
+        def fake(*args):
+            seen.append(args[-1])
+            return VerificationReport(suite, 1, True, payload={
+                "n_star": 16, "escalations": 0})
+
+        monkeypatch.delenv("QB_PRECISION", raising=False)
+        # the f1 suite looks its scan up in the package namespace, the
+        # envelope suite in geometry
+        monkeypatch.setattr(qbounds, library, fake, raising=False)
+        monkeypatch.setattr(qbounds.geometry, library, fake)
+        argv = ["verify", "--suite", suite, "--deterministic"]
+        if digits is not None:
+            argv += ["--digits", str(digits)]
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["inputs"].get("digits") == digits
+        assert seen and all(p == policy for p in seen)
 
     def test_stirling_suite(self, capsys):
         # ln k! lies within float64 noise of the bracket's upper edge from
@@ -414,26 +464,29 @@ class TestDocumentContract:
         assert "schema_version: 1" in lines
 
 
-# Requests that need no array: none of them may load numpy.  No request
-# here or in _NUMPY_USERS asks for high precision, so none may load mpmath.
-_NUMPY_FREE = [
-    (["eval", "entropy", "--q", "3", "--x", "0.3"], 0),
-    (["bound", "--q", "3", "--n", "100", "--d", "25"], 0),
-    (["bound", "--p", "3", "--n", "16", "--delta", "0.25", "--form", "rank"],
-     0),
-    (["classify", "--p", "3", "--n", "2000", "--r", "600"], 0),
-    (["tables", "--which", "constants"], 0),
-    (["verify", "--suite", "f1"], 0),
-    (["verify", "--suite", "monotonicity"], 0),
-    (["oracle", "--q", "2", "--n", "30", "--d", "3"], 2),  # over budget
-]
-_NUMPY_USERS = [
-    (["oracle", "--q", "3", "--n", "4", "--d", "3"], 0),
-]
-# Requests that need mpmath: high precision, and the proven scan end.
-_MPMATH_USERS = [
-    (["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
-    (["tables", "--which", "candn0", "--primes", "3"], 0),
+# Stages of requests run in order in one process: each stage's requests
+# with their exit codes, which of dataclasses, numpy and mpmath are loaded
+# after it, and which qbounds submodules it added.  No stage may load
+# dataclasses, none before the oracle requests numpy, none before the
+# high-precision requests mpmath, and only the oracle requests the oracle.
+_STAGES = [
+    ([(["eval", "entropy", "--q", "3", "--x", "0.3"], 0)], [], ["qcore"]),
+    ([(["bound", "--q", "3", "--n", "100", "--d", "25"], 0),
+      (["bound", "--p", "3", "--n", "16", "--delta", "0.25", "--form", "rank"],
+       0)],
+     [], ["eb_bounds"]),
+    ([(["classify", "--p", "3", "--n", "2000", "--r", "600"], 0),
+      (["tables", "--which", "constants"], 0),
+      (["verify", "--suite", "f1"], 0),
+      (["verify", "--suite", "monotonicity"], 0)],
+     [], ["data", "geometry"]),
+    ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
+     [], ["oracle"]),
+    ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
+    # high precision, and the proven scan end
+    ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
+      (["tables", "--which", "candn0", "--primes", "3"], 0)],
+     ["numpy", "mpmath"], []),
 ]
 
 _IMPORT_PROBE = """
@@ -444,31 +497,68 @@ def run(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         return qbounds.cli.main(argv + ["--deterministic"])
 
-def loaded():
-    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+seen = set()
 
-import qbounds, qbounds.cli
-result = [[[], loaded()]]
+def loaded():
+    global seen
+    now = {m.split(".")[1] for m in sys.modules if m.startswith("qbounds.")}
+    added, seen = sorted(now - seen), now
+    heavy = [m for m in ("dataclasses", "numpy", "mpmath") if m in sys.modules]
+    return [heavy, added]
+
+import qbounds
+result = [[[], *loaded()]]
+import qbounds.cli
+result.append([[], *loaded()])
 for stage in json.loads(sys.argv[1]):
-    result.append([[run(argv) for argv in stage], loaded()])
+    result.append([[run(argv) for argv in stage], *loaded()])
 print(json.dumps(result))
 """
 
 
 def test_heavy_imports_load_only_on_use():
-    stages = (_NUMPY_FREE, _NUMPY_USERS, _MPMATH_USERS)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps([[argv for argv, _ in stage]
-                                       for stage in stages])],
+                           json.dumps([[argv for argv, _ in requests]
+                                       for requests, _, _ in _STAGES])],
                           capture_output=True, text=True, env=_src_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [[], []],  # after import qbounds, qbounds.cli
-        [[code for _, code in _NUMPY_FREE], []],
-        [[code for _, code in _NUMPY_USERS], ["numpy"]],
-        [[code for _, code in _MPMATH_USERS], ["numpy", "mpmath"]],
+        [[], [], ["errors"]],  # import qbounds
+        [[], [], ["cli", "precision", "report", "suites"]],  # its CLI
+        *([[code for _, code in requests], heavy, added]
+          for requests, heavy, added in _STAGES),
     ]
+
+
+_PUBLIC_NAMES = [
+    "AmbiguousComparisonError", "BoundParams", "BoundResult", "Classification",
+    "Code", "CodimReport", "DEFAULT_POLICY", "DerivedCN0", "DerivedN",
+    "DomainError", "PrecisionPolicy", "PreconditionError", "PrimeConstants",
+    "QBoundsError", "RankBoundResult", "ResourceBudgetError",
+    "ThresholdReport", "VerificationReport", "baseline_rank", "classify_rank",
+    "codim_guarantees", "constants", "derive_N", "derive_c_n0",
+    "eb_rate_bound", "eb_rate_bound_continuous", "eb_soundness_sweep",
+    "entropy", "entropy_d1", "entropy_d2", "envelope_check",
+    "f1_monotonicity_scan", "hamming_ball_volume", "hamming_distance",
+    "hamming_weight", "is_prime", "johnson_ball_check", "johnson_radius",
+    "johnson_radius_d1", "johnson_suite", "log_binomial_estimate",
+    "make_code", "max_code_size", "min_distance", "paper_tables",
+    "parse_code", "pigeonhole_suite", "pigeonhole_witness", "random_code",
+    "rank_bound", "serialize_code", "stirling_bounds", "threshold_F",
+    "threshold_F_array", "verify_rank_monotonicity",
+]
+
+
+def test_public_names_resolve():
+    import qbounds
+    assert sorted(qbounds.__all__) == _PUBLIC_NAMES
+    assert set(_PUBLIC_NAMES) <= set(dir(qbounds))
+    for name in _PUBLIC_NAMES:
+        getattr(qbounds, name)  # AttributeError if it does not resolve
+    assert qbounds.geometry.threshold_F is qbounds.threshold_F
+    with pytest.raises(AttributeError):
+        qbounds.no_such_name
 
 
 # --- fuzz: every request ends with exit 0, 1 or 2, never a traceback ------
