@@ -190,9 +190,15 @@ def cmd_bound(args) -> int:
 def _tables_rows(which, primes, dig, diagnostics):
     from .geometry import (anchor_signs, constants, derive_c_n0, derive_N,
                            paper_tables)
+    rows = []
+    if which == "constants":  # computed only: no published value is read
+        for p in primes:
+            k = constants(p, dig)
+            rows.append({"p": p, **{f: computed(_num(getattr(k, f), dig))
+                                    for f in ("f1", "f2", "f3", "f4", "f5")}})
+        return rows, False
     paper = paper_tables()
     policy = _policy(dig)
-    rows = []
     mismatch = False
 
     def note(p, escalations):
@@ -201,12 +207,7 @@ def _tables_rows(which, primes, dig, diagnostics):
                 ["info", f"p={p}: {escalations} comparisons "
                          f"escalated to {policy.escalation_digits} digits"])
 
-    if which == "constants":
-        for p in primes:
-            k = constants(p, dig)
-            rows.append({"p": p, **{f: computed(_num(getattr(k, f), dig))
-                                    for f in ("f1", "f2", "f3", "f4", "f5")}})
-    elif which == "candn0":
+    if which == "candn0":
         for p in primes:
             derived = derive_c_n0(p, policy=policy)
             note(p, derived.escalations)

@@ -47,6 +47,8 @@ class BoundParams(_BoundFields):
     delta = d/n as an exact rational."""
 
     __slots__ = ()
+    # _replace builds through _make: route it through the checks of __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, q: int, n: int, d: int | None = None,
                 delta: float | Fraction | None = None):

@@ -6,10 +6,16 @@ Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
 q^n <= 10^6; larger instances raise ResourceBudgetError, as do searches
 that exceed their wall-clock cap.  numpy is imported only by the
 functions that build arrays.
+
+One blocked Hamming-distance kernel, ``_distance_blocks``, serves the
+search's adjacency and the lemma checks' ball counts, with at most 2^22
+one-byte distances (plus a boolean temporary as large) per block;
+``min_distance`` keeps its row loop, which stops at the first distance 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -92,11 +98,11 @@ def make_code(q: int, n: int, words) -> Code:
         raise DomainError(f"q must be an integer >= 2, got {q!r}")
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    normalized = sorted({tuple(int(s) for s in w) for w in words})
+    normalized = sorted({tuple(map(int, w)) for w in words})
     for w in normalized:
         if len(w) != n:
             raise DomainError(f"word {w} has length {len(w)}, expected {n}")
-        if any(not 0 <= s < q for s in w):
+        if min(w) < 0 or max(w) >= q:
             raise DomainError(f"word {w} has symbols outside 0..{q - 1}")
     return Code(q=q, n=n, words=tuple(normalized))
 
@@ -120,12 +126,18 @@ def all_words_array(q: int, n: int) -> np.ndarray:
     return np.indices((q,) * n, dtype=np.uint8).reshape(n, total).T
 
 
-def _word_from_index(q: int, n: int, idx: int) -> tuple:
-    digits = []
-    for _ in range(n):
-        digits.append(idx % q)
-        idx //= q
-    return tuple(reversed(digits))
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(lo, D)`` over blocks of rows of ``a``: ``D[i, j]`` is the
+    Hamming distance of ``a[lo + i]`` and ``b[j]``, <= 2^22 entries a block."""
+    import numpy as np
+    m, n = a.shape
+    rows = max(1, (1 << 22) // max(len(b), 1))
+    for lo in range(0, m, rows):
+        block = a[lo:lo + rows]
+        dist = np.zeros((len(block), len(b)), dtype=np.uint8)
+        for k in range(n):
+            dist += block[:, k, None] != b[None, :, k]
+        yield lo, dist
 
 
 # --- maximum code size via branch-and-bound clique search ----------------
@@ -191,16 +203,10 @@ def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
     """Row i as an int whose bit j is set iff cand[i], cand[j] are at
     distance >= d; built a block of rows at a time."""
     import numpy as np
-    m, n = cand.shape
-    rows = max(1, (1 << 22) // max(m, 1))
     adj: list[int] = []
-    for lo in range(0, m, rows):
+    for _, dist in _distance_blocks(cand, cand):
         if time.monotonic() > deadline:
             raise ResourceBudgetError("adjacency construction exceeded time limit")
-        block = cand[lo:lo + rows]
-        dist = np.zeros((len(block), m), dtype=np.uint8)
-        for k in range(n):
-            dist += block[:, k, None] != cand[None, :, k]
         bits = np.packbits(dist >= d, axis=1, bitorder="little")
         adj.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
     return adj
@@ -243,8 +249,7 @@ def max_code_size(q: int, n: int, d: int, *,
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
     if d == 1:
         # distinct words always have distance >= 1: the whole space works
-        words = [_word_from_index(q, n, i) for i in range(total)]
-        return total, make_code(q, n, words)
+        return total, make_code(q, n, itertools.product(range(q), repeat=n))
 
     import numpy as np
     deadline = time.monotonic() + time_limit
@@ -304,17 +309,6 @@ def max_code_size(q: int, n: int, d: int, *,
 
 # --- exhaustive lemma checks ---------------------------------------------
 
-def _ball_counts(code: Code, e: int) -> np.ndarray:
-    """|C /\\ B(y, e)| for every center y, in lexicographic center order."""
-    import numpy as np
-    space = all_words_array(code.q, code.n)
-    counts = np.zeros(space.shape[0], dtype=np.int64)
-    for w in code.words:
-        dist = (space != np.asarray(w, dtype=np.uint8)).sum(axis=1)
-        counts += dist <= e
-    return counts
-
-
 def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     """The center y maximizing |C /\\ B(y, e)| and its count.
 
@@ -323,9 +317,13 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     """
     if not 0 <= e <= code.n:
         raise DomainError(f"radius must satisfy 0 <= e <= n, got {e!r}")
-    counts = _ball_counts(code, e)
+    import numpy as np
+    space = all_words_array(code.q, code.n)
+    counts = np.empty(len(space), dtype=np.int64)
+    for lo, dist in _distance_blocks(space, _words_array(code)):
+        counts[lo:lo + len(dist)] = np.count_nonzero(dist <= e, axis=1)
     idx = int(counts.argmax())  # argmax returns the first (lex-least) max
-    return _word_from_index(code.q, code.n, idx), int(counts[idx])
+    return tuple(space[idx].tolist()), int(counts[idx])
 
 
 def _pigeonhole_bound(code: Code, e: int) -> Fraction:
@@ -345,17 +343,15 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
     if e / code.n >= johnson_radius(code.q, Fraction(d, code.n)):
         raise PreconditionError(
             f"Johnson bound needs e/n < J_q(d/n); e={e}, n={code.n}, d={d}")
-    counts = _ball_counts(code, e)
+    center, count = pigeonhole_witness(code, e)
     cap = code.q * code.n * d
-    worst = int(counts.argmax())
-    passed = bool(counts[worst] <= cap)
+    passed = count <= cap
     return VerificationReport(
-        suite="johnson-ball", instances_checked=int(counts.size), passed=passed,
+        suite="johnson-ball", instances_checked=code.q ** code.n, passed=passed,
         counterexample=None if passed else {
             "code": serialize_code(code), "e": e, "cap": cap,
-            "center": _word_from_index(code.q, code.n, worst),
-            "count": int(counts[worst])},
-        payload={"max_count": int(counts[worst]), "cap": cap})
+            "center": center, "count": count},
+        payload={"max_count": count, "cap": cap})
 
 
 def random_code(q: int, n: int, size: int, seed: int) -> Code:
@@ -363,9 +359,12 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
     total = q ** n
     if size > total:
         raise DomainError(f"size {size} exceeds q^n = {total}")
-    rng = random.Random(seed)
-    idxs = rng.sample(range(total), size)
-    return make_code(q, n, [_word_from_index(q, n, i) for i in idxs])
+    import numpy as np
+    # sample() needs total < 2^63, so int64 holds every index and power
+    idxs = random.Random(seed).sample(range(total), size)
+    words = np.array(idxs, dtype=np.int64)[:, None] // q ** np.arange(
+        n - 1, -1, -1, dtype=np.int64) % q
+    return make_code(q, n, words.tolist())
 
 
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,

@@ -86,6 +86,8 @@ class PrecisionPolicy(_PolicyFields):
     """
 
     __slots__ = ()
+    # _replace builds through _make: route it through the checks of __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, escalation_digits: int = 50,
                 decision_margin: float = 1e-9):

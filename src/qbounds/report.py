@@ -20,6 +20,8 @@ class VerificationReport(_ReportFields):
     """
 
     __slots__ = ()
+    # _replace builds through _make: route it through the checks of __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, suite: str, instances_checked: int, passed: bool,
                 counterexample: dict | None = None,

@@ -222,6 +222,17 @@ class TestTables:
         from qbounds import johnson_radius
         assert row["f5"]["value"] == pytest.approx(johnson_radius(3, 0.25))
 
+    def test_constants_reads_no_published_value(self, capsys, monkeypatch):
+        import qbounds.geometry
+
+        def unreadable():
+            raise OSError("paper_constants.json is not to be read")
+        monkeypatch.setattr(qbounds.geometry, "paper_tables", unreadable)
+        code, doc, _ = run_json(capsys, "tables", "--which", "constants",
+                                "--primes", "3", "--deterministic")
+        assert code == 0
+        assert [r["p"] for r in doc["results"]["rows"]] == [3]
+
     def test_candn0_match(self, capsys):
         code, doc, _ = run_json(capsys, "tables", "--which", "candn0",
                                 "--primes", "3", "19", "--deterministic")
@@ -479,14 +490,15 @@ _STAGES = [
       (["tables", "--which", "constants"], 0),
       (["verify", "--suite", "f1"], 0),
       (["verify", "--suite", "monotonicity"], 0)],
-     [], ["data", "geometry"]),
+     [], ["geometry"]),
     ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
      [], ["oracle"]),
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
-    # high precision, and the proven scan end
+    # high precision, and the proven scan end checked against the
+    # published tables (the first request to read them)
     ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
       (["tables", "--which", "candn0", "--primes", "3"], 0)],
-     ["numpy", "mpmath"], []),
+     ["numpy", "mpmath"], ["data"]),
 ]
 
 _IMPORT_PROBE = """

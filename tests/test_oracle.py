@@ -3,6 +3,7 @@ sizes, lemma checks, and the witness serialization format."""
 
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -137,6 +138,12 @@ class TestMaxCodeSize:
         size, witness = max_code_size(3, 4, 1)
         assert size == 81
         assert witness.size == 81
+
+    @pytest.mark.parametrize("q, n", [(300, 2), (1000, 1)])
+    def test_whole_space_at_d1_beyond_one_byte_symbols(self, q, n):
+        size, witness = max_code_size(q, n, 1)
+        assert size == witness.size == q ** n
+        assert witness.words[-1] == (q - 1,) * n
 
     def test_repetition_at_d_equals_n(self):
         for q, n in ((2, 5), (3, 4), (5, 3)):
@@ -297,7 +304,88 @@ class TestJohnsonCheck:
         assert rep.instances_checked == 60
 
 
+def _loop_distance(a, b):
+    return sum(map(operator.ne, a, b))
+
+
+def _brute_force_codes():
+    """Seeded codes for every (q, n) with q in 2..5 and q^n <= 20,000, two
+    where q^n <= 2,000: 1 to 60 words, and q^n x size <= 120,000 to bound
+    the pure-Python reference loops."""
+    rng = random.Random(2026)
+    cases = []
+    for q in (2, 3, 4, 5):
+        for n in itertools.takewhile(lambda n: q ** n <= 20_000,
+                                     itertools.count(1)):
+            for _ in range(2 if q ** n <= 2_000 else 1):
+                size = rng.randint(1, min(q ** n, 60, 120_000 // q ** n))
+                cases.append((q, n, size, rng.randrange(2 ** 30)))
+    return cases
+
+
+class TestAgainstLoops:
+    """The distance kernel's users against pure-Python loops over every
+    center and every pair."""
+
+    @pytest.mark.parametrize("q, n, size, seed", _brute_force_codes())
+    def test_ball_counts_and_min_distance(self, q, n, size, seed):
+        code = random_code(q, n, size, seed)
+        centers = list(itertools.product(range(q), repeat=n))  # lex order
+        within = []  # within[y][e] = |C /\\ B(y, e)|
+        for y in centers:
+            hist = [0] * (n + 1)
+            for w in code.words:
+                hist[_loop_distance(y, w)] += 1
+            within.append(list(itertools.accumulate(hist)))
+        for e in range(n + 1):
+            counts = [c[e] for c in within]
+            best = max(counts)
+            assert pigeonhole_witness(code, e) == \
+                (centers[counts.index(best)], best)
+            if size >= 2:
+                try:
+                    rep = johnson_ball_check(code, e)
+                except (DomainError, PreconditionError):
+                    continue
+                assert rep.payload["max_count"] == best
+                assert rep.instances_checked == q ** n
+        if size >= 2:
+            assert min_distance(code) == min(
+                _loop_distance(a, b)
+                for a, b in itertools.combinations(code.words, 2))
+
+    def test_ball_counts_over_many_blocks(self):
+        # 2^17 centers x 33 words pass one block of 2^22 distances
+        code = random_code(2, 17, 33, seed=8)
+        space = (np.arange(2 ** 17)[:, None] >> np.arange(16, -1, -1) & 1
+                 ).astype(np.uint8)
+        dist = [(space != np.array(w, dtype=np.uint8)).sum(axis=1)
+                for w in code.words]
+        for e in (0, 8):
+            counts = sum((d <= e).astype(np.int64) for d in dist)
+            idx = int(counts.argmax())
+            assert pigeonhole_witness(code, e) == \
+                (tuple(space[idx].tolist()), int(counts[idx]))
+
+
+def _index_digits(q, n, idx):
+    return tuple(idx // q ** k % q for k in reversed(range(n)))
+
+
 class TestRandomCode:
+    # golden: words pinned as earlier releases printed them, where given
+    @pytest.mark.parametrize("q, n, size, seed, golden", [
+        (2, 5, 7, 0, None), (3, 4, 10, 42, None), (5, 6, 60, 7, None),
+        (4, 9, 33, 123, None), (2, 62, 5, 3, None), (7, 22, 4, 1, None),
+        (3, 4, 6, 42, ((0, 0, 1, 0), (0, 1, 1, 2), (0, 1, 2, 2),
+                       (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 2, 2))),
+        (5, 3, 4, 7, ((0, 3, 4), (1, 3, 1), (2, 0, 0), (4, 4, 1)))])
+    def test_words_follow_the_sample_stream(self, q, n, size, seed, golden):
+        idxs = random.Random(seed).sample(range(q ** n), size)
+        words = random_code(q, n, size, seed).words
+        assert words == tuple(sorted(_index_digits(q, n, i) for i in idxs))
+        assert golden is None or words == golden
+
     def test_forced_full_space(self):
         assert random_code(3, 4, 81, seed=9).size == 81
 

@@ -79,3 +79,21 @@ def test_code_equality_ignores_cached_distance():
     assert b.cached_min_distance is None
     assert a == b
     assert repr(a) == "Code(q=2, n=3, words=((0, 0, 0), (1, 1, 1)))"
+
+
+@pytest.mark.parametrize("record, change, error", [
+    (BoundParams(q=3, n=10, d=3), {"q": 1}, DomainError),
+    (BoundParams(q=3, n=10, d=3), {"d": 11}, DomainError),
+    (PrecisionPolicy(), {"decision_margin": 0}, DomainError),
+    (VerificationReport("suite", 1, True), {"passed": False}, ValueError),
+], ids=["bound-q", "bound-d", "policy-margin", "report-no-counterexample"])
+def test_replace_runs_the_checks(record, change, error):
+    with pytest.raises(error):
+        record._replace(**change)
+
+
+def test_replace_keeps_valid_records():
+    assert BoundParams(q=3, n=10, d=3)._replace(n=20) == \
+        BoundParams(q=3, n=20, d=3)
+    assert PrecisionPolicy()._replace(escalation_digits=60) == \
+        PrecisionPolicy(escalation_digits=60)
