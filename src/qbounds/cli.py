@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: eval, bound, tables, verify, oracle, classify.  Each handler
-imports the library modules it uses, so a request loads only those.  One
+Subcommands: eval, bound, tables, verify, oracle, classify, each declared
+once in the ``_COMMANDS`` table.  A request builds the parser of its own
+subcommand only, and its handler imports only the library modules it uses;
+help and usage errors that name no subcommand use the full parser.  One
 structured JSON document goes to stdout; diagnostics go to stderr.  Exit
 codes: 0 = success / all-pass, 1 = verification or table mismatch, 2 = usage
 or precondition error.  QB_PRECISION (decimal digits) overrides the default
@@ -370,79 +372,76 @@ def cmd_classify(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = [
+    ("--pretty", {"action": "store_true",
+                  "help": "human-readable rendering instead of JSON"}),
+    ("--deterministic", {"action": "store_true",
+                         "help": "suppress the timestamp field"}),
+    ("--digits", {"type": int, "default": None,
+                  "help": "decimal digits of working precision "
+                          "(beats QB_PRECISION)"}),
+]
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# subcommand -> (help, handler, its arguments as (name, add_argument
+# keywords)); every subcommand also takes the _COMMON flags
+_COMMANDS = {
+    "eval": ("evaluate one special function", cmd_eval, [
+        ("function", {"choices": list(_EVAL)}), ("--q", _INT),
+        ("--x", {"type": float}), ("--delta", {"type": float}),
+        ("--n", _INT), ("--e", _INT), ("--k", _INT)]),
+    "bound": ("rate or rank bound with term breakdown", cmd_bound, [
+        ("--q", _INT),
+        ("--p", {"type": int, "help": "alias for --q (rank form)"}),
+        ("--n", _REQUIRED_INT), ("--d", _INT), ("--delta", {"type": float}),
+        ("--form", {"choices": ["finite", "continuous", "rank"],
+                    "default": "finite"})]),
+    "tables": ("re-derive the published tables", cmd_tables, [
+        ("--which", {"choices": ["constants", "candn0", "Np", "anchor"],
+                     "required": True}),
+        ("--primes", {"type": int, "nargs": "*", "default": None}),
+        ("--format", {"choices": ["json", "csv"], "default": "json"})]),
+    "verify": ("run a verification suite", cmd_verify, [
+        ("--suite", {"choices": ["all"] + list(SUITES), "default": "all"}),
+        ("--seed", {"type": int, "default": 0})]),
+    "oracle": ("exact A_q(n, d) by exhaustive search", cmd_oracle, [
+        ("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT),
+        ("--d", _REQUIRED_INT),
+        ("--time-limit", {"type": float, "default": 60.0})]),
+    "classify": ("rank classification report", cmd_classify, [
+        ("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT),
+        ("--r", _REQUIRED_INT)]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="qbounds",
         description="Finite-length Elias-Bassalygo bounds for q-ary codes "
                     "and their symmetry-rank consequences.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable rendering instead of JSON")
-        p.add_argument("--deterministic", action="store_true",
-                       help="suppress the timestamp field")
-        p.add_argument("--digits", type=int, default=None,
-                       help="decimal digits of working precision "
-                            "(beats QB_PRECISION)")
-
-    p = sub.add_parser("eval", help="evaluate one special function")
-    p.add_argument("function", choices=list(_EVAL))
-    p.add_argument("--q", type=int)
-    p.add_argument("--x", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--k", type=int)
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bound", help="rate or rank bound with term breakdown")
-    p.add_argument("--q", type=int)
-    p.add_argument("--p", type=int, help="alias for --q (rank form)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--form", choices=["finite", "continuous", "rank"],
-                   default="finite")
-    common(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("tables", help="re-derive the published tables")
-    p.add_argument("--which", choices=["constants", "candn0", "Np", "anchor"],
-                   required=True)
-    p.add_argument("--primes", type=int, nargs="*", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exact A_q(n, d) by exhaustive search")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--time-limit", type=float, default=60.0)
-    common(p)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("classify", help="rank classification report")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    # with one subparser, the metavar keeps every name in the usage line
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + _COMMON:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request builds only its subcommand's parser; help and usage errors
+    # that name no subcommand get the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _digits(args)  # every subcommand takes --digits; reject bad values
         return args.func(args)

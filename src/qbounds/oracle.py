@@ -107,9 +107,17 @@ def make_code(q: int, n: int, words) -> Code:
     return Code(q=q, n=n, words=tuple(normalized))
 
 
+def _symbol_dtype(q: int):
+    """uint8 while q <= 256, else the narrowest unsigned type that holds
+    q - 1 (the test is cheaper than ``min_scalar_type`` on the hot path)."""
+    import numpy as np
+    return np.uint8 if q <= 256 else np.min_scalar_type(q - 1)
+
+
 def _words_array(code: Code) -> np.ndarray:
     import numpy as np
-    return np.array(code.words, dtype=np.uint8).reshape(code.size, code.n)
+    return np.array(code.words, dtype=_symbol_dtype(code.q)).reshape(
+        code.size, code.n)
 
 
 def min_distance(code: Code) -> int:
@@ -118,12 +126,13 @@ def min_distance(code: Code) -> int:
 
 
 def all_words_array(q: int, n: int) -> np.ndarray:
-    """All q^n words as a (q^n, n) uint8 array in lexicographic order."""
+    """All q^n words as a (q^n, n) array of ``_symbol_dtype(q)`` in
+    lexicographic order."""
     total = q ** n
     if total > SPACE_BUDGET:
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
     import numpy as np
-    return np.indices((q,) * n, dtype=np.uint8).reshape(n, total).T
+    return np.indices((q,) * n, dtype=_symbol_dtype(q)).reshape(n, total).T
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
@@ -258,7 +267,7 @@ def max_code_size(q: int, n: int, d: int, *,
     if len(heavy) > max_candidates:
         raise ResourceBudgetError(
             f"candidate set of {len(heavy)} words exceeds cap {max_candidates}")
-    w2 = np.zeros(n, dtype=np.uint8)
+    w2 = np.zeros(n, dtype=space.dtype)
     w2[n - d:] = 1
     cand = heavy[np.count_nonzero(heavy != w2, axis=1) >= d]
     adj = _adjacency(cand, d, deadline)

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: exit codes, JSON
 round-trips, determinism, the CSV table variant, which modules each request
-loads, and a fuzz of the exit-code contract."""
+loads, a fuzz of the exit-code contract, and the one-subcommand parser
+against the full one."""
 
+import argparse
 import io
 import json
 import math
@@ -20,7 +22,8 @@ from qbounds import (DEFAULT_POLICY, BoundParams, PrecisionPolicy,
                      VerificationReport, classify_rank, codim_guarantees,
                      constants, eb_rate_bound, eb_rate_bound_continuous,
                      entropy_d2, johnson_radius, rank_bound)
-from qbounds.cli import _EVAL, main
+from qbounds import cli
+from qbounds.cli import _COMMANDS, _EVAL, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -663,3 +666,95 @@ def test_fuzz_classify_requests(argv):
 @given(argv=_oracle_argv())
 def test_fuzz_oracle_requests(argv):
     _check_contract(argv)
+
+
+# --- a request's parser: the named subcommand's alone, as the full one ----
+
+_ARGV_CORPUS = [
+    ["-h"], *([name, "-h"] for name in _COMMANDS), ["--version"], [],
+    ["nope"],  # unknown subcommand
+    ["eval", "nope", "--q", "3"],  # invalid choice
+    ["bound", "--q", "x", "--n", "5"],  # bad int
+    ["oracle", "--q", "3", "--n", "4", "--d", "3", "--time-limit", "abc"],
+    ["eval", "entropy", "--q", "3", "--x", "0.3", "--bogus"],  # unrecognized
+    ["eval", "entropy", "--q", "3", "--x", "0.3", "stray"],
+    ["--", "eval", "entropy", "--q", "3", "--x", "0.3"],
+    ["bound", "--d", "3"], ["tables"], ["eval"],  # a required one missing
+    ["bound", "--q", "3", "--n", "100", "--de", "0.2"],  # ambiguous prefix
+    ["eval", "entropy", "--q", "3", "--x", "0.3", "--det"],  # unique prefix
+    ["--bogus", "eval"], ["--version", "eval"], ["-h", "eval"],
+    ["tables", "--which", "anchor", "--primes", "3", "19", "--format", "csv"],
+    ["verify", "--suite", "f1", "--seed", "7", "--pretty"],
+    ["classify", "--p", "3", "--n", "20", "--r", "11", "--digits", "30"],
+]
+
+
+def _parse(parser, argv):
+    """The namespace parsing ``argv`` gives, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _same_as_full_parser(argv):
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # repr, as a parsed nan is not equal to itself
+    assert repr(_parse(build_parser(command), argv)) == \
+        repr(_parse(build_parser(), argv)), argv
+
+
+@pytest.fixture
+def fixed_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+def test_named_parser_parses_as_full(fixed_width, argv):
+    _same_as_full_parser(argv)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_eval_argv() | _bound_argv() | _classify_argv() | _oracle_argv())
+def test_named_parser_parses_drawn_requests_as_full(argv):
+    _same_as_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+])
+def test_usage_errors_name_the_command(argv, message):
+    code, out, err = _parse(build_parser(), argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"qbounds: error: {message}")
+
+
+def _subcommands(parser):
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_full_parser_registers_every_subcommand():
+    assert _subcommands(build_parser()) == [
+        "eval", "bound", "tables", "verify", "oracle", "classify"]
+    assert _subcommands(build_parser("tables")) == ["tables"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    argv = ["eval", "entropy", "--q", "3", "--x", "0.3", "--deterministic"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", recording)
+    monkeypatch.setattr(sys, "argv", ["qbounds", *argv])
+    assert main() == 0
+    assert (0, *capsys.readouterr()) == expected
+    assert built == ["eval"]

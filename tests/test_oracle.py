@@ -17,7 +17,7 @@ from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
                      johnson_suite, make_code, max_code_size, min_distance,
                      parse_code, pigeonhole_suite, pigeonhole_witness,
                      random_code, serialize_code)
-from qbounds.oracle import upper_bound
+from qbounds.oracle import all_words_array, upper_bound
 
 # A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
 # earlier recursive search (fixed zero word only, no seed, no early exit)
@@ -131,6 +131,32 @@ class TestCode:
             shifted = make_code(q, n, [tuple((s + u) % q for s, u in zip(w, t))
                                        for w in code.words])
             assert min_distance(code) == min_distance(shifted)
+
+
+class TestBeyondOneByteSymbols:
+    """Symbols of q > 256 need more than one byte; q <= 256 keeps uint8."""
+
+    @pytest.mark.parametrize("q, dtype", [(2, np.uint8), (256, np.uint8),
+                                          (257, np.uint16), (300, np.uint16)])
+    def test_space_dtype(self, q, dtype):
+        assert all_words_array(q, 2).dtype == dtype
+
+    def test_space_rows_are_distinct(self):
+        space = all_words_array(300, 2)
+        assert len(np.unique(space, axis=0)) == 90_000
+        assert space[-1].tolist() == [299, 299]
+
+    def test_min_distance(self):
+        assert make_code(300, 2, [(0, 0), (256, 0)]).min_distance() == 1
+
+    def test_pigeonhole_witness(self):
+        assert pigeonhole_witness(make_code(300, 2, [(256, 0)]), 0) == \
+            ((256, 0), 1)
+
+    def test_candidate_count(self):
+        # the words of weight 2 over 300 symbols: 299^2
+        with pytest.raises(ResourceBudgetError, match=r"\b89401 words"):
+            max_code_size(300, 2, 2)
 
 
 class TestMaxCodeSize:
