@@ -451,6 +451,11 @@ def main(argv=None) -> int:
     except QBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: end as SIGPIPE would, and let devnull
+        # take the unwritten rest so the flush at exit cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 141
 
 
 if __name__ == "__main__":

@@ -4,13 +4,12 @@ Every bound returns a per-term breakdown whose values sum to the headline
 number; the term labels are a stable contract consumed by the CLI.
 """
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
-from .precision import DEFAULT_POLICY, evaluate
-from .qcore import _check_delta, _entropy, _johnson_radius, johnson_radius
+from .precision import evaluate
+from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
 __all__ = [
     "BoundParams", "BoundResult", "RankBoundResult",
@@ -82,40 +81,30 @@ class RankBoundResult(NamedTuple):
     terms: tuple[tuple[str, float], ...]
 
 
-def _johnson_e(q, n, delta):
-    """e = ceil(n*J_q(delta)) - 1, with a guarded ceiling near integers."""
-    t = n * johnson_radius(q, float(delta))
-    if abs(t - round(t)) >= DEFAULT_POLICY.decision_margin:
-        return math.ceil(t) - 1
-    ceil = evaluate(DEFAULT_POLICY.escalation_digits,
-                    lambda m: m.ceil(n * _johnson_radius(m, q, delta)))
-    return int(ceil) - 1
-
-
 def _eb_inputs(params):
     """``(q, n, delta, e)`` of an instance in the bounds' domain."""
     q, n = params.q, params.n
     delta = params.delta_value
     _check_delta(q, delta, open_lower=True, open_upper=True)
-    return q, n, delta, _johnson_e(q, n, delta)
+    e = _johnson_ceil(q, n, delta) - 1
+    if e < 1:
+        raise PreconditionError(
+            f"n > 1/J_q(delta) required (e = {e} < 1 at n = {n})")
+    return q, n, delta, e
 
 
 def eb_rate_bound(params: BoundParams, digits=None) -> BoundResult:
     """Finite-length Elias-Bassalygo bound on the rate of any q-ary
     length-n code with minimum relative distance delta.
 
-    With e = ceil(n*J_q(delta)) - 1:
+    With e = ceil(n*J_q(delta)) - 1, decided exactly, so e/n < J_q(delta):
 
         R <= 1 - H_q(e/n)
              + (1/2n) log_q(2 pi (e/n)(1 - e/n) n)
              + (1/n) log_q(q n^2 delta)
              + (1/(n ln q)) (1/(12n) + 1/(12e+1) + 1/(12(n-e)+1))
     """
-    q, n, delta, e = _eb_inputs(params)
-    if e < 1:
-        raise PreconditionError(
-            f"n > 1/J_q(delta) required (e = {e} < 1 at n = {n})")
-    return evaluate(digits, _eb_rate_bound, q, n, delta, e)
+    return evaluate(digits, _eb_rate_bound, *_eb_inputs(params))
 
 
 def _eb_rate_bound(m, q, n, delta, e):
@@ -147,9 +136,6 @@ def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:
 def _eb_rate_bound_continuous(m, q, n, delta, e):
     delta = m.num(delta)
     J = _johnson_radius(m, q, delta)
-    if n * J <= 1:
-        raise PreconditionError(
-            f"n > 1/J_q(delta) required (n*J = {float(n * J):.6g})")
     lq = m.log(q)
     terms = (
         ("one_minus_entropy_at_J", 1 - _entropy(m, q, J)),
@@ -176,15 +162,15 @@ def rank_bound(p: int, n: int, delta, digits=None) -> RankBoundResult:
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     _check_delta(p, delta, open_lower=True, open_upper=True)
+    if _johnson_ceil(p, n, delta) <= 1:
+        raise PreconditionError(
+            f"n > 1/J_p(delta) required (p={p}, n={n}, delta={delta})")
     return evaluate(digits, _rank_bound, p, n, delta)
 
 
 def _rank_bound(m, p, n, delta):
     delta = m.num(delta)
     J = _johnson_radius(m, p, delta)
-    if n * J <= 1:
-        raise PreconditionError(
-            f"n > 1/J_p(delta) required (n*J = {float(n * J):.6g})")
     lp = m.log(p)
     terms = (
         ("dominant_linear", (1 - _entropy(m, p, J)) * n),

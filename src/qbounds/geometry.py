@@ -111,12 +111,11 @@ def _threshold_F(m, p, n, k):
             + f3 / (n - 1) + f4 / (f5 * (n - 1) - 2))
 
 
-def _check_F_domain(p, n, f5):
+def _check_F_domain(n):
+    # n >= 16 gives f5 (n-1) > 2 too: f5 = J_p(1/4) falls towards
+    # 1 - sqrt(3)/2 > 2/15 (676 > 675) as p grows
     if n < 16:
         raise PreconditionError(f"F(n, p) requires n >= 16, got n={n}")
-    if f5 * (n - 1) <= 2:
-        raise PreconditionError(
-            f"F(n, p) requires f5(p)(n-1) > 2 (p={p}, n={n})")
 
 
 def threshold_F(p: int, n: int, digits=None):
@@ -124,7 +123,7 @@ def threshold_F(p: int, n: int, digits=None):
     + f4/(f5 (n-1) - 2)."""
     _check_odd_prime(p)
     k = _constant_values(p, digits)
-    _check_F_domain(p, n, float(k[4]))
+    _check_F_domain(n)
     return evaluate(digits, _threshold_F, p, n, k)
 
 
@@ -138,7 +137,7 @@ def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     k = _constant_values(p, None)
     ns = m.num(ns)
     if ns.size:
-        _check_F_domain(p, ns.min(), k[4])
+        _check_F_domain(ns.min())
     return _threshold_F(m, p, ns, k)
 
 
@@ -212,15 +211,14 @@ def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
     end, esc_end = _scan_end(p, c, 0, policy)
-    start = max(16, int(math.floor(2.0 / constants(p).f5)) + 2)
     import numpy as np
-    ns = np.arange(start, end + 1, dtype=np.int64)
+    ns = np.arange(16, end + 1, dtype=np.int64)
     # +1 where F > c n (violation)
     signs, esc = _guarded_signs(p, ns, threshold_F_array(p, ns),
                                 float(c) * ns, lambda n: MP.num(c) * n, policy)
     viol = np.nonzero(signs > 0)[0]
     last = int(ns[viol[-1]]) if viol.size else None
-    return DerivedCN0(p=p, c=c, n0=start if last is None else last + 1,
+    return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
                       cap=end, last_violation=last, escalations=esc_end + esc)
 
 

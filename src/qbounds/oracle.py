@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .eb_bounds import BoundParams, eb_rate_bound
 from .errors import DomainError, PreconditionError, ResourceBudgetError
-from .qcore import hamming_ball_volume, johnson_radius
+from .qcore import _check_delta, _johnson_ceil, hamming_ball_volume
 from .report import VerificationReport
 
 __all__ = [
@@ -258,7 +258,7 @@ def max_code_size(q: int, n: int, d: int, *,
         raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
     if d == 1:
         # distinct words always have distance >= 1: the whole space works
-        return total, make_code(q, n, itertools.product(range(q), repeat=n))
+        return total, Code(q, n, tuple(itertools.product(range(q), repeat=n)))
 
     import numpy as np
     deadline = time.monotonic() + time_limit
@@ -349,7 +349,8 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
                                   passed=True,
                                   payload={"max_count": code.size})
     d = min_distance(code)
-    if e / code.n >= johnson_radius(code.q, Fraction(d, code.n)):
+    _check_delta(code.q, Fraction(d, code.n))
+    if e >= _johnson_ceil(code.q, code.n, Fraction(d, code.n)):
         raise PreconditionError(
             f"Johnson bound needs e/n < J_q(d/n); e={e}, n={code.n}, d={d}")
     center, count = pigeonhole_witness(code, e)
@@ -416,10 +417,7 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         d = min_distance(code)
         if Fraction(d, n) > Fraction(q - 1, q):
             continue
-        J = johnson_radius(q, Fraction(d, n))
-        e = math.ceil(n * J) - 1
-        if e < 0 or e / n >= J:
-            continue
+        e = _johnson_ceil(q, n, Fraction(d, n)) - 1
         rep = johnson_ball_check(code, e)
         checked += 1
         if not rep.passed:
@@ -501,10 +499,12 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
 
 def serialize_code(code: Code) -> str:
     """Line-oriented text format: header ``q n size d`` (d = 0 when the
-    minimum distance is undefined), then one word per line as digits."""
+    minimum distance is undefined), then one word per line as digits,
+    separated by spaces when q > 10 (a symbol may take several digits)."""
     d = min_distance(code) if code.size >= 2 else 0
     lines = [f"{code.q} {code.n} {code.size} {d}"]
-    lines.extend("".join(str(s) for s in w) for w in code.words)
+    sep = " " if code.q > 10 else ""
+    lines.extend(sep.join(map(str, w)) for w in code.words)
     return "\n".join(lines) + "\n"
 
 
@@ -516,7 +516,8 @@ def parse_code(text: str) -> Code:
         q, n, size, d = (int(x) for x in lines[0].split())
     except ValueError as exc:
         raise DomainError(f"malformed header {lines[0]!r}") from exc
-    words = [tuple(int(ch) for ch in ln.strip()) for ln in lines[1:]]
+    words = [tuple(map(int, ln.split() if q > 10 else ln.strip()))
+             for ln in lines[1:]]
     if len(words) != size:
         raise DomainError(f"header promises {size} words, found {len(words)}")
     code = make_code(q, n, words)

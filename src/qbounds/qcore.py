@@ -106,6 +106,14 @@ def johnson_radius(q, delta, digits=None):
     return evaluate(digits, _johnson_radius, q, delta)
 
 
+def _johnson_ceil(q, n, delta):
+    """Exact ceil(n J_q(delta)) for a rational (or double) delta = u/v in
+    [0, (q-1)/q]: n J = (t - sqrt(t n ((q-1)v - qu))) / (qv), t = n(q-1)v."""
+    u, v = delta.as_integer_ratio()
+    t = n * (q - 1) * v
+    return -((math.isqrt(t * n * (v * (q - 1) - u * q)) - t) // (q * v))
+
+
 def _johnson_radius_d1(m, q, delta):
     return 0.5 / m.sqrt(_johnson_radicand(m, q, delta))
 

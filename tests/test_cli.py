@@ -21,7 +21,7 @@ import qbounds
 from qbounds import (DEFAULT_POLICY, BoundParams, PrecisionPolicy,
                      VerificationReport, classify_rank, codim_guarantees,
                      constants, eb_rate_bound, eb_rate_bound_continuous,
-                     entropy_d2, johnson_radius, rank_bound)
+                     entropy_d2, johnson_radius, parse_code, rank_bound)
 from qbounds import cli
 from qbounds.cli import _COMMANDS, _EVAL, build_parser, main
 
@@ -137,6 +137,13 @@ class TestBound:
                                 "--deterministic")
         assert code == 0
         assert doc["results"]["e"]["value"] == 13
+
+    def test_integer_johnson_radius_e(self, capsys):
+        # J_2(4/9) = 1/3, so 9 J is exactly 3 and e/n < J needs e = 2
+        code, doc, _ = run_json(capsys, "bound", "--q", "2", "--n", "9",
+                                "--d", "4", "--deterministic")
+        assert code == 0
+        assert doc["results"]["e"]["value"] == 2
 
     def test_rank_monotonicity_across_delta(self, capsys):
         _, doc14, _ = run_json(capsys, "bound", "--p", "3", "--n", "16",
@@ -351,6 +358,14 @@ class TestOracle:
         assert code == 0
         assert doc["results"]["max_code_size"]["value"] == 81
 
+    def test_witness_beyond_ten_symbols_parses(self, capsys):
+        code, doc, _ = run_json(capsys, "oracle", "--q", "11", "--n", "2",
+                                "--d", "2", "--deterministic")
+        assert code == 0
+        witness = parse_code(doc["results"]["witness"])
+        assert witness.size == doc["results"]["max_code_size"]["value"] == 11
+        assert (10, 10) in witness.words
+
     def test_budget_exit_2(self, capsys):
         code, _, err = run(capsys, "oracle", "--q", "5", "--n", "10",
                            "--d", "3")
@@ -466,6 +481,19 @@ class TestDocumentContract:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
+
+    def test_broken_pipe_exit_141(self, monkeypatch, capsys):
+        # a reader that closed the pipe: no traceback, the SIGPIPE code
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["tables", "--which", "constants", "--deterministic"])
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert code == 141
+        assert capsys.readouterr().err == ""
 
     def test_pretty_renders(self, capsys):
         code, out, _ = run(capsys, "eval", "johnson", "--q", "3",

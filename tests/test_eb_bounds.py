@@ -76,6 +76,41 @@ class TestFiniteForm:
             eb_rate_bound(BoundParams(q=3, n=4, d=1))  # e = 0
 
 
+class TestIntegerJohnsonRadius:
+    """Where n J_q(d/n) is an integer k, e/n < J needs e = k - 1."""
+
+    def test_every_integer_case_below_400(self):
+        # J_q(d/n) is rational exactly when the radicand
+        # 1 - qd/((q-1)n) = num/den is a square of rationals
+        found = 0
+        for q in (2, 3, 4, 5, 7, 11):
+            for n in range(1, 400):
+                for d in range(1, -(-(q - 1) * n // q)):  # d/n < (q-1)/q
+                    num, den = (q - 1) * n - q * d, (q - 1) * n
+                    root = math.isqrt(num * den)
+                    if root * root != num * den:
+                        continue
+                    k = n * Fraction(q - 1, q) * (1 - Fraction(root, den))
+                    if k.denominator != 1:
+                        continue
+                    found += 1
+                    params = BoundParams(q=q, n=n, d=d)
+                    finite = eb_rate_bound(params)
+                    assert finite.e == k - 1, (q, n, d)
+                    assert (eb_rate_bound_continuous(params).rate_upper
+                            >= finite.rate_upper), (q, n, d)
+        assert found == 1747
+
+    @pytest.mark.parametrize("q, n, d, e, rate", [
+        (2, 9, 4, 2, 1.1138429377548578),    # J_2(4/9) = 1/3
+        (5, 324, 259, 251, 0.03167003341636925),
+    ])
+    def test_examples(self, q, n, d, e, rate):
+        res = eb_rate_bound(BoundParams(q=q, n=n, d=d))
+        assert res.e == e
+        assert res.rate_upper == pytest.approx(rate, rel=1e-12)
+
+
 class TestContinuousForm:
     def test_relaxation_ordering_examples(self):
         p = BoundParams(q=3, n=100, d=25)

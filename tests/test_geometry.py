@@ -15,6 +15,7 @@ from qbounds import (Classification, DomainError, PreconditionError,
                      envelope_check, f1_monotonicity_scan, johnson_radius,
                      paper_tables, threshold_F, threshold_F_array)
 from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
+from qbounds.qcore import _johnson_ceil
 from qbounds.precision import PrecisionPolicy
 
 
@@ -77,6 +78,12 @@ class TestThresholdF:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             threshold_F(3, 15)
+
+    def test_n16_gives_f5_term_domain(self):
+        # F's f4/(f5 (n-1) - 2) needs f5 (n-1) > 2; at n = 16 that is
+        # 15 J_p(1/4) > 2, i.e. ceil(15 J_p(1/4)) >= 3, for every odd prime
+        for p in primes_up_to(10 ** 4)[1:]:
+            assert _johnson_ceil(p, 15, Fraction(1, 4)) >= 3, p
 
 
 class TestBaselineRank:

@@ -164,6 +164,8 @@ class TestMaxCodeSize:
         size, witness = max_code_size(3, 4, 1)
         assert size == 81
         assert witness.size == 81
+        assert witness == make_code(
+            3, 4, itertools.product(range(3), repeat=4))
 
     @pytest.mark.parametrize("q, n", [(300, 2), (1000, 1)])
     def test_whole_space_at_d1_beyond_one_byte_symbols(self, q, n):
@@ -444,6 +446,16 @@ class TestSerialization:
         back = parse_code(text)
         assert back.words == code.words
         assert serialize_code(back) == text
+
+    @pytest.mark.parametrize("q", [2, 10, 11, 256, 300])
+    def test_round_trip_every_alphabet(self, q):
+        code = make_code(q, 3, [(0, 0, 0), (q - 1, q - 1, q - 1),
+                                (1, q // 2, q - 1), (q - 1, 0, 1)])
+        text = serialize_code(code)
+        assert parse_code(text) == code
+        word = text.splitlines()[2]
+        assert word == (" ".join if q > 10 else "".join)(
+            str(s) for s in code.words[1])
 
     def test_header_format(self):
         size, witness = max_code_size(3, 4, 3)

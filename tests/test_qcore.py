@@ -7,6 +7,7 @@ high-precision log-gamma) rather than by the functions under test.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ import pytest
 from qbounds import (DomainError, entropy, entropy_d1, entropy_d2,
                      hamming_ball_volume, johnson_radius, johnson_radius_d1,
                      log_binomial_estimate, stirling_bounds)
+from qbounds.qcore import _johnson_ceil
 
 
 class TestEntropy:
@@ -136,6 +138,39 @@ class TestJohnsonRadius:
             johnson_radius(3, 0.7)
         with pytest.raises(DomainError):
             johnson_radius_d1(3, Fraction(2, 3))  # derivative unbounded
+
+
+class TestJohnsonCeil:
+    def test_against_80_digits(self):
+        # seeded doubles, the smallest subnormal and the double just below
+        # (q-1)/q, against an 80-digit ceiling of n J_q(delta)
+        rng = random.Random(12)
+        for q in (2, 3, 4, 5, 7, 11, 256):
+            top = Fraction(q - 1, q)
+            below = float(top)
+            if below >= top:
+                below = math.nextafter(below, 0)
+            deltas = [5e-324, below] + [rng.uniform(0, float(top))
+                                        for _ in range(40)]
+            for delta in deltas:
+                n = rng.choice([1, 2, 9, rng.randint(1, 10 ** 6), 10 ** 12])
+                with mpmath.workdps(80):
+                    x = mpmath.mpf(delta)
+                    nJ = n * x / (1 + mpmath.sqrt(1 - q * x / (q - 1)))
+                    want = int(mpmath.ceil(nJ))
+                assert _johnson_ceil(q, n, delta) == want, (q, n, delta)
+
+    def test_rational_endpoints(self):
+        for q in (2, 3, 7):
+            for n in (1, 9, 100):
+                assert _johnson_ceil(q, n, Fraction(0)) == 0
+                assert _johnson_ceil(q, n, Fraction(q - 1, q)) == \
+                    -(-n * (q - 1) // q)
+
+    def test_exact_integer_values(self):
+        # J_2(4/9) = 1/3 and J_3(1/2) = 1/3 (a double too): n J = 3 and 2
+        assert _johnson_ceil(2, 9, Fraction(4, 9)) == 3
+        assert _johnson_ceil(3, 6, 0.5) == 2
 
 
 def brute_ball_count(q, n, e):
