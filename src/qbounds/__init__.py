@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AmbiguousComparisonError", "DomainError", "PreconditionError",
                "QBoundsError", "ResourceBudgetError"),
-    "precision": ("DEFAULT_POLICY", "PrecisionPolicy"),
     "qcore": ("entropy", "entropy_d1", "entropy_d2", "hamming_ball_volume",
               "johnson_radius", "johnson_radius_d1", "log_binomial_estimate",
               "stirling_bounds"),

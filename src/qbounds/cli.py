@@ -23,8 +23,7 @@ from numbers import Rational, Real
 from . import __version__
 from .errors import (DomainError, PreconditionError, QBoundsError,
                      ResourceBudgetError)
-from .precision import (DEFAULT_POLICY, DOUBLE_DIGITS, PrecisionPolicy,
-                        check_digits)
+from .precision import check_digits, escalation_digits
 from .suites import SUITES
 
 SCHEMA_VERSION = "1"
@@ -102,12 +101,6 @@ def _digits(args):
     return digits
 
 
-def _policy(dig) -> PrecisionPolicy:
-    if dig is None:
-        return DEFAULT_POLICY
-    return PrecisionPolicy(escalation_digits=max(dig, DOUBLE_DIGITS))
-
-
 def _num(x, digits=None):
     """JSON-safe numeric conversion (mpf -> float, Fraction -> str).  An mpf
     computed at ``digits`` digits that a double cannot hold (it overflows,
@@ -138,9 +131,8 @@ _EVAL = {
 }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, dig) -> int:
     from . import qcore
-    dig = _digits(args)
     fn_name, names = _EVAL[args.function]
     inputs = {name: getattr(args, name) for name in names}
     missing = [f"--{name}" for name, v in inputs.items() if v is None]
@@ -160,10 +152,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args, dig) -> int:
     from .eb_bounds import (BoundParams, eb_rate_bound,
                             eb_rate_bound_continuous, rank_bound)
-    dig = _digits(args)
     q = args.q if args.q is not None else args.p
     if q is None:
         raise DomainError("one of --q / --p is required")
@@ -200,18 +191,17 @@ def _tables_rows(which, primes, dig, diagnostics):
                                     for f in ("f1", "f2", "f3", "f4", "f5")}})
         return rows, False
     paper = paper_tables()
-    policy = _policy(dig)
     mismatch = False
 
     def note(p, escalations):
         if escalations:
             diagnostics.append(
                 ["info", f"p={p}: {escalations} comparisons "
-                         f"escalated to {policy.escalation_digits} digits"])
+                         f"escalated to {escalation_digits(dig)} digits"])
 
     if which == "candn0":
         for p in primes:
-            derived = derive_c_n0(p, policy=policy)
+            derived = derive_c_n0(p, dig)
             note(p, derived.escalations)
             match = derived.n0 == paper["n0"][p]
             mismatch |= not match
@@ -221,7 +211,7 @@ def _tables_rows(which, primes, dig, diagnostics):
                          "match": match})
     elif which == "Np":
         for p in primes:
-            derived = derive_N(p, policy=policy)
+            derived = derive_N(p, dig)
             note(p, derived.escalations)
             match = derived.N == paper["N"][p]
             mismatch |= not match
@@ -232,7 +222,7 @@ def _tables_rows(which, primes, dig, diagnostics):
     else:  # anchor
         for p in primes:
             N = paper["N"][p]
-            ns, signs, escalations = anchor_signs(p, N, policy)
+            ns, signs, escalations = anchor_signs(p, N, dig)
             note(p, escalations)
             holds = bool((signs > 0).all())
             mismatch |= not holds
@@ -258,14 +248,13 @@ def _rows_to_csv(rows):
     return buf.getvalue()
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args, dig) -> int:
     from .geometry import SUPPORTED_PRIMES
     primes = tuple(args.primes) if args.primes else SUPPORTED_PRIMES
     for p in primes:
         if p not in SUPPORTED_PRIMES:
             raise DomainError(f"prime {p} is not in the supported set "
                               f"{SUPPORTED_PRIMES}")
-    dig = _digits(args)
     diagnostics = []
     rows, mismatch = _tables_rows(args.which, primes, dig, diagnostics)
     inputs = {"which": args.which, "primes": list(primes), "format": args.format}
@@ -283,14 +272,12 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    dig = _digits(args)
-    policy = _policy(dig)
+def cmd_verify(args, dig) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = []
     all_passed = True
     for name in suites:
-        rep = SUITES[name](args.seed, policy)
+        rep = SUITES[name](args.seed, dig)
         all_passed &= rep.passed
         results.append({
             "suite": rep.suite,
@@ -308,10 +295,9 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, dig) -> int:
     from .eb_bounds import BoundParams, eb_rate_bound
     from .oracle import max_code_size, serialize_code, upper_bound
-    dig = _digits(args)
     size, witness = max_code_size(args.q, args.n, args.d,
                                   time_limit=args.time_limit)
     ub = upper_bound(args.q, args.n, args.d)
@@ -340,9 +326,8 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, dig) -> int:
     from .geometry import classify_rank, codim_guarantees
-    dig = _digits(args)
     report = classify_rank(args.p, args.n, args.r, dig)
     results = {
         "classification": report.classification.value,
@@ -443,8 +428,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        _digits(args)  # every subcommand takes --digits; reject bad values
-        return args.func(args)
+        return args.func(args, _digits(args))
     except (DomainError, PreconditionError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

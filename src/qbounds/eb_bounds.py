@@ -11,12 +11,6 @@ from .errors import DomainError, PreconditionError
 from .precision import evaluate
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
-__all__ = [
-    "BoundParams", "BoundResult", "RankBoundResult",
-    "eb_rate_bound", "eb_rate_bound_continuous",
-    "rank_bound", "verify_rank_monotonicity", "is_prime",
-]
-
 
 def is_prime(p) -> bool:
     if not isinstance(p, int) or p < 2:

@@ -3,8 +3,9 @@ threshold F(n, p), the baseline classification rank, and the exhaustive
 scans that re-derive the published c/n0 and N tables.
 
 All scans run a vectorized double-precision pass and escalate individual
-comparisons to high precision only when the margin is below the policy's
-decision margin; results are identical to a full high-precision scan.
+comparisons to high precision (``strict_sign``) only when the margin is
+below ``DECISION_MARGIN``; results are identical to a full high-precision
+scan.  Each comparison is one difference written over the numeric context.
 numpy is imported only by the functions that build arrays, and the
 published tables are read from ``paper_constants.json`` on first use.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,18 +21,10 @@ from typing import NamedTuple
 
 from .eb_bounds import is_prime, rank_bound
 from .errors import DomainError, PreconditionError
-from .precision import (DEFAULT_POLICY, MP, PrecisionPolicy, evaluate,
-                        strict_sign)
+from . import precision
+from .precision import escalation_digits, evaluate, strict_sign
 from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport
-
-__all__ = [
-    "PrimeConstants", "Classification", "ThresholdReport", "CodimReport",
-    "DerivedCN0", "DerivedN", "paper_tables", "constants", "threshold_F",
-    "threshold_F_array", "baseline_rank", "anchor_signs", "derive_c_n0",
-    "derive_N", "f1_monotonicity_scan", "envelope_check", "codim_guarantees",
-    "classify_rank", "primes_up_to",
-]
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -105,8 +97,8 @@ def constants(p: int, digits=None) -> PrimeConstants:
     return PrimeConstants(p, *_constant_values(p, digits))
 
 
-def _threshold_F(m, p, n, k):
-    f1, f2, f3, f4, f5 = k
+def _threshold_F(m, p, n):
+    f1, f2, f3, f4, f5 = _constant_values(p, m.digits)
     return (f1 * n + 2.5 * m.log(n) / m.log(p) + f2
             + f3 / (n - 1) + f4 / (f5 * (n - 1) - 2))
 
@@ -122,23 +114,28 @@ def threshold_F(p: int, n: int, digits=None):
     """The rank threshold F(n, p) = f1 n + 2.5 log_p n + f2 + f3/(n-1)
     + f4/(f5 (n-1) - 2)."""
     _check_odd_prime(p)
-    k = _constant_values(p, digits)
     _check_F_domain(n)
-    return evaluate(digits, _threshold_F, p, n, k)
+    return evaluate(digits, _threshold_F, p, n)
+
+
+@functools.cache
+def _numpy():
+    """The double-precision numeric context over numpy arrays."""
+    import numpy as np
+    return SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
+                           num=lambda x: np.asarray(x, dtype=np.float64),
+                           one=1.0, digits=None)
 
 
 def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     """Vectorized double-precision F(n, p) over an integer array of n:
-    threshold_F's own formula over a numpy context."""
+    threshold_F's own formula over the numpy context."""
     _check_odd_prime(p)
-    import numpy as np
-    m = SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
-                        num=lambda x: np.asarray(x, dtype=np.float64), one=1.0)
-    k = _constant_values(p, None)
+    m = _numpy()
     ns = m.num(ns)
     if ns.size:
         _check_F_domain(ns.min())
-    return _threshold_F(m, p, ns, k)
+    return _threshold_F(m, p, ns)
 
 
 def baseline_rank(n: int) -> int:
@@ -161,61 +158,60 @@ class DerivedCN0(NamedTuple):
     escalations: int
 
 
-def _guarded_signs(p, ns, F, rhs, rhs_exact, policy):
-    """Signs (+1/-1) of F(n, p) - rhs(n) over ``ns``, given F and the
-    right-hand side as float arrays; each comparison closer than the
-    decision margin is re-decided by ``strict_sign`` against the exact
-    ``rhs_exact(n)``.  Returns ``(signs, escalations)``."""
+def _guarded_signs(p, ns, F, rhs, digits):
+    """Signs (+1/-1) of F(n, p) - rhs(m, n) over ``ns``, given F as a float
+    array and the right-hand side written once over the numeric context
+    ``m``; each comparison closer than the decision margin is re-decided by
+    ``strict_sign``.  Returns ``(signs, escalations)``."""
+    escalation_digits(digits)  # a bad digits fails even if nothing escalates
     import numpy as np
-    diff = F - rhs
+    diff = F - rhs(_numpy(), ns)
     signs = np.sign(diff).astype(np.int8)
     escalations = 0
-    for i in np.nonzero(np.abs(diff) < policy.decision_margin)[0]:
+    for i in np.nonzero(np.abs(diff) < precision.DECISION_MARGIN)[0]:
         n = int(ns[i])
         signs[i], esc = strict_sign(
-            float(diff[i]),
-            lambda: threshold_F(p, n, digits=policy.escalation_digits)
-            - rhs_exact(n),
-            policy)
+            lambda m: _threshold_F(m, p, n) - rhs(m, n), digits)
         escalations += esc
     return signs, escalations
 
 
-def _scan_end(p, s, t, policy):
+def _scan_end(p, s, t, digits):
     """``(n, escalations)`` with F(m, p) < s m + t proven for all m >= n: as
     f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p),
     so once f1 < s, g decreases from n_mono = ceil(2.5/((s - f1) ln p)) + 1
     on, and doubling n from n_mono until g(n) < 0 finds the end."""
-    hi = policy.escalation_digits
-    gap = evaluate(hi, lambda m: m.num(s) - constants(p, hi).f1)
-    n = evaluate(hi, lambda m: int(m.ceil(2.5 / (gap * m.log(p))))) + 1
-    sign, esc = strict_sign(float(s) - constants(p).f1, lambda: gap, policy)
+    def gap(m):
+        return m.num(s) - _constant_values(p, m.digits)[0]
+
+    sign, esc = strict_sign(gap, digits)
     if sign < 0:
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
-    while True:  # threshold_F rejects an n outside F's domain
+    n = evaluate(escalation_digits(digits),
+                 lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p))))) + 1
+    while True:
+        _check_F_domain(n)
         sign, more = strict_sign(
-            threshold_F(p, n) - float(s) * n - float(t),
-            lambda: threshold_F(p, n, digits=hi) - MP.num(s) * n - MP.num(t),
-            policy)
+            lambda m: _threshold_F(m, p, n) - m.num(s) * n - m.num(t), digits)
         esc += more
         if sign < 0:
             return n, esc
         n *= 2
 
 
-def derive_c_n0(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedCN0:
+def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
     n >= n0, taking c(p) from the published table.  The guarded scan
     stops at the end ``_scan_end`` proves for (c(p), 0)."""
     c = _published_c().get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    end, esc_end = _scan_end(p, c, 0, policy)
+    end, esc_end = _scan_end(p, c, 0, digits)
     import numpy as np
     ns = np.arange(16, end + 1, dtype=np.int64)
     # +1 where F > c n (violation)
     signs, esc = _guarded_signs(p, ns, threshold_F_array(p, ns),
-                                float(c) * ns, lambda n: MP.num(c) * n, policy)
+                                lambda m, n: m.num(c) * n, digits)
     viol = np.nonzero(signs > 0)[0]
     last = int(ns[viol[-1]]) if viol.size else None
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
@@ -229,25 +225,25 @@ class DerivedN(NamedTuple):
     escalations: int
 
 
-def anchor_signs(p: int, n_hi: int,
-                 policy: PrecisionPolicy = DEFAULT_POLICY):
+def anchor_signs(p: int, n_hi: int, digits=None):
     """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
     returns ``(ns, signs, escalations)`` with sign +1 where it holds."""
     import numpy as np
     ns = np.arange(16, n_hi + 1, dtype=np.int64)
-    base = 3 * ns // 8 + np.where((ns % 8 == 2) | (ns % 8 == 4), 2, 1)
-    return (ns, *_guarded_signs(p, ns, threshold_F_array(p, ns),
-                                base.astype(np.float64), baseline_rank,
-                                policy))
+    # baseline_rank(n) for n >= 13, over integers and integer arrays alike
+    return (ns, *_guarded_signs(
+        p, ns, threshold_F_array(p, ns),
+        lambda m, n: m.num(3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4))),
+        digits))
 
 
-def derive_N(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
+def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
     all n in [16, N]; also reports the first failing n (= N + 1).  As
     baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
     ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out."""
-    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), policy)
-    ns, signs, esc = anchor_signs(p, end, policy)
+    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits)
+    ns, signs, esc = anchor_signs(p, end, digits)
     first = int(ns[(signs <= 0).nonzero()[0][0]])
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
@@ -255,24 +251,19 @@ def derive_N(p: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> DerivedN:
                     escalations=escalations + esc)
 
 
-def f1_monotonicity_scan(p_max: int,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> VerificationReport:
+def f1_monotonicity_scan(p_max: int, digits=None) -> VerificationReport:
     """Verify that f1(p) strictly increases over all primes in [3, p_max]
     and that f1(29) < 3/8 < f1(31).  Requires p_max >= 31."""
     if p_max < 31:
         raise PreconditionError(f"p_max must be >= 31, got {p_max}")
     primes = [p for p in primes_up_to(p_max) if p >= 3]
     f1 = {p: constants(p).f1 for p in primes}
-
-    def hi_f1(p):
-        return _constant_values(p, policy.escalation_digits)[0]
-
     escalations = 0
     checked = 0
     for a, b in zip(primes, primes[1:]):
         checked += 1
-        s, esc = strict_sign(f1[b] - f1[a],
-                             lambda a=a, b=b: hi_f1(b) - hi_f1(a), policy)
+        s, esc = strict_sign(lambda m: _constant_values(b, m.digits)[0]
+                             - _constant_values(a, m.digits)[0], digits)
         escalations += esc
         if s <= 0:
             return VerificationReport(
@@ -281,8 +272,8 @@ def f1_monotonicity_scan(p_max: int,
                                 "f1_low": f1[a], "f1_high": f1[b]})
     for p, want_below in ((29, True), (31, False)):
         checked += 1
-        s, esc = strict_sign(0.375 - f1[p],
-                             lambda p=p: MP.num(3) / 8 - hi_f1(p), policy)
+        s, esc = strict_sign(
+            lambda m: m.num(3) / 8 - _constant_values(p, m.digits)[0], digits)
         escalations += esc
         if (s > 0) != want_below:
             return VerificationReport(
@@ -295,22 +286,22 @@ def f1_monotonicity_scan(p_max: int,
 
 
 def envelope_check(p: int, n_lo: int, n_hi: int,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> VerificationReport:
+                   digits=None) -> VerificationReport:
     """Find the minimal n* in [n_lo, n_hi] from which
     n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi.
 
-    Both comparisons are guarded by ``policy``; an exact tie on the upper
-    side is irrational and so cannot occur."""
+    Both comparisons are guarded by ``strict_sign``; an exact tie on the
+    upper side is irrational and so cannot occur."""
     _check_odd_prime(p)
     if not 16 <= n_lo < n_hi:
         raise DomainError(f"need 16 <= n_lo < n_hi, got [{n_lo}, {n_hi}]")
     import numpy as np
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     F = threshold_F_array(p, ns)
-    above, esc_lo = _guarded_signs(p, ns, F, ns / 4.0,
-                                   lambda n: MP.num(n) / 4, policy)
-    below, esc_hi = _guarded_signs(p, ns, F, math.sqrt(3.0) * ns / 4.0,
-                                   lambda n: MP.sqrt(3) * n / 4, policy)
+    above, esc_lo = _guarded_signs(p, ns, F, lambda m, n: m.num(n) / 4,
+                                   digits)
+    below, esc_hi = _guarded_signs(
+        p, ns, F, lambda m, n: m.sqrt(3) * m.num(n) / 4, digits)
     bad = np.nonzero((above < 0) | (below > 0))[0]
     if bad.size and int(ns[bad[-1]]) == n_hi:
         return VerificationReport(

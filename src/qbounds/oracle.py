@@ -27,15 +27,6 @@ from .errors import DomainError, PreconditionError, ResourceBudgetError
 from .qcore import _check_delta, _johnson_ceil, hamming_ball_volume
 from .report import VerificationReport
 
-__all__ = [
-    "Code", "make_code", "hamming_weight", "hamming_distance",
-    "min_distance", "max_code_size", "upper_bound", "UpperBound",
-    "pigeonhole_witness",
-    "johnson_ball_check", "eb_soundness_sweep", "random_code",
-    "pigeonhole_suite", "johnson_suite",
-    "serialize_code", "parse_code", "all_words_array",
-]
-
 SPACE_BUDGET = 10 ** 6
 
 
@@ -429,14 +420,12 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
 
 
 def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
-                       subcodes_per_instance: int = 3,
-                       time_limit: float = 10.0,
-                       max_candidates: int = 8192) -> VerificationReport:
+                       time_limit: float = 10.0) -> VerificationReport:
     """Check the rate bound against exhaustively-solved extremal codes.
 
     For each (q, n, d) within budget whose parameters meet the bound's
     preconditions, verify log_q A_q(n, d) / n <= eb_rate_bound(q, n, d),
-    plus the same check for seeded random sub-codes of the witness at
+    plus the same check for three seeded random sub-codes of the witness at
     their true minimum distance.  Instances whose search breaches its
     resource caps are skipped and counted.
     """
@@ -458,8 +447,7 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
                 instances.append((q, n, d, bound.rate_upper))
     for q, n, d, bound in instances:
         try:
-            size, witness = max_code_size(q, n, d, time_limit=time_limit,
-                                          max_candidates=max_candidates)
+            size, witness = max_code_size(q, n, d, time_limit=time_limit)
         except ResourceBudgetError:
             skipped_resource += 1
             continue
@@ -470,7 +458,7 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
                 suite="eb-soundness", instances_checked=solved, passed=False,
                 counterexample={"q": q, "n": n, "d": d, "A": size,
                                 "rate": rate, "bound": bound})
-        for _ in range(subcodes_per_instance):
+        for _ in range(3):
             if witness.size < 3:
                 break
             sub_size = rng.randint(2, witness.size)
@@ -516,8 +504,11 @@ def parse_code(text: str) -> Code:
         q, n, size, d = (int(x) for x in lines[0].split())
     except ValueError as exc:
         raise DomainError(f"malformed header {lines[0]!r}") from exc
-    words = [tuple(map(int, ln.split() if q > 10 else ln.strip()))
-             for ln in lines[1:]]
+    try:
+        words = [tuple(map(int, ln.split() if q > 10 else ln.strip()))
+                 for ln in lines[1:]]
+    except ValueError as exc:
+        raise DomainError(f"malformed word line: {exc}") from exc
     if len(words) != size:
         raise DomainError(f"header promises {size} words, found {len(words)}")
     code = make_code(q, n, words)

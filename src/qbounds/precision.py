@@ -1,14 +1,15 @@
-"""Numeric contexts, the working-precision policy and guarded strict
-comparisons.
+"""Numeric contexts, the working precision and guarded strict comparisons.
 
 Each real-valued formula is written once over a numeric context ``m``
 (``log``, ``sqrt``, ``pi``, ``ceil``, ``num`` to convert an argument,
-``one``): ``FLOAT`` is double precision and ``MP`` is mpmath at the working
-precision; ``geometry.threshold_F_array`` builds a numpy context over
-arrays for its one formula.  Scans that decide strict inequalities
-between nearly-equal quantities escalate individual comparisons to software
-high precision whenever the double-precision margin falls below
-``decision_margin``.
+``one``, and ``digits``, the context's precision): ``FLOAT`` is double
+precision (``digits`` None) and ``MP`` is mpmath at the working precision;
+``geometry`` builds a numpy context over arrays.  Every function takes the
+one precision knob ``digits`` (None for double precision).  A strict
+comparison is written once too, as a difference over the context:
+``strict_sign`` decides it in double precision and re-decides it at
+``escalation_digits(digits)`` whenever the double-precision difference is
+within ``DECISION_MARGIN`` of zero.
 
 This module is the single entry point to mpmath, and it imports mpmath on
 first use: ``evaluate`` with ``digits``, the escalation branch of
@@ -19,7 +20,7 @@ never loads it.
 import math
 from numbers import Rational
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import AmbiguousComparisonError, DomainError
 
@@ -42,9 +43,15 @@ class _MPContext(SimpleNamespace):
                           ceil=mpmath.ceil, num=_mpf, one=mpmath.mpf(1))
         return object.__getattribute__(self, name)
 
+    @property
+    def digits(self):
+        """The working precision in decimal digits."""
+        import mpmath
+        return mpmath.mp.dps
+
 
 FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
-                        ceil=math.ceil, num=float, one=1.0)
+                        ceil=math.ceil, num=float, one=1.0, digits=None)
 MP = _MPContext()
 
 
@@ -67,58 +74,38 @@ def evaluate(digits, formula, *args):
 
 # Decimal digits of a double: escalating to fewer would gain nothing.
 DOUBLE_DIGITS = 17
+# A strict comparison closer than this in double precision is escalated.
+DECISION_MARGIN = 1e-9
 
 
-class _PolicyFields(NamedTuple):
-    escalation_digits: int
-    decision_margin: float
+def escalation_digits(digits=None) -> int:
+    """Digits at which ``strict_sign`` re-decides a close comparison: 50 by
+    default, else ``digits`` raised to at least ``DOUBLE_DIGITS``."""
+    if digits is None:
+        return 50
+    check_digits(digits)
+    return max(digits, DOUBLE_DIGITS)
 
 
-class PrecisionPolicy(_PolicyFields):
-    """Precision contract for real-valued evaluation.
+def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
+    """Sign of the difference ``diff(m)``, a formula over the numeric
+    context ``m``, escalating to high precision near zero.
 
-    escalation_digits
-        Digits used when a comparison is re-run in software precision
-        (at least ``DOUBLE_DIGITS``).
-    decision_margin
-        Minimum |difference| at which a strict comparison is accepted
-        without escalation.
-    """
-
-    __slots__ = ()
-    # _replace builds through _make: route it through the checks of __new__
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, escalation_digits: int = 50,
-                decision_margin: float = 1e-9):
-        if escalation_digits < DOUBLE_DIGITS:
-            raise DomainError(f"escalation_digits must be >= {DOUBLE_DIGITS}")
-        if not decision_margin > 0:
-            raise DomainError("decision_margin must be positive")
-        return super().__new__(cls, escalation_digits, decision_margin)
-
-
-DEFAULT_POLICY = PrecisionPolicy()
-
-
-def strict_sign(diff: float,
-                hires: Callable[[], "mpmath.mpf"],
-                policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[int, bool]:
-    """Sign of a difference, escalating to high precision near zero.
-
-    ``hires`` recomputes the difference at ``policy.escalation_digits``
-    digits; it is only invoked when |diff| < decision_margin.  Returns
-    ``(sign, escalated)`` with sign in {-1, +1}.  Raises
+    ``diff(FLOAT)`` decides when |diff| >= DECISION_MARGIN; otherwise
+    ``diff(MP)`` is re-evaluated at ``escalation_digits(digits)`` digits.
+    Returns ``(sign, escalated)`` with sign in {-1, +1}.  Raises
     AmbiguousComparisonError if the high-precision difference is still
-    inside the margin.
+    below the square of the margin.
     """
-    if abs(diff) >= policy.decision_margin:
-        return (1 if diff > 0 else -1), False
+    hi, margin = escalation_digits(digits), DECISION_MARGIN
+    d = diff(FLOAT)
+    if abs(d) >= margin:
+        return (1 if d > 0 else -1), False
     import mpmath
-    with mpmath.workdps(policy.escalation_digits):
-        hd = hires()
-        if abs(hd) < mpmath.mpf(policy.decision_margin) ** 2:
+    with mpmath.workdps(hi):
+        hd = diff(MP)
+        if abs(hd) < mpmath.mpf(margin) ** 2:
             raise AmbiguousComparisonError(
-                f"comparison unresolved at {policy.escalation_digits} digits "
+                f"comparison unresolved at {hi} digits "
                 f"(|diff| = {mpmath.nstr(abs(hd), 5)})")
         return (1 if hd > 0 else -1), True

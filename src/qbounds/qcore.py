@@ -12,12 +12,6 @@ from numbers import Rational
 from .errors import DomainError
 from .precision import evaluate
 
-__all__ = [
-    "entropy", "entropy_d1", "entropy_d2",
-    "johnson_radius", "johnson_radius_d1",
-    "hamming_ball_volume", "stirling_bounds", "log_binomial_estimate",
-]
-
 
 def _check_q(q):
     if not isinstance(q, int) or q < 2:

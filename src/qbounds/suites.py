@@ -1,11 +1,10 @@
 """The verification suites behind ``qbounds verify``: ``SUITES`` maps each
-name to a callable taking the seed (unused by deterministic suites) and a
-``PrecisionPolicy`` (used by the suites that escalate comparisons).  A
-suite's library module is imported only when the suite runs."""
+name to a callable taking the seed (unused by deterministic suites) and the
+working precision ``digits`` (used by the suites that escalate comparisons).
+A suite's library module is imported only when the suite runs."""
 
 import qbounds
 
-from .precision import DEFAULT_POLICY
 from .report import VerificationReport
 
 # ln k! sits only ~1/(360 k^3) below the bracket's upper edge, inside
@@ -50,7 +49,7 @@ def verify_monotonicity() -> VerificationReport:
                               passed=True)
 
 
-def verify_envelope(policy=DEFAULT_POLICY) -> VerificationReport:
+def verify_envelope(digits=None) -> VerificationReport:
     """The envelope n/4 < F(n, p) <= sqrt(3) n/4 up to n = 10^5, with its
     starting point n* for every supported prime."""
     from .geometry import SUPPORTED_PRIMES, envelope_check
@@ -58,7 +57,7 @@ def verify_envelope(policy=DEFAULT_POLICY) -> VerificationReport:
     escalations = 0
     n_star = {}
     for p in SUPPORTED_PRIMES:
-        rep = envelope_check(p, 16, 10 ** 5, policy)
+        rep = envelope_check(p, 16, 10 ** 5, digits)
         checked += rep.instances_checked
         if not rep.passed:
             return VerificationReport(suite="envelope", instances_checked=checked,
@@ -73,15 +72,13 @@ def verify_envelope(policy=DEFAULT_POLICY) -> VerificationReport:
 
 
 SUITES = {
-    "stirling": lambda seed, policy=DEFAULT_POLICY: verify_stirling(),
-    "johnson": lambda seed, policy=DEFAULT_POLICY:
-        qbounds.johnson_suite(seed=seed),
-    "pigeonhole": lambda seed, policy=DEFAULT_POLICY:
+    "stirling": lambda seed, digits=None: verify_stirling(),
+    "johnson": lambda seed, digits=None: qbounds.johnson_suite(seed=seed),
+    "pigeonhole": lambda seed, digits=None:
         qbounds.pigeonhole_suite(seed=seed),
-    "eb-soundness": lambda seed, policy=DEFAULT_POLICY:
+    "eb-soundness": lambda seed, digits=None:
         qbounds.eb_soundness_sweep(seed=seed),
-    "monotonicity": lambda seed, policy=DEFAULT_POLICY: verify_monotonicity(),
-    "f1": lambda seed, policy=DEFAULT_POLICY:
-        qbounds.f1_monotonicity_scan(101, policy),
-    "envelope": lambda seed, policy=DEFAULT_POLICY: verify_envelope(policy),
+    "monotonicity": lambda seed, digits=None: verify_monotonicity(),
+    "f1": lambda seed, digits=None: qbounds.f1_monotonicity_scan(101, digits),
+    "envelope": lambda seed, digits=None: verify_envelope(digits),
 }

@@ -103,7 +103,7 @@ def test_criterion_05_envelope():
 def test_criterion_06_bound_soundness_vs_oracle():
     size, _ = max_code_size(3, 4, 3)
     rep = eb_soundness_sweep(q_set=(2, 3, 5), n_max=12, seed=20260826,
-                             time_limit=3.0, max_candidates=8192)
+                             time_limit=3.0)
     ok = size == 9 and rep.passed
     report(6, "rate bound sound against every exhaustively solved code "
               "within the search budget; A_3(4,3)=9 found",

@@ -14,9 +14,9 @@ from qbounds import (Classification, DomainError, PreconditionError,
                      constants, derive_N, derive_c_n0, entropy,
                      envelope_check, f1_monotonicity_scan, johnson_radius,
                      paper_tables, threshold_F, threshold_F_array)
-from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
+import qbounds.precision
+from qbounds.geometry import SUPPORTED_PRIMES, anchor_signs, primes_up_to
 from qbounds.qcore import _johnson_ceil
-from qbounds.precision import PrecisionPolicy
 
 
 class TestConstants:
@@ -134,6 +134,18 @@ class TestTableDerivation:
             assert res.cap >= n_mono
             assert threshold_F(p, res.cap, digits=50) < c * res.cap
 
+    @pytest.mark.parametrize("scan, args", [
+        (derive_c_n0, (3,)), (derive_N, (3,)),
+        (anchor_signs, (3, 100)),
+        (envelope_check, (3, 16, 200)), (f1_monotonicity_scan, (101,))],
+        ids=["derive_c_n0", "derive_N", "anchor_signs", "envelope_check",
+             "f1_monotonicity_scan"])
+    @pytest.mark.parametrize("digits", [0, -4, True])
+    def test_scans_reject_bad_digits(self, scan, args, digits):
+        # also where no comparison escalates
+        with pytest.raises(DomainError):
+            scan(*args, digits=digits)
+
     def test_N_needs_f1_below_three_eighths(self):
         with pytest.raises(DomainError):
             derive_N(31)
@@ -142,18 +154,26 @@ class TestTableDerivation:
         (derive_c_n0, (3,), 0.03, lambda r: r.n0, 1908),
         (derive_N, (3,), 0.03, lambda r: r.N, 91),
         (envelope_check, (3, 16, 200), 0.05, lambda r: r.payload["n_star"], 63),
-    ], ids=["derive_c_n0", "derive_N", "envelope_check"])
-    def test_forced_escalation_changes_nothing(self, scan, args, margin, value,
-                                               expected):
+        (f1_monotonicity_scan, (101,), 1e-3,
+         lambda r: {k: v for k, v in r.payload.items() if k != "escalations"},
+         {"f1_29": 0.37493847965667904, "f1_31": 0.3760368272332842}),
+    ], ids=["derive_c_n0", "derive_N", "envelope_check",
+            "f1_monotonicity_scan"])
+    def test_forced_escalation_changes_nothing(self, monkeypatch, scan, args,
+                                               margin, value, expected):
         # widening the decision margin routes the tightest comparison
-        # (|diff| ~ 1.1e-3, 1.5e-3 and 3.4e-2 on these ranges) through the
+        # (|diff| ~ 1.1e-3, 1.5e-3, 3.4e-2 and 6.2e-5 on these ranges;
+        # f1 has ten comparisons closer than 1e-3) through the
         # high-precision path; the derived value must not change
-        eager = PrecisionPolicy(decision_margin=margin)
-        result = scan(*args, policy=eager)
-        assert value(result) == value(scan(*args)) == expected
-        escalations = (result.payload["escalations"]
-                       if scan is envelope_check else result.escalations)
+        plain = scan(*args)
+        monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", margin)
+        result = scan(*args)
+        assert value(result) == value(plain) == expected
+        escalations = (result.escalations if hasattr(result, "escalations")
+                       else result.payload["escalations"])
         assert escalations >= 1
+        if scan is f1_monotonicity_scan:
+            assert escalations == 10
 
 
 class TestScans:

@@ -473,3 +473,11 @@ class TestSerialization:
     def test_distance_mismatch_detected(self):
         with pytest.raises(DomainError):
             parse_code("2 3 2 3\n000\n100\n")
+
+    @pytest.mark.parametrize("text", ["2 3 1 0\nab1\n", "11 2 1 0\n1 a\n",
+                                      "11 2 1 0\n1,2\n"],
+                             ids=["non-digit", "non-digit-q11",
+                                  "separator-q11"])
+    def test_bad_word_line(self, text):
+        with pytest.raises(DomainError, match="malformed word line"):
+            parse_code(text)

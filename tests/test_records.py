@@ -7,23 +7,8 @@ import pytest
 
 from qbounds import (BoundParams, BoundResult, Classification, Code,
                      CodimReport, DerivedCN0, DerivedN, DomainError,
-                     PrecisionPolicy, PrimeConstants, RankBoundResult,
-                     ThresholdReport, VerificationReport, make_code)
-
-
-class TestPrecisionPolicy:
-    def test_defaults(self):
-        policy = PrecisionPolicy()
-        assert (policy.escalation_digits, policy.decision_margin) == (50, 1e-9)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"escalation_digits": 16},
-        {"decision_margin": 0},
-        {"decision_margin": float("nan")},
-    ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(DomainError):
-            PrecisionPolicy(**kwargs)
+                     PrimeConstants, RankBoundResult, ThresholdReport,
+                     VerificationReport, make_code)
 
 
 class TestVerificationReport:
@@ -40,7 +25,6 @@ class TestVerificationReport:
 
 
 _RECORDS = [
-    PrecisionPolicy(),
     BoundParams(q=3, n=10, d=3),
     BoundResult(rate_upper=0.5, e=1, terms=()),
     RankBoundResult(r_upper=1.0, terms=()),
@@ -84,9 +68,8 @@ def test_code_equality_ignores_cached_distance():
 @pytest.mark.parametrize("record, change, error", [
     (BoundParams(q=3, n=10, d=3), {"q": 1}, DomainError),
     (BoundParams(q=3, n=10, d=3), {"d": 11}, DomainError),
-    (PrecisionPolicy(), {"decision_margin": 0}, DomainError),
     (VerificationReport("suite", 1, True), {"passed": False}, ValueError),
-], ids=["bound-q", "bound-d", "policy-margin", "report-no-counterexample"])
+], ids=["bound-q", "bound-d", "report-no-counterexample"])
 def test_replace_runs_the_checks(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
@@ -95,5 +78,3 @@ def test_replace_runs_the_checks(record, change, error):
 def test_replace_keeps_valid_records():
     assert BoundParams(q=3, n=10, d=3)._replace(n=20) == \
         BoundParams(q=3, n=20, d=3)
-    assert PrecisionPolicy()._replace(escalation_digits=60) == \
-        PrecisionPolicy(escalation_digits=60)
