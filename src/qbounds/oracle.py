@@ -7,14 +7,18 @@ q^n <= 10^6; larger instances raise ResourceBudgetError, as do searches
 that exceed their wall-clock cap.  numpy is imported only by the
 functions that build arrays.
 
-One blocked Hamming-distance kernel, ``_distance_blocks``, serves the
-search's adjacency and the lemma checks' ball counts, with at most 2^22
-one-byte distances (plus a boolean temporary as large) per block;
-``min_distance`` keeps its row loop, which stops at the first distance 1.
+One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
+the search's candidate filter and adjacency and the lemma checks' ball
+counts: per coordinate it compares a contiguous column of ``a`` with one
+of ``b`` (the long axis, innermost) into a reused boolean buffer, at most
+2^22 one-byte distances and as many booleans a block.  The lemma checks
+read each space from a small read-only cache; ``min_distance`` keeps its
+row loop, which stops at the first distance 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -128,15 +132,19 @@ def all_words_array(q: int, n: int) -> np.ndarray:
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(lo, D)`` over blocks of rows of ``a``: ``D[i, j]`` is the
-    Hamming distance of ``a[lo + i]`` and ``b[j]``, <= 2^22 entries a block."""
+    Hamming distance of ``a[lo + i]`` and ``b[j]``, <= 2^22 entries a block.
+    Pass the longer operand as ``b``: its axis is the innermost."""
     import numpy as np
-    m, n = a.shape
     rows = max(1, (1 << 22) // max(len(b), 1))
-    for lo in range(0, m, rows):
-        block = a[lo:lo + rows]
-        dist = np.zeros((len(block), len(b)), dtype=np.uint8)
-        for k in range(n):
-            dist += block[:, k, None] != b[None, :, k]
+    a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    ne = np.empty((min(rows, len(a)), len(b)), dtype=bool)
+    for lo in range(0, len(a), rows):
+        block = a_cols[:, lo:lo + rows]
+        dist = np.zeros((block.shape[1], len(b)), dtype=np.uint8)
+        out = ne[:len(dist)]
+        for k in range(len(b_cols)):
+            np.not_equal(block[k][:, None], b_cols[k], out=out)
+            dist += out.view(np.uint8)
         yield lo, dist
 
 
@@ -254,13 +262,14 @@ def max_code_size(q: int, n: int, d: int, *,
     import numpy as np
     deadline = time.monotonic() + time_limit
     space = all_words_array(q, n)
-    heavy = space[np.count_nonzero(space, axis=1) >= d]  # lexicographic
-    if len(heavy) > max_candidates:
+    fixed = np.zeros((2, n), dtype=space.dtype)  # the words 0 and w2
+    fixed[1, n - d:] = 1
+    _, dist = next(_distance_blocks(fixed, space))  # 2 x q^n: one block
+    heavy = int(np.count_nonzero(dist[0] >= d))
+    if heavy > max_candidates:
         raise ResourceBudgetError(
-            f"candidate set of {len(heavy)} words exceeds cap {max_candidates}")
-    w2 = np.zeros(n, dtype=space.dtype)
-    w2[n - d:] = 1
-    cand = heavy[np.count_nonzero(heavy != w2, axis=1) >= d]
+            f"candidate set of {heavy} words exceeds cap {max_candidates}")
+    cand = space[(dist >= d).all(axis=0)]  # lexicographic
     adj = _adjacency(cand, d, deadline)
     target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
 
@@ -302,12 +311,20 @@ def max_code_size(q: int, n: int, d: int, *,
             if best_size == target:
                 break
 
-    witness_words = [(0,) * n, tuple(int(s) for s in w2)] + [
+    witness_words = [(0,) * n, tuple(int(s) for s in fixed[1])] + [
         tuple(int(s) for s in cand[v]) for v in best_clique]
     return best_size + 2, make_code(q, n, witness_words)
 
 
 # --- exhaustive lemma checks ---------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _lemma_space(q: int, n: int) -> np.ndarray:
+    """``all_words_array(q, n)``, read-only and kept for the lemma checks."""
+    space = all_words_array(q, n)
+    space.flags.writeable = False
+    return space
+
 
 def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     """The center y maximizing |C /\\ B(y, e)| and its count.
@@ -318,10 +335,10 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     if not 0 <= e <= code.n:
         raise DomainError(f"radius must satisfy 0 <= e <= n, got {e!r}")
     import numpy as np
-    space = all_words_array(code.q, code.n)
-    counts = np.empty(len(space), dtype=np.int64)
-    for lo, dist in _distance_blocks(space, _words_array(code)):
-        counts[lo:lo + len(dist)] = np.count_nonzero(dist <= e, axis=1)
+    space = _lemma_space(code.q, code.n)
+    counts = np.zeros(len(space), dtype=np.int64)
+    for _, dist in _distance_blocks(_words_array(code), space):
+        counts += np.count_nonzero(dist <= e, axis=0)
     idx = int(counts.argmax())  # argmax returns the first (lex-least) max
     return tuple(space[idx].tolist()), int(counts[idx])
 
@@ -357,15 +374,17 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
 
 def random_code(q: int, n: int, size: int, seed: int) -> Code:
     """Deterministic random code of distinct words (fixed seed, fixed code)."""
+    _check_qnd(q, n, 1)
     total = q ** n
     if size > total:
         raise DomainError(f"size {size} exceeds q^n = {total}")
     import numpy as np
-    # sample() needs total < 2^63, so int64 holds every index and power
-    idxs = random.Random(seed).sample(range(total), size)
+    # sample() needs total < 2^63, so int64 holds every index and power;
+    # sorted distinct indices decode to distinct words in lexicographic order
+    idxs = sorted(random.Random(seed).sample(range(total), size))
     words = np.array(idxs, dtype=np.int64)[:, None] // q ** np.arange(
         n - 1, -1, -1, dtype=np.int64) % q
-    return make_code(q, n, words.tolist())
+    return Code(q, n, tuple(map(tuple, words.tolist())))
 
 
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,

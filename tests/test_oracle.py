@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
                      johnson_suite, make_code, max_code_size, min_distance,
                      parse_code, pigeonhole_suite, pigeonhole_witness,
                      random_code, serialize_code)
-from qbounds.oracle import all_words_array, upper_bound
+from qbounds.oracle import (Code, _distance_blocks, _lemma_space,
+                            _symbol_dtype, all_words_array, upper_bound)
 
 # A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
 # earlier recursive search (fixed zero word only, no seed, no early exit)
@@ -226,6 +228,22 @@ class TestMaxCodeSize:
         with pytest.raises(ResourceBudgetError):
             max_code_size(2, 12, 2, max_candidates=100)
 
+    def test_candidate_cap_counts_heavy_words(self):
+        # 163 words of weight >= 4 in F_2^8; fewer lie at distance >= 4
+        # from w2 too, but the cap counts all 163
+        heavy = sum(math.comb(8, w) for w in range(4, 9))
+        assert heavy == 163
+        assert max_code_size(2, 8, 4, max_candidates=heavy)[0] == 16
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"set of {heavy} words exceeds cap "
+                                 rf"{heavy - 1}$"):
+            max_code_size(2, 8, 4, max_candidates=heavy - 1)
+
+    def test_leaves_the_lemma_space_cache_alone(self):
+        before = _lemma_space.cache_info()
+        assert max_code_size(2, 19, 15)[0] == 2
+        assert _lemma_space.cache_info() == before
+
     @pytest.mark.parametrize("q, n, d", [(q, n, d) for (q, n), row in GRID.items()
                                          for d in row])
     def test_pinned_grid(self, q, n, d):
@@ -302,6 +320,18 @@ class TestPigeonhole:
         rep = pigeonhole_suite(trials=60, seed=5)
         assert rep.passed
         assert rep.instances_checked == 60
+
+    def test_space_is_cached_read_only(self):
+        code = random_code(3, 5, 7, seed=4)
+        pigeonhole_witness(code, 1)
+        hits = _lemma_space.cache_info().hits
+        space = _lemma_space(3, 5)
+        assert _lemma_space.cache_info().hits == hits + 1
+        assert space.tolist() == all_words_array(3, 5).tolist()
+        assert not space.flags.writeable
+        with pytest.raises(ValueError):
+            space[0, 0] = 1
+        assert _lemma_space(3, 5)[0].tolist() == [0] * 5
 
 
 class TestJohnsonCheck:
@@ -383,7 +413,7 @@ class TestAgainstLoops:
                 for a, b in itertools.combinations(code.words, 2))
 
     def test_ball_counts_over_many_blocks(self):
-        # 2^17 centers x 33 words pass one block of 2^22 distances
+        # 33 code rows against 2^17 centers: blocks of 32 + 1 rows
         code = random_code(2, 17, 33, seed=8)
         space = (np.arange(2 ** 17)[:, None] >> np.arange(16, -1, -1) & 1
                  ).astype(np.uint8)
@@ -394,6 +424,71 @@ class TestAgainstLoops:
             idx = int(counts.argmax())
             assert pigeonhole_witness(code, e) == \
                 (tuple(space[idx].tolist()), int(counts[idx]))
+
+
+def _kernel_against_loop(a, b):
+    """Check every D[i, j] of ``_distance_blocks(a, b)`` against the
+    pure-Python distance of a[i] and b[j], computed once per distinct pair
+    of rows; return the block lengths."""
+    ua, ia = np.unique(a, axis=0, return_inverse=True)
+    ub, ib = np.unique(b, axis=0, return_inverse=True)
+    table = np.array([[_loop_distance(x, y) for y in ub.tolist()]
+                      for x in ua.tolist()], dtype=np.uint8)
+    ia, ib = ia.reshape(-1), ib.reshape(-1)
+    lengths = []
+    for lo, dist in _distance_blocks(a, b):
+        assert lo == sum(lengths)
+        assert dist.dtype == np.uint8 and dist.size <= 1 << 22
+        assert dist.shape[1] == len(b)
+        assert (dist == table[ia[lo:lo + len(dist)]][:, ib]).all()
+        lengths.append(len(dist))
+    assert sum(lengths) == len(a)
+    return lengths
+
+
+def _random_words(rng, q, n, count):
+    return np.array([[rng.randrange(q) for _ in range(n)]
+                     for _ in range(count)], dtype=_symbol_dtype(q))
+
+
+class TestDistanceKernel:
+    """``_distance_blocks`` against pure-Python distances, in both shape
+    orders, over several blocks and beyond one-byte symbols."""
+
+    def test_a_longer_than_b(self):
+        rng = random.Random(31)
+        a, b = _random_words(rng, 3, 6, 200), _random_words(rng, 3, 6, 50)
+        assert _kernel_against_loop(a, b) == [200]
+
+    def test_b_longer_than_a(self):
+        rng = random.Random(32)
+        a, b = _random_words(rng, 5, 4, 6), _random_words(rng, 5, 4, 600)
+        assert _kernel_against_loop(a, b) == [6]
+
+    def test_several_blocks(self):
+        # 2^22 // 70,000 = 59 rows a block
+        rng = random.Random(33)
+        a = _random_words(rng, 4, 6, 70)
+        b = all_words_array(4, 6)[np.random.default_rng(33).integers(
+            0, 4 ** 6, size=70_000)]
+        assert _kernel_against_loop(a, b) == [59, 11]
+
+    def test_beyond_one_byte_symbols(self):
+        rng = random.Random(34)
+        a = np.concatenate([np.array([[0, 0, 0], [256, 0, 0]],
+                                     dtype=np.uint16),
+                            _random_words(rng, 300, 3, 40)])
+        b = np.concatenate([a[:2], _random_words(rng, 300, 3, 30)])
+        assert a.dtype == b.dtype == np.uint16
+        assert _kernel_against_loop(a, b) == [42]
+        assert _kernel_against_loop(b, a) == [32]
+        _, dist = next(_distance_blocks(a[:2], a[:2]))
+        assert dist.tolist() == [[0, 1], [1, 0]]
+
+    def test_empty_operand(self):
+        a = _random_words(random.Random(35), 2, 3, 4)
+        assert list(_distance_blocks(a[:0], a)) == []
+        assert [d.shape for _, d in _distance_blocks(a, a[:0])] == [(4, 0)]
 
 
 def _index_digits(q, n, idx):
@@ -427,6 +522,28 @@ class TestRandomCode:
     def test_size_cap(self):
         with pytest.raises(DomainError):
             random_code(2, 3, 9, seed=0)
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (2, 9), (2, 62), (3, 7),
+                                      (5, 26), (7, 22), (300, 2), (1000, 6)])
+    def test_equals_make_code(self, q, n):
+        # q^n <= 2^62: built directly, the code is what make_code gives
+        rng = random.Random(q * 100 + n)
+        for _ in range(5):
+            size = rng.randint(0, min(q ** n, 50))
+            code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
+            again = make_code(q, n, code.words)
+            assert type(code) is Code and code == again
+            assert type(code.words) is tuple and code.size == size
+            assert [type(w) for w in code.words] == [tuple] * size
+            assert {type(s) for w in code.words for s in w} <= {int}
+
+    @pytest.mark.parametrize("q, n", [(1, 3), (0, 3), (2.0, 3), ("3", 2),
+                                      (2, 0), (2, -1), (2, 1.5), (3, None)])
+    def test_bad_q_or_n_as_make_code(self, q, n):
+        with pytest.raises(DomainError) as want:
+            make_code(q, n, [])
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            random_code(q, n, 1, seed=0)
 
 
 class TestSoundnessSweep:
