@@ -3,11 +3,17 @@
 Subcommands: eval, bound, tables, verify, oracle, classify, each declared
 once in the ``_COMMANDS`` table.  A request builds the parser of its own
 subcommand only, and its handler imports only the library modules it uses;
-help and usage errors that name no subcommand use the full parser.  One
-structured JSON document goes to stdout; diagnostics go to stderr.  Exit
-codes: 0 = success / all-pass, 1 = verification or table mismatch, 2 = usage
-or precondition error.  QB_PRECISION (decimal digits) overrides the default
-working precision; the --digits flag beats the environment variable.
+help and usage errors that name no subcommand use the full parser.
+
+A handler ``cmd_*(args, digits)`` only computes and returns ``(inputs,
+results, diagnostics, status)`` with library values as they come (mpf,
+Fraction, ...).  ``main`` alone echoes ``digits``, builds the document,
+converts its numbers in one walk, writes it to stdout (JSON, ``--pretty`` or
+``tables --format csv``) and returns the status.  stderr gets one
+``error:`` line, or one line on a table mismatch.  Exit codes: 0 = success,
+1 = a suite failed or a table disagrees with the published value, 2 = usage
+or precondition error, 141 = the reader closed stdout.  QB_PRECISION
+(decimal digits) sets the working precision; --digits beats it.
 """
 
 import argparse
@@ -17,7 +23,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from numbers import Rational, Real
 
 from . import __version__
@@ -37,29 +42,6 @@ def computed(x):
 
 def paper_val(x):
     return {"value": x, "provenance": "paper-constant"}
-
-
-def _document(command, inputs, results, diagnostics, deterministic):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    if not deterministic:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return doc
-
-
-def _emit(doc, pretty=False):
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str,
-                          allow_nan=False)
-    except ValueError:  # inf or nan: not a JSON number
-        raise DomainError("a result is not a finite double; if float64 "
-                          "overflowed, retry with --digits") from None
-    print(_render_pretty(doc) if pretty else text)
 
 
 def _render_pretty(doc):
@@ -101,20 +83,27 @@ def _digits(args):
     return digits
 
 
-def _num(x, digits=None):
-    """JSON-safe numeric conversion (mpf -> float, Fraction -> str).  An mpf
-    computed at ``digits`` digits that a double cannot hold (it overflows,
-    or a nonzero value underflows to zero) is printed as a decimal string
-    with ``digits`` significant digits."""
-    if isinstance(x, Fraction):
-        return str(x)
+def _json_ready(x, digits):
+    """``x`` with every number in a form JSON holds: a real (an mpf) becomes
+    a float, or, when computed at ``digits`` digits and a double cannot
+    hold it (it overflows, or a nonzero value underflows to zero), a
+    decimal string with ``digits`` significant digits.  A Fraction, and any
+    other value JSON has no type for, becomes its ``str()``.  A tuple stays
+    a tuple, so ``--pretty`` prints it on one line."""
+    if x is None or isinstance(x, (str, int)):  # bool is an int
+        return x
+    if isinstance(x, dict):
+        return {k: _json_ready(v, digits) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        items = [_json_ready(v, digits) for v in x]
+        return items if isinstance(x, list) else tuple(items)
     if isinstance(x, Real) and not isinstance(x, Rational):
         f = float(x)
         if digits is not None and (math.isinf(f) or (f == 0 and x != 0)):
             import mpmath
             return mpmath.nstr(x, digits)
         return f
-    return x
+    return str(x)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -131,7 +120,7 @@ _EVAL = {
 }
 
 
-def cmd_eval(args, dig) -> int:
+def cmd_eval(args, dig):
     from . import qcore
     fn_name, names = _EVAL[args.function]
     inputs = {name: getattr(args, name) for name in names}
@@ -142,19 +131,17 @@ def cmd_eval(args, dig) -> int:
     value = (fn(*inputs.values()) if fn is qcore.hamming_ball_volume  # exact
              else fn(*inputs.values(), digits=dig))
     if args.function == "stirling":
-        res = {"lower": computed(_num(value[0], dig)),
-               "upper": computed(_num(value[1], dig))}
+        results = {"lower": computed(value[0]), "upper": computed(value[1])}
     else:
-        res = {"value": computed(_num(value, dig))}
-    if dig is not None:
-        inputs["digits"] = dig
-    _emit(_document("eval", inputs, res, [], args.deterministic), args.pretty)
-    return 0
+        results = {"value": computed(value)}
+    return inputs, results, [], 0
 
 
-def cmd_bound(args, dig) -> int:
+def cmd_bound(args, dig):
     from .eb_bounds import (BoundParams, eb_rate_bound,
                             eb_rate_bound_continuous, rank_bound)
+    if args.q is not None and args.p is not None:
+        raise DomainError("--p is an alias for --q: give one of them")
     q = args.q if args.q is not None else args.p
     if q is None:
         raise DomainError("one of --q / --p is required")
@@ -165,19 +152,15 @@ def cmd_bound(args, dig) -> int:
     params = BoundParams(q=q, n=args.n, d=args.d, delta=args.delta)
     if args.form == "rank":
         res = rank_bound(q, args.n, params.delta_value, digits=dig)
-        results = {"r_upper": computed(_num(res.r_upper, dig))}
+        results = {"r_upper": computed(res.r_upper)}
     else:
         fn = eb_rate_bound if args.form == "finite" else eb_rate_bound_continuous
         res = fn(params, digits=dig)
-        results = {"rate_upper": computed(_num(res.rate_upper, dig)),
+        results = {"rate_upper": computed(res.rate_upper),
                    "e": computed(res.e)}
-    results["terms"] = [{"label": lab, **computed(_num(val, dig))}
+    results["terms"] = [{"label": lab, **computed(val)}
                         for lab, val in res.terms]
-    if dig is not None:
-        inputs["digits"] = dig
-    _emit(_document("bound", inputs, results, [], args.deterministic),
-          args.pretty)
-    return 0
+    return inputs, results, [], 0
 
 
 def _tables_rows(which, primes, dig, diagnostics):
@@ -187,7 +170,7 @@ def _tables_rows(which, primes, dig, diagnostics):
     if which == "constants":  # computed only: no published value is read
         for p in primes:
             k = constants(p, dig)
-            rows.append({"p": p, **{f: computed(_num(getattr(k, f), dig))
+            rows.append({"p": p, **{f: computed(getattr(k, f))
                                     for f in ("f1", "f2", "f3", "f4", "f5")}})
         return rows, False
     paper = paper_tables()
@@ -205,7 +188,7 @@ def _tables_rows(which, primes, dig, diagnostics):
             note(p, derived.escalations)
             match = derived.n0 == paper["n0"][p]
             mismatch |= not match
-            rows.append({"p": p, "c": paper_val(str(paper["c"][p])),
+            rows.append({"p": p, "c": paper_val(paper["c"][p]),
                          "n0_paper": paper_val(paper["n0"][p]),
                          "n0_recomputed": computed(derived.n0),
                          "match": match})
@@ -233,22 +216,17 @@ def _tables_rows(which, primes, dig, diagnostics):
 
 
 def _rows_to_csv(rows):
+    """The table rows as CSV, a {value, provenance} cell as its value."""
     import csv
-
-    def flat(v):
-        if isinstance(v, dict) and set(v) == {"value", "provenance"}:
-            return v["value"]
-        return v
     buf = io.StringIO()
-    fields = list(rows[0].keys())
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: flat(v) for k, v in row.items()})
+    writer.writerows({k: v["value"] if isinstance(v, dict) else v
+                      for k, v in row.items()} for row in rows)
     return buf.getvalue()
 
 
-def cmd_tables(args, dig) -> int:
+def cmd_tables(args, dig):
     from .geometry import SUPPORTED_PRIMES
     primes = tuple(args.primes) if args.primes else SUPPORTED_PRIMES
     for p in primes:
@@ -257,45 +235,24 @@ def cmd_tables(args, dig) -> int:
                               f"{SUPPORTED_PRIMES}")
     diagnostics = []
     rows, mismatch = _tables_rows(args.which, primes, dig, diagnostics)
-    inputs = {"which": args.which, "primes": list(primes), "format": args.format}
-    if dig is not None:
-        inputs["digits"] = dig
-    if args.format == "csv":
-        sys.stdout.write(_rows_to_csv(rows))
-    else:
-        doc = _document("tables", inputs, {"rows": rows}, diagnostics,
-                        args.deterministic)
-        _emit(doc, args.pretty)
     if mismatch:
         print("table mismatch against published values", file=sys.stderr)
-        return 1
-    return 0
+    inputs = {"which": args.which, "primes": list(primes), "format": args.format}
+    return inputs, {"rows": rows}, diagnostics, int(mismatch)
 
 
-def cmd_verify(args, dig) -> int:
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    all_passed = True
-    for name in suites:
-        rep = SUITES[name](args.seed, dig)
-        all_passed &= rep.passed
-        results.append({
-            "suite": rep.suite,
-            "instances_checked": computed(rep.instances_checked),
-            "passed": rep.passed,
-            "counterexample": rep.counterexample,
-            "payload": {k: _num(v, dig) for k, v in rep.payload.items()},
-        })
-    inputs = {"suite": args.suite, "seed": args.seed}
-    if dig is not None:
-        inputs["digits"] = dig
-    doc = _document("verify", inputs, {"reports": results}, [],
-                    args.deterministic)
-    _emit(doc, args.pretty)
-    return 0 if all_passed else 1
+def cmd_verify(args, dig):
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [SUITES[name](args.seed, dig) for name in names]
+    results = [{"suite": rep.suite,
+                "instances_checked": computed(rep.instances_checked),
+                "passed": rep.passed, "counterexample": rep.counterexample,
+                "payload": rep.payload} for rep in reports]
+    return ({"suite": args.suite, "seed": args.seed}, {"reports": results},
+            [], 0 if all(rep.passed for rep in reports) else 1)
 
 
-def cmd_oracle(args, dig) -> int:
+def cmd_oracle(args, dig):
     from .eb_bounds import BoundParams, eb_rate_bound
     from .oracle import max_code_size, serialize_code, upper_bound
     size, witness = max_code_size(args.q, args.n, args.d,
@@ -314,24 +271,19 @@ def cmd_oracle(args, dig) -> int:
                               digits=dig)
         rate = math.log(size) / (args.n * math.log(args.q))
         results["rate"] = computed(rate)
-        results["eb_rate_bound"] = computed(_num(bound.rate_upper, dig))
+        results["eb_rate_bound"] = computed(bound.rate_upper)
         results["sound"] = bool(rate <= bound.rate_upper)
     except (DomainError, PreconditionError) as exc:
         diagnostics.append(["info", f"bound comparison skipped: {exc}"])
-    inputs = {"q": args.q, "n": args.n, "d": args.d}
-    if dig is not None:
-        inputs["digits"] = dig
-    _emit(_document("oracle", inputs, results, diagnostics,
-                    args.deterministic), args.pretty)
-    return 0
+    return {"q": args.q, "n": args.n, "d": args.d}, results, diagnostics, 0
 
 
-def cmd_classify(args, dig) -> int:
+def cmd_classify(args, dig):
     from .geometry import classify_rank, codim_guarantees
     report = classify_rank(args.p, args.n, args.r, dig)
     results = {
         "classification": report.classification.value,
-        "F_value": computed(_num(report.F_value, dig)),
+        "F_value": computed(report.F_value),
         "baseline": computed(report.baseline),
         "max_rank": computed(report.max_rank),
     }
@@ -341,18 +293,12 @@ def cmd_classify(args, dig) -> int:
     if report.classification.value == "MAIN_THEOREM":
         codim = codim_guarantees(args.p, args.n, args.r, dig)
         results["codim_caps"] = {
-            "tau1": computed(str(codim.tau1_codim_cap)),
-            "tau2": computed(str(codim.tau2_codim_cap)),
-            "rank_bound_quarter": computed(_num(codim.rank_bound_quarter,
-                                                dig)),
-            "rank_bound_third": computed(_num(codim.rank_bound_third, dig)),
+            "tau1": computed(codim.tau1_codim_cap),
+            "tau2": computed(codim.tau2_codim_cap),
+            "rank_bound_quarter": computed(codim.rank_bound_quarter),
+            "rank_bound_third": computed(codim.rank_bound_third),
         }
-    inputs = {"p": args.p, "n": args.n, "r": args.r}
-    if dig is not None:
-        inputs["digits"] = dig
-    _emit(_document("classify", inputs, results, [], args.deterministic),
-          args.pretty)
-    return 0
+    return {"p": args.p, "n": args.n, "r": args.r}, results, [], 0
 
 
 # --- argument parsing ------------------------------------------------------
@@ -428,7 +374,26 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args, _digits(args))
+        digits = _digits(args)
+        inputs, results, diagnostics, status = args.func(args, digits)
+        if digits is not None:
+            inputs["digits"] = digits
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               "inputs": inputs, "results": results,
+               "diagnostics": diagnostics}
+        if not args.deterministic:
+            doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        doc = _json_ready(doc, digits)
+        try:  # also checks what --pretty and csv render
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # inf or nan: not a JSON number
+            raise DomainError("a result is not a finite double; if float64 "
+                              "overflowed, retry with --digits") from None
+        if getattr(args, "format", None) == "csv":
+            sys.stdout.write(_rows_to_csv(doc["results"]["rows"]))
+        else:
+            print(_render_pretty(doc) if args.pretty else text)
+        return status
     except (DomainError, PreconditionError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

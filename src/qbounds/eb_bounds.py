@@ -12,19 +12,31 @@ from .precision import evaluate
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
 
+# Miller-Rabin to the first 13 prime bases: a composite verdict is a proof,
+# and a prime verdict is exact below the least strong pseudoprime to all of
+# them (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003).
+_PRIME_BASES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p) -> bool:
+    """Exact primality test; a p >= _PRIME_BOUND (about 3.3e24) that passes
+    every base is not decided, and is a DomainError."""
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
+    if p in _PRIME_BASES:
         return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    d = p - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s  # p - 1 = d 2^s with d odd
+    # a base a passes when a^d = 1 or a^(d 2^r) = -1 (mod p) for an r < s
+    passed = all(pow(a, d, p) == 1
+                 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+                 for a in _PRIME_BASES)
+    if passed and p >= _PRIME_BOUND:
+        raise DomainError(f"primality is decided below {_PRIME_BOUND} only, "
+                          f"got p={p}")
+    return passed
 
 
 class _BoundFields(NamedTuple):

@@ -63,9 +63,14 @@ def check_digits(digits, name="digits"):
 
 def evaluate(digits, formula, *args):
     """``formula(m, *args)`` in double precision when ``digits`` is None,
-    else at ``digits`` decimal digits (a positive integer) with mpmath."""
+    else at ``digits`` decimal digits (a positive integer) with mpmath.  An
+    argument or value out of a double's range is a DomainError."""
     if digits is None:
-        return formula(FLOAT, *args)
+        try:
+            return formula(FLOAT, *args)
+        except OverflowError as exc:
+            raise DomainError(f"{exc} in double precision; retry with "
+                              f"digits (--digits)") from None
     check_digits(digits)
     import mpmath
     with mpmath.workdps(digits):

@@ -9,8 +9,12 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .precision import evaluate
+
+# The largest Hamming-ball volume computed, in bits (about 19,700 digits);
+# it bounds the work of the exact sum, as no term exceeds the volume.
+BALL_VOLUME_BITS = 1 << 16
 
 
 def _check_q(q):
@@ -121,13 +125,25 @@ def johnson_radius_d1(q, delta, digits=None):
 
 def hamming_ball_volume(q, n, e):
     """Exact number of words within Hamming distance e of a fixed word:
-    sum_{i=0}^{e} C(n, i) (q-1)^i, in arbitrary-size integers."""
+    sum_{i=0}^{e} C(n, i) (q-1)^i, in arbitrary-size integers.  A volume
+    that may exceed BALL_VOLUME_BITS bits is a ResourceBudgetError."""
     _check_q(q)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"length must be a nonnegative integer, got {n!r}")
     if not isinstance(e, int) or e < 0 or e > n:
         raise DomainError(f"radius must satisfy 0 <= e <= n, got e={e!r}")
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(e + 1))
+    # the volume is at most q^n and at most (e+1) (n(q-1))^e
+    bits = min(n * (q - 1).bit_length() + 1,
+               e * (n * (q - 1)).bit_length() + (e + 1).bit_length())
+    if bits > BALL_VOLUME_BITS:
+        raise ResourceBudgetError(
+            f"ball volume V_{q}({n}, {e}) may need {bits} bits, over the "
+            f"budget of {BALL_VOLUME_BITS}")
+    total, term = 0, 1  # term = C(n, i) (q-1)^i
+    for i in range(e + 1):
+        total += term
+        term = term * (n - i) * (q - 1) // (i + 1)
+    return total
 
 
 def _stirling_bounds(m, k):

@@ -114,6 +114,17 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "--digits" in lines[0]
 
+    @pytest.mark.parametrize("n, e", [
+        ("10000", "5000"),  # 4,771 digits: more than an int prints (4,300)
+        (str(10 ** 300), str(10 ** 300)),  # over the ball-volume budget
+    ], ids=["print-limit", "budget"])
+    def test_huge_ball_volume_exit_2(self, capsys, n, e):
+        code, out, err = run(capsys, "eval", "ball_volume", "--q", "3",
+                             "--n", n, "--e", e, "--deterministic")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     @pytest.mark.parametrize("function, flag, library", [
         ("entropy_d2", "--x", lambda: entropy_d2(2, 5e-324, 30)),  # overflow
         ("johnson", "--delta", lambda: johnson_radius(2, 5e-324, 30)),  # to 0
@@ -170,6 +181,13 @@ class TestBound:
         total = sum(t["value"] for t in doc["results"]["terms"])
         assert total == pytest.approx(doc["results"]["rate_upper"]["value"],
                                       rel=1e-12)
+
+    @pytest.mark.parametrize("p", ["3", "5"])
+    def test_q_and_p_together_exit_2(self, capsys, p):
+        code, out, err = run(capsys, "bound", "--q", "3", "--p", p, "--n",
+                             "100", "--d", "25", "--deterministic")
+        assert (code, out) == (2, "")
+        assert err == "error: --p is an alias for --q: give one of them\n"
 
     def test_precondition_exit_2(self, capsys):
         code, _, err = run(capsys, "bound", "--q", "3", "--n", "4",
@@ -278,6 +296,25 @@ class TestTables:
                            "--primes", "31")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mismatch_exit_1(self, capsys, monkeypatch, fmt):
+        import qbounds.geometry
+        published = qbounds.geometry.paper_tables()
+        shifted = {**published, "n0": {**published["n0"],
+                                       3: published["n0"][3] + 1}}
+        monkeypatch.setattr(qbounds.geometry, "paper_tables", lambda: shifted)
+        code, out, err = run(capsys, "tables", "--which", "candn0",
+                             "--primes", "3", "--format", fmt,
+                             "--deterministic")
+        assert code == 1
+        assert err == "table mismatch against published values\n"
+        if fmt == "json":
+            row, = json.loads(out)["results"]["rows"]
+            assert row["match"] is False
+            assert row["n0_paper"]["value"] == 1909
+        else:
+            assert out.splitlines()[1] == "3,9/32,1909,1908,False"
+
 
 class TestVerify:
     def test_pigeonhole_deterministic(self, capsys):
@@ -323,6 +360,31 @@ class TestVerify:
         assert code == 0
         assert doc["inputs"].get("digits") == digits
         assert seen and all(d == digits for d in seen)
+
+    @pytest.mark.parametrize("pretty", [False, True],
+                             ids=["json", "pretty"])
+    def test_failed_suite_exit_1(self, capsys, monkeypatch, pretty):
+        # a failing johnson report carries its centre as a tuple
+        failed = VerificationReport(
+            suite="johnson", instances_checked=4, passed=False,
+            counterexample={"code": "2 3 2\n000\n111", "e": 1, "cap": 18,
+                            "center": (0, 1, 0), "count": 19})
+        from qbounds.suites import SUITES
+        monkeypatch.setitem(SUITES, "f1", lambda seed, digits=None: failed)
+        code, out, err = run(capsys, "verify", "--suite", "f1",
+                             *["--pretty"] * pretty, "--deterministic")
+        assert (code, err) == (1, "")
+        if pretty:
+            lines = out.splitlines()
+            assert "      passed: False" in lines
+            assert "        center: (0, 1, 0)" in lines
+            assert "        count: 19" in lines
+        else:
+            rep, = json.loads(out)["results"]["reports"]
+            assert rep["passed"] is False
+            assert rep["counterexample"] == {
+                "code": "2 3 2\n000\n111", "e": 1, "cap": 18,
+                "center": [0, 1, 0], "count": 19}
 
     def test_stirling_suite(self, capsys):
         # ln k! lies within float64 noise of the bracket's upper edge from
@@ -431,6 +493,20 @@ class TestClassify:
         assert doc["results"]["classification"] == "NO_CONCLUSION"
 
 
+# 10^320: an integer past the largest double
+_HUGE = str(10 ** 320)
+
+# subcommand -> the arguments of one small valid request
+_MINIMAL_REQUESTS = {
+    "eval": ["entropy", "--q", "3", "--x", "0.3"],
+    "bound": ["--q", "3", "--n", "100", "--d", "25"],
+    "tables": ["--which", "constants", "--primes", "3"],
+    "verify": ["--suite", "f1"],
+    "oracle": ["--q", "3", "--n", "4", "--d", "3"],
+    "classify": ["--p", "3", "--n", "2000", "--r", "600"],
+}
+
+
 class TestDocumentContract:
     def test_round_trip_and_determinism(self, capsys):
         _, out1, _ = run(capsys, "bound", "--q", "3", "--n", "100", "--d",
@@ -482,6 +558,40 @@ class TestDocumentContract:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "stirling", "--k", _HUGE],
+        ["bound", "--q", "3", "--n", _HUGE, "--d", "5"],
+        ["bound", "--p", "3", "--n", _HUGE, "--delta", "0.25", "--form",
+         "rank"],
+        ["eval", "johnson", "--q", _HUGE, "--delta", "0.5"],
+        ["eval", "entropy_d1", "--q", _HUGE, "--x", "0.5"],
+        ["classify", "--p", "3", "--n", _HUGE, "--r", "3"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_int_beyond_double_exit_2(self, capsys, argv):
+        # 10^320 is past the largest double: float64 cannot take it, and
+        # --digits can
+        code, out, err = run(capsys, *argv, "--deterministic")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--digits" in lines[0]
+        code, doc, err = run_json(capsys, *argv, "--digits", "30",
+                                  "--deterministic")
+        assert (code, err) == (0, "")
+        assert doc["inputs"]["digits"] == 30
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_document_shape(self, capsys, command):
+        argv = [command, *_MINIMAL_REQUESTS[command], "--digits", "30"]
+        code, doc, _ = run_json(capsys, *argv, "--deterministic")
+        assert code == 0
+        assert set(doc) == {"schema_version", "command", "inputs", "results",
+                            "diagnostics"}
+        assert doc["command"] == command
+        assert doc["inputs"]["digits"] == 30
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and "timestamp" in doc
 
     def test_broken_pipe_exit_141(self, monkeypatch, capsys):
         # a reader that closed the pipe: no traceback, the SIGPIPE code
@@ -607,8 +717,10 @@ def test_public_names_resolve():
 
 # --- fuzz: every request ends with exit 0, 1 or 2, never a traceback ------
 
-_INTS = st.integers(-3, 300)
-_SIZES = st.integers(-3, 40) | st.integers(-3, 10 ** 6)
+# integers on both sides of the largest double (about 1.8e308)
+_HUGE_INTS = st.integers(10 ** 300, 10 ** 320)
+_INTS = st.integers(-3, 300) | _HUGE_INTS
+_SIZES = st.integers(-3, 40) | st.integers(-3, 10 ** 6) | _HUGE_INTS
 # subnormal floats reach values that overflow a double (entropy_d1 near 0)
 _FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
            | st.floats(-0.5, 1.5) | st.floats(0.0, 1e-308))
@@ -629,7 +741,8 @@ def _flags(draw, options):
 def _eval_argv(draw):
     return ["eval", draw(st.sampled_from(list(_EVAL))), *_flags(draw, {
         "q": _INTS, "x": _FLOATS, "delta": _FLOATS, "n": _INTS, "e": _INTS,
-        "k": st.integers(-3, 10 ** 9), "digits": st.integers(-2, 60)})]
+        "k": st.integers(-3, 10 ** 9) | _HUGE_INTS,
+        "digits": st.integers(-2, 60)})]
 
 
 @st.composite

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qbounds import (BoundParams, DomainError, PreconditionError,
-                     eb_rate_bound, eb_rate_bound_continuous, entropy,
-                     johnson_radius, max_code_size, rank_bound,
-                     verify_rank_monotonicity)
+                     classify_rank, eb_rate_bound, eb_rate_bound_continuous,
+                     entropy, is_prime, johnson_radius, max_code_size,
+                     rank_bound, verify_rank_monotonicity)
 
 
 class TestBoundParams:
@@ -198,3 +198,35 @@ class TestRankMonotonicity:
     def test_prime_check(self):
         with pytest.raises(DomainError):
             verify_rank_monotonicity(4, 20)
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def by_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(-3, 20_000) if is_prime(n)] == \
+            [n for n in range(-3, 20_000) if by_division(n)]
+
+    @pytest.mark.parametrize("n, prime", [
+        (2 ** 61 - 1, True),  # a Mersenne prime
+        (561, False), (3215031751, False),  # Carmichael, pseudoprime to 2..7
+        # the least strong pseudoprime to the bases 2..37; 41 exposes it
+        (318665857834031151167461, False),
+        (3317044064679887385961980, False),  # even, beyond the bound
+        # no factor up to 41, and beyond the bound: a base proves it composite
+        pytest.param(10 ** 320 + 1, False, id="10^320+1"),
+        (True, False), (3.0, False),
+    ])
+    def test_known_values(self, n, prime):
+        assert is_prime(n) is prime
+
+    @pytest.mark.parametrize("n", [
+        3317044064679887385961981,  # a strong pseudoprime to every base
+        2 ** 89 - 1, 2 ** 521 - 1,  # Mersenne primes
+    ], ids=["psi13", "M89", "M521"])
+    def test_undecided_beyond_the_bound(self, n):
+        # trial division of M521 would not end
+        with pytest.raises(DomainError, match="primality"):
+            is_prime(n)
+        with pytest.raises(DomainError):
+            classify_rank(n, 100, 10)

@@ -2,9 +2,12 @@
 once over the numeric context, and ``escalation_digits`` sets the precision
 of its high-precision re-decision."""
 
+from fractions import Fraction
+
 import pytest
 
-from qbounds import AmbiguousComparisonError, DomainError
+from qbounds import (AmbiguousComparisonError, BoundParams, DomainError,
+                     eb_rate_bound, rank_bound, stirling_bounds, threshold_F)
 from qbounds.precision import FLOAT, escalation_digits, strict_sign
 
 
@@ -38,3 +41,17 @@ def test_escalation_digits(digits, expected):
 def test_escalation_digits_rejects(digits):
     with pytest.raises(DomainError):
         escalation_digits(digits)
+
+
+@pytest.mark.parametrize("call", [
+    lambda digits: stirling_bounds(10 ** 320, digits),
+    lambda digits: threshold_F(3, 10 ** 320, digits),
+    lambda digits: rank_bound(3, 10 ** 320, Fraction(1, 4), digits),
+    lambda digits: eb_rate_bound(BoundParams(q=3, n=10 ** 320, d=5), digits),
+], ids=["stirling_bounds", "threshold_F", "rank_bound", "eb_rate_bound"])
+def test_int_beyond_double_is_a_domain_error(call):
+    # 10^320 overflows a double: a DomainError that names digits, and the
+    # same call at 30 digits succeeds
+    with pytest.raises(DomainError, match="digits"):
+        call(None)
+    call(30)

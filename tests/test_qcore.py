@@ -14,10 +14,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from qbounds import (DomainError, entropy, entropy_d1, entropy_d2,
-                     hamming_ball_volume, johnson_radius, johnson_radius_d1,
-                     log_binomial_estimate, stirling_bounds)
-from qbounds.qcore import _johnson_ceil
+from qbounds import (DomainError, ResourceBudgetError, entropy, entropy_d1,
+                     entropy_d2, hamming_ball_volume, johnson_radius,
+                     johnson_radius_d1, log_binomial_estimate,
+                     stirling_bounds)
+from qbounds.qcore import BALL_VOLUME_BITS, _johnson_ceil
 
 
 class TestEntropy:
@@ -206,6 +207,23 @@ class TestHammingBallVolume:
             hamming_ball_volume(3, 4, 5)
         with pytest.raises(DomainError):
             hamming_ball_volume(3, 4, -1)
+
+    @pytest.mark.parametrize("q, n", [(2, 300), (11, 90), (257, 40)])
+    def test_matches_binomial_sum(self, q, n):
+        for e in range(n + 1):
+            assert hamming_ball_volume(q, n, e) == sum(
+                math.comb(n, i) * (q - 1) ** i for i in range(e + 1))
+
+    def test_budget(self):
+        # with n = 2^1000 the bound (e+1) (n(q-1))^e takes 1001 e + 7 bits:
+        # e = 65 is within BALL_VOLUME_BITS = 2^16, e = 66 is not
+        n = 2 ** 1000
+        assert BALL_VOLUME_BITS == 1 << 16
+        assert hamming_ball_volume(2, n, 65) == sum(
+            math.comb(n, i) for i in range(66))
+        for e in (66, n):
+            with pytest.raises(ResourceBudgetError, match="65536"):
+                hamming_ball_volume(2, n, e)
 
 
 class TestStirlingBounds:
