@@ -89,8 +89,18 @@ def _json_ready(x, digits):
     hold it (it overflows, or a nonzero value underflows to zero), a
     decimal string with ``digits`` significant digits.  A Fraction, and any
     other value JSON has no type for, becomes its ``str()``.  A tuple stays
-    a tuple, so ``--pretty`` prints it on one line."""
-    if x is None or isinstance(x, (str, int)):  # bool is an int
+    a tuple, so ``--pretty`` prints it on one line.  An integer with more
+    digits than Python converts to a string is a DomainError."""
+    if x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):  # bool is an int
+        try:
+            str(x)  # as json.dumps, --pretty and csv print it
+        except ValueError:
+            raise DomainError(
+                f"an integer result has more than "
+                f"{sys.get_int_max_str_digits()} digits, too many to print"
+            ) from None
         return x
     if isinstance(x, dict):
         return {k: _json_ready(v, digits) for k, v in x.items()}
@@ -205,12 +215,12 @@ def _tables_rows(which, primes, dig, diagnostics):
     else:  # anchor
         for p in primes:
             N = paper["N"][p]
-            ns, signs, escalations = anchor_signs(p, N, dig)
+            signs, escalations = anchor_signs(p, N, dig)
             note(p, escalations)
             holds = bool((signs > 0).all())
             mismatch |= not holds
             rows.append({"p": p, "N_paper": paper_val(N),
-                         "scanned": computed(int(ns.size)),
+                         "scanned": computed(int(signs.size)),
                          "anchor_holds": holds})
     return rows, mismatch
 

@@ -30,13 +30,20 @@ def is_prime(p) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s  # p - 1 = d 2^s with d odd
     # a base a passes when a^d = 1 or a^(d 2^r) = -1 (mod p) for an r < s
-    passed = all(pow(a, d, p) == 1
-                 or any(pow(a, d << r, p) == p - 1 for r in range(s))
-                 for a in _PRIME_BASES)
-    if passed and p >= _PRIME_BOUND:
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):  # x = a^(d 2^r), each by squaring the last
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= _PRIME_BOUND:
         raise DomainError(f"primality is decided below {_PRIME_BOUND} only, "
                           f"got p={p}")
-    return passed
+    return True
 
 
 class _BoundFields(NamedTuple):

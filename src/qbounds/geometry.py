@@ -2,12 +2,15 @@
 threshold F(n, p), the baseline classification rank, and the exhaustive
 scans that re-derive the published c/n0 and N tables.
 
-All scans run a vectorized double-precision pass and escalate individual
-comparisons to high precision (``strict_sign``) only when the margin is
-below ``DECISION_MARGIN``; results are identical to a full high-precision
-scan.  Each comparison is one difference written over the numeric context.
-numpy is imported only by the functions that build arrays, and the
-published tables are read from ``paper_constants.json`` on first use.
+Every scan walks n in cache-sized blocks, evaluates F once per block in
+double precision and escalates a comparison to high precision
+(``strict_sign``) only when its margin is below ``DECISION_MARGIN``, so
+results are identical to a full high-precision scan.  The n0 scan runs
+top-down and the N scan bottom-up, each stopping at the block that decides
+it; ``escalations`` counts the comparisons a scan made and escalated.  Each
+comparison is one difference written over the numeric context.  numpy is
+imported only by the functions that build arrays, and the published
+tables are read from ``paper_constants.json`` on first use.
 """
 
 from __future__ import annotations
@@ -158,22 +161,35 @@ class DerivedCN0(NamedTuple):
     escalations: int
 
 
-def _guarded_signs(p, ns, F, rhs, digits):
-    """Signs (+1/-1) of F(n, p) - rhs(m, n) over ``ns``, given F as a float
-    array and the right-hand side written once over the numeric context
-    ``m``; each comparison closer than the decision margin is re-decided by
-    ``strict_sign``.  Returns ``(signs, escalations)``."""
+# n per block of a guarded scan: its temporaries (64 KiB) stay in cache
+_BLOCK = 1 << 13
+
+
+def _guarded_blocks(p, lo, hi, rhss, digits, descending=False):
+    """Yield ``(start, signs, escalations)`` per block of ``_BLOCK`` values
+    of n in [lo, hi], bottom-up or top-down: ``signs[j, i]`` is the sign
+    (+1/-1) of F(n, p) - rhss[j](m, n) at n = start + i, F evaluated once
+    per block; a comparison within the decision margin is re-decided by
+    ``strict_sign``, and ``escalations`` counts those."""
     escalation_digits(digits)  # a bad digits fails even if nothing escalates
+    _check_odd_prime(p)
     import numpy as np
-    diff = F - rhs(_numpy(), ns)
-    signs = np.sign(diff).astype(np.int8)
-    escalations = 0
-    for i in np.nonzero(np.abs(diff) < precision.DECISION_MARGIN)[0]:
-        n = int(ns[i])
-        signs[i], esc = strict_sign(
-            lambda m: _threshold_F(m, p, n) - rhs(m, n), digits)
-        escalations += esc
-    return signs, escalations
+    m = _numpy()
+    starts = range(lo, hi + 1, _BLOCK)
+    for start in reversed(starts) if descending else starts:
+        ns = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.int64)
+        F = _threshold_F(m, p, m.num(ns))
+        signs = np.empty((len(rhss), ns.size), dtype=np.int8)
+        escalations = 0
+        for row, rhs in zip(signs, rhss):
+            diff = F - rhs(m, ns)
+            np.sign(diff, out=row, casting="unsafe")
+            for i in np.flatnonzero(np.abs(diff) < precision.DECISION_MARGIN):
+                n = start + int(i)
+                row[i], esc = strict_sign(
+                    lambda m: _threshold_F(m, p, n) - rhs(m, n), digits)
+                escalations += esc
+        yield start, signs, escalations
 
 
 def _scan_end(p, s, t, digits):
@@ -201,21 +217,23 @@ def _scan_end(p, s, t, digits):
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
-    n >= n0, taking c(p) from the published table.  The guarded scan
-    stops at the end ``_scan_end`` proves for (c(p), 0)."""
+    n >= n0, taking c(p) from the published table.  The guarded scan runs
+    down from the end ``_scan_end`` proves for (c(p), 0) to the last n
+    with F > c n."""
     c = _published_c().get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    end, esc_end = _scan_end(p, c, 0, digits)
-    import numpy as np
-    ns = np.arange(16, end + 1, dtype=np.int64)
-    # +1 where F > c n (violation)
-    signs, esc = _guarded_signs(p, ns, threshold_F_array(p, ns),
-                                lambda m, n: m.num(c) * n, digits)
-    viol = np.nonzero(signs > 0)[0]
-    last = int(ns[viol[-1]]) if viol.size else None
+    end, escalations = _scan_end(p, c, 0, digits)
+    last = None
+    for start, (signs,), esc in _guarded_blocks(
+            p, 16, end, (lambda m, n: m.num(c) * n,), digits, descending=True):
+        escalations += esc
+        viol = (signs > 0).nonzero()[0]
+        if viol.size:
+            last = start + int(viol[-1])
+            break
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
-                      cap=end, last_violation=last, escalations=esc_end + esc)
+                      cap=end, last_violation=last, escalations=escalations)
 
 
 class DerivedN(NamedTuple):
@@ -225,30 +243,38 @@ class DerivedN(NamedTuple):
     escalations: int
 
 
+def _baseline_rhs(m, n):
+    """baseline_rank(n) for n >= 13, over integers and integer arrays alike."""
+    return m.num(3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4)))
+
+
 def anchor_signs(p: int, n_hi: int, digits=None):
     """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
-    returns ``(ns, signs, escalations)`` with sign +1 where it holds."""
+    returns ``(signs, escalations)`` with sign +1 where it holds."""
     import numpy as np
-    ns = np.arange(16, n_hi + 1, dtype=np.int64)
-    # baseline_rank(n) for n >= 13, over integers and integer arrays alike
-    return (ns, *_guarded_signs(
-        p, ns, threshold_F_array(p, ns),
-        lambda m, n: m.num(3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4))),
-        digits))
+    blocks = list(_guarded_blocks(p, 16, n_hi, (_baseline_rhs,), digits))
+    signs = [np.empty(0, np.int8)] + [s for _, (s,), _ in blocks]
+    return np.concatenate(signs), sum(esc for *_, esc in blocks)
 
 
 def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
     all n in [16, N]; also reports the first failing n (= N + 1).  As
     baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
-    ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out."""
+    ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out; the
+    guarded scan runs up from 16 to the first failure."""
     end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits)
-    ns, signs, esc = anchor_signs(p, end, digits)
-    first = int(ns[(signs <= 0).nonzero()[0][0]])
+    for start, (signs,), esc in _guarded_blocks(p, 16, end, (_baseline_rhs,),
+                                                digits):
+        escalations += esc
+        fail = (signs < 0).nonzero()[0]
+        if fail.size:
+            first = start + int(fail[0])
+            break
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
     return DerivedN(p=p, N=first - 1, first_failure=first,
-                    escalations=escalations + esc)
+                    escalations=escalations)
 
 
 def f1_monotonicity_scan(p_max: int, digits=None) -> VerificationReport:
@@ -295,24 +321,23 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     _check_odd_prime(p)
     if not 16 <= n_lo < n_hi:
         raise DomainError(f"need 16 <= n_lo < n_hi, got [{n_lo}, {n_hi}]")
-    import numpy as np
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    F = threshold_F_array(p, ns)
-    above, esc_lo = _guarded_signs(p, ns, F, lambda m, n: m.num(n) / 4,
-                                   digits)
-    below, esc_hi = _guarded_signs(
-        p, ns, F, lambda m, n: m.sqrt(3) * m.num(n) / 4, digits)
-    bad = np.nonzero((above < 0) | (below > 0))[0]
-    if bad.size and int(ns[bad[-1]]) == n_hi:
+    last_bad, escalations = None, 0
+    for start, (above, below), esc in _guarded_blocks(
+            p, n_lo, n_hi, (lambda m, n: m.num(n) / 4,
+                            lambda m, n: m.sqrt(3) * m.num(n) / 4), digits):
+        escalations += esc
+        bad = ((above < 0) | (below > 0)).nonzero()[0]
+        if bad.size:
+            last_bad = start + int(bad[-1])
+    if last_bad == n_hi:
         return VerificationReport(
-            suite="envelope", instances_checked=int(ns.size), passed=False,
-            counterexample={"p": p, "n": int(ns[bad[-1]]),
-                            "F": float(F[bad[-1]])})
-    n_star = n_lo if bad.size == 0 else int(ns[bad[-1]]) + 1
+            suite="envelope", instances_checked=n_hi - n_lo + 1, passed=False,
+            counterexample={"p": p, "n": n_hi, "F": threshold_F(p, n_hi)})
+    n_star = n_lo if last_bad is None else last_bad + 1
     return VerificationReport(
-        suite="envelope", instances_checked=int(ns.size), passed=True,
+        suite="envelope", instances_checked=n_hi - n_lo + 1, passed=True,
         counterexample=None,
-        payload={"p": p, "n_star": n_star, "escalations": esc_lo + esc_hi})
+        payload={"p": p, "n_star": n_star, "escalations": escalations})
 
 
 class CodimReport(NamedTuple):

@@ -114,16 +114,19 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "--digits" in lines[0]
 
-    @pytest.mark.parametrize("n, e", [
-        ("10000", "5000"),  # 4,771 digits: more than an int prints (4,300)
-        (str(10 ** 300), str(10 ** 300)),  # over the ball-volume budget
+    @pytest.mark.parametrize("n, e, cause", [
+        # 4,771 digits: more than an int prints (4,300)
+        ("10000", "5000", "more than 4300 digits, too many to print"),
+        # over the ball-volume budget
+        (str(10 ** 300), str(10 ** 300), "budget"),
     ], ids=["print-limit", "budget"])
-    def test_huge_ball_volume_exit_2(self, capsys, n, e):
+    def test_huge_ball_volume_exit_2(self, capsys, n, e, cause):
         code, out, err = run(capsys, "eval", "ball_volume", "--q", "3",
                              "--n", n, "--e", e, "--deterministic")
         assert (code, out) == (2, "")
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert cause in lines[0] and "--digits" not in lines[0]
 
     @pytest.mark.parametrize("function, flag, library", [
         ("entropy_d2", "--x", lambda: entropy_d2(2, 5e-324, 30)),  # overflow

@@ -15,6 +15,7 @@ from qbounds import (Classification, DomainError, PreconditionError,
                      envelope_check, f1_monotonicity_scan, johnson_radius,
                      paper_tables, threshold_F, threshold_F_array)
 import qbounds.precision
+from qbounds import geometry
 from qbounds.geometry import SUPPORTED_PRIMES, anchor_signs, primes_up_to
 from qbounds.qcore import _johnson_ceil
 
@@ -174,6 +175,40 @@ class TestTableDerivation:
         assert escalations >= 1
         if scan is f1_monotonicity_scan:
             assert escalations == 10
+
+
+def _block_scans(p):
+    signs, escalations = anchor_signs(p, 1000)
+    return {"derive_c_n0": derive_c_n0(p), "derive_N": derive_N(p),
+            "anchor_signs": (signs.tolist(), escalations),
+            "envelope_check": envelope_check(p, 16, 9000),
+            "envelope_fails": envelope_check(p, 16, 40)}
+
+
+class TestGuardedBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 64, geometry._BLOCK])
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_block_size_changes_nothing(self, monkeypatch, p, block):
+        # blocks of 7 and 64 split the ranges unevenly: this covers block
+        # edges, both walk directions and the n0/N scans' exits below the
+        # top block
+        expected = _block_scans(p)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        assert _block_scans(p) == expected
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_anchor_signs_match_scalar_comparisons(self, p):
+        signs, escalations = anchor_signs(p, 1000)
+        assert escalations == 0
+        assert signs.tolist() == [
+            1 if threshold_F(p, n) > baseline_rank(n) else -1
+            for n in range(16, 1001)]
+
+    def test_envelope_failure_names_the_top_of_the_range(self):
+        rep = envelope_check(3, 16, 40)  # n* = 63 for p = 3
+        assert not rep.passed and rep.instances_checked == 25
+        assert rep.counterexample == {"p": 3, "n": 40,
+                                      "F": threshold_F(3, 40)}
 
 
 class TestScans:
