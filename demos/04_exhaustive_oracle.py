@@ -8,13 +8,13 @@ the rate of every extremal code must sit below it.
 
 import math
 
-from qbounds import (BoundParams, eb_rate_bound, min_distance, serialize_code)
+from qbounds import BoundParams, eb_rate_bound, serialize_code
 from qbounds.oracle import max_code_size, pigeonhole_witness
 
 size, witness = max_code_size(3, 4, 3)
 print(f"A_3(4, 3) = {size}; an extremal code:")
 print(serialize_code(witness))
-assert min_distance(witness) == 3
+assert witness.min_distance() == 3
 
 print("small exact values vs the analytic rate bound:")
 print(f"{'(q,n,d)':>10}  {'A_q(n,d)':>8}  {'rate':>8}  {'bound':>8}")

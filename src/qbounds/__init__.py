@@ -19,8 +19,7 @@ _EXPORTS = {
     "errors": ("AmbiguousComparisonError", "DomainError", "PreconditionError",
                "QBoundsError", "ResourceBudgetError"),
     "qcore": ("entropy", "entropy_d1", "entropy_d2", "hamming_ball_volume",
-              "johnson_radius", "johnson_radius_d1", "log_binomial_estimate",
-              "stirling_bounds"),
+              "johnson_radius", "johnson_radius_d1", "stirling_bounds"),
     "eb_bounds": ("BoundParams", "BoundResult", "RankBoundResult",
                   "eb_rate_bound", "eb_rate_bound_continuous", "is_prime",
                   "rank_bound", "verify_rank_monotonicity"),
@@ -30,9 +29,8 @@ _EXPORTS = {
                  "derive_c_n0", "derive_N", "envelope_check",
                  "f1_monotonicity_scan", "paper_tables", "threshold_F",
                  "threshold_F_array"),
-    "oracle": ("Code", "eb_soundness_sweep", "hamming_distance",
-               "hamming_weight", "johnson_ball_check", "johnson_suite",
-               "make_code", "max_code_size", "min_distance", "parse_code",
+    "oracle": ("Code", "eb_soundness_sweep", "johnson_ball_check",
+               "johnson_suite", "make_code", "max_code_size", "parse_code",
                "pigeonhole_suite", "pigeonhole_witness", "random_code",
                "serialize_code"),
     "report": ("VerificationReport",),

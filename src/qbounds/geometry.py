@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .eb_bounds import is_prime, rank_bound
+from .eb_bounds import _rank_bound, is_prime, rank_bound
 from .errors import DomainError, PreconditionError
 from . import precision
 from .precision import escalation_digits, evaluate, strict_sign
@@ -340,6 +340,16 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
         payload={"p": p, "n_star": n_star, "escalations": escalations})
 
 
+def _exceeds(r: int, value, formula, digits) -> bool:
+    """r > value, ``value`` being ``formula(m)`` at ``digits``; within the
+    decision margin of it ``strict_sign`` re-decides r - formula(m).  r is
+    compared with floats, never converted, so any integer r works."""
+    margin = precision.DECISION_MARGIN
+    if not value - margin <= r <= value + margin:
+        return r > value
+    return strict_sign(lambda m: m.num(r) - formula(m), digits)[0] > 0
+
+
 class CodimReport(NamedTuple):
     p: int
     n: int
@@ -370,14 +380,18 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
     F = threshold_F(p, n, digits)
-    m = n // 2
-    rb14 = rank_bound(p, m, Fraction(1, 4), digits).r_upper
-    rb13 = rank_bound(p, m, Fraction(1, 3), digits).r_upper
+    half, quarter, third = n // 2, Fraction(1, 4), Fraction(1, 3)
+    rb14 = rank_bound(p, half, quarter, digits).r_upper
+    rb13 = rank_bound(p, half, third, digits).r_upper
     return CodimReport(
-        p=p, n=n, r=r, applicable=bool(r > F), F_value=F,
+        p=p, n=n, r=r, F_value=F,
+        applicable=_exceeds(r, F, lambda m: _threshold_F(m, p, n), digits),
         tau1_codim_cap=Fraction(n + 3, 4), tau2_codim_cap=Fraction(n + 1, 3),
         rank_bound_quarter=rb14, rank_bound_third=rb13,
-        exceeds_quarter=bool(r > rb14), exceeds_third=bool(r > rb13))
+        exceeds_quarter=_exceeds(
+            r, rb14, lambda m: _rank_bound(m, p, half, quarter).r_upper, digits),
+        exceeds_third=_exceeds(
+            r, rb13, lambda m: _rank_bound(m, p, half, third).r_upper, digits))
 
 
 class Classification(Enum):
@@ -427,7 +441,8 @@ def classify_rank(p: int, n: int, r: int, digits=None) -> ThresholdReport:
         cls = Classification.MAX_RANK_ONLY
     elif r >= base:
         cls = Classification.BASELINE
-    elif F is not None and r > F:
+    elif F is not None and _exceeds(r, F, lambda m: _threshold_F(m, p, n),
+                                    digits):
         cls = Classification.MAIN_THEOREM
     else:
         cls = Classification.NO_CONCLUSION

@@ -3,17 +3,18 @@ sizes A_q(n, d) by pruned exhaustive clique search, and exhaustive checks
 of the pigeonhole and Johnson ball-counting lemmas.
 
 Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
-q^n <= 10^6; larger instances raise ResourceBudgetError, as do searches
-that exceed their wall-clock cap.  numpy is imported only by the
-functions that build arrays.
+q^n <= ``SPACE_BUDGET`` = 10^6, and ``max_code_size`` takes at most
+``MAX_CANDIDATES`` = 8192 words of weight >= d; larger instances raise
+ResourceBudgetError, as do searches that exceed their wall-clock cap.
+numpy is imported only by the functions that build arrays.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
 the search's candidate filter and adjacency and the lemma checks' ball
 counts: per coordinate it compares a contiguous column of ``a`` with one
 of ``b`` (the long axis, innermost) into a reused boolean buffer, at most
 2^22 one-byte distances and as many booleans a block.  The lemma checks
-read each space from a small read-only cache; ``min_distance`` keeps its
-row loop, which stops at the first distance 1.
+read each space from a small read-only cache; ``Code.min_distance`` keeps
+its row loop, which stops at the first distance 1.
 """
 
 from __future__ import annotations
@@ -32,18 +33,7 @@ from .qcore import _check_delta, _johnson_ceil, hamming_ball_volume
 from .report import VerificationReport
 
 SPACE_BUDGET = 10 ** 6
-
-
-def hamming_weight(w) -> int:
-    """Number of nonzero symbols."""
-    return sum(1 for s in w if s != 0)
-
-
-def hamming_distance(a, b) -> int:
-    """Number of coordinates where two equal-length words differ."""
-    if len(a) != len(b):
-        raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
+MAX_CANDIDATES = 8192
 
 
 class _CodeFields(NamedTuple):
@@ -66,10 +56,6 @@ class Code(_CodeFields):
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def cached_min_distance(self) -> int | None:
-        return self._min_distance
-
     def min_distance(self) -> int:
         """Exact minimum pairwise Hamming distance; cached on the code."""
         if self.size < 2:
@@ -89,10 +75,7 @@ class Code(_CodeFields):
 
 
 def make_code(q: int, n: int, words) -> Code:
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_qnd(q, n, 1)
     normalized = sorted({tuple(map(int, w)) for w in words})
     for w in normalized:
         if len(w) != n:
@@ -113,11 +96,6 @@ def _words_array(code: Code) -> np.ndarray:
     import numpy as np
     return np.array(code.words, dtype=_symbol_dtype(code.q)).reshape(
         code.size, code.n)
-
-
-def min_distance(code: Code) -> int:
-    """Exact minimum pairwise Hamming distance; cached on the code."""
-    return code.min_distance()
 
 
 def all_words_array(q: int, n: int) -> np.ndarray:
@@ -221,8 +199,7 @@ def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
 
 
 def max_code_size(q: int, n: int, d: int, *,
-                  time_limit: float = 60.0,
-                  max_candidates: int = 8192) -> tuple[int, Code]:
+                  time_limit: float = 60.0) -> tuple[int, Code]:
     """Exact A_q(n, d) with an extremal witness.
 
     Symmetry: for d >= 2 some optimal code contains the all-zero word and
@@ -247,7 +224,7 @@ def max_code_size(q: int, n: int, d: int, *,
     Raises DomainError when ``time_limit`` is not > 0 (NaN included, as a
     NaN deadline never passes), and ResourceBudgetError when q^n exceeds
     the space budget, the words of weight >= d outnumber
-    ``max_candidates``, or the wall clock exceeds ``time_limit`` seconds.
+    ``MAX_CANDIDATES``, or the wall clock exceeds ``time_limit`` seconds.
     """
     _check_qnd(q, n, d)
     if not time_limit > 0:
@@ -266,9 +243,9 @@ def max_code_size(q: int, n: int, d: int, *,
     fixed[1, n - d:] = 1
     _, dist = next(_distance_blocks(fixed, space))  # 2 x q^n: one block
     heavy = int(np.count_nonzero(dist[0] >= d))
-    if heavy > max_candidates:
+    if heavy > MAX_CANDIDATES:
         raise ResourceBudgetError(
-            f"candidate set of {heavy} words exceeds cap {max_candidates}")
+            f"candidate set of {heavy} words exceeds cap {MAX_CANDIDATES}")
     cand = space[(dist >= d).all(axis=0)]  # lexicographic
     adj = _adjacency(cand, d, deadline)
     target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
@@ -356,7 +333,7 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
         return VerificationReport(suite="johnson-ball", instances_checked=1,
                                   passed=True,
                                   payload={"max_count": code.size})
-    d = min_distance(code)
+    d = code.min_distance()
     _check_delta(code.q, Fraction(d, code.n))
     if e >= _johnson_ceil(code.q, code.n, Fraction(d, code.n)):
         raise PreconditionError(
@@ -424,7 +401,7 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         n = rng.randint(3, n_max)
         size = rng.randint(2, min(q ** n, 30))
         code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
-        d = min_distance(code)
+        d = code.min_distance()
         if Fraction(d, n) > Fraction(q - 1, q):
             continue
         e = _johnson_ceil(q, n, Fraction(d, n)) - 1
@@ -482,7 +459,7 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
                 break
             sub_size = rng.randint(2, witness.size)
             sub = make_code(q, n, rng.sample(list(witness.words), sub_size))
-            d_sub = min_distance(sub)
+            d_sub = sub.min_distance()
             try:
                 sub_bound = eb_rate_bound(
                     BoundParams(q=q, n=n, d=d_sub)).rate_upper
@@ -508,7 +485,7 @@ def serialize_code(code: Code) -> str:
     """Line-oriented text format: header ``q n size d`` (d = 0 when the
     minimum distance is undefined), then one word per line as digits,
     separated by spaces when q > 10 (a symbol may take several digits)."""
-    d = min_distance(code) if code.size >= 2 else 0
+    d = code.min_distance() if code.size >= 2 else 0
     lines = [f"{code.q} {code.n} {code.size} {d}"]
     sep = " " if code.q > 10 else ""
     lines.extend(sep.join(map(str, w)) for w in code.words)
@@ -516,6 +493,7 @@ def serialize_code(code: Code) -> str:
 
 
 def parse_code(text: str) -> Code:
+    """Inverse of ``serialize_code``: the header must be the one it writes."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DomainError("empty code document")
@@ -533,8 +511,7 @@ def parse_code(text: str) -> Code:
     code = make_code(q, n, words)
     if code.size != size:
         raise DomainError("duplicate words in serialized code")
-    if code.size >= 2 and d > 0:
-        actual = min_distance(code)
-        if actual != d:
-            raise DomainError(f"header distance {d} != actual {actual}")
+    actual = code.min_distance() if code.size >= 2 else 0
+    if d != actual:
+        raise DomainError(f"header distance {d} != actual {actual}")
     return code

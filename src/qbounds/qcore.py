@@ -156,32 +156,10 @@ def stirling_bounds(k, digits=None):
 
     ln k! = k ln k - k + (1/2) ln(2 pi k) + theta_k with
     1/(12k+1) < theta_k < 1/(12k), so the returned (lower, upper) pair
-    always straddles the exact value.
+    always straddles the exact value, and ln C(n, e), 1 <= e < n, lies in
+    [lower(n) - upper(e) - upper(n-e), upper(n) - lower(e) - lower(n-e)].
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"stirling_bounds requires an integer k >= 1, got {k!r}")
     return evaluate(digits, _stirling_bounds, k)
 
-
-def _log_binomial_estimate(m, q, n, e):
-    lq = m.log(q)
-    value = (n * m.log(n) - e * m.log(e) - (n - e) * m.log(n - e)
-             + m.log(n / (2 * m.pi * e * (n - e))) / 2) / lq
-    cap = (m.one / (12 * n) + m.one / (12 * e) + m.one / (12 * (n - e))) / lq
-    return value, cap
-
-
-def log_binomial_estimate(q, n, e, digits=None):
-    """Stirling estimate of log_q C(n, e) with its residue cap.
-
-    Returns ``(value, delta_cap)`` where the exact log-binomial lies in
-    ``[value - delta_cap, value + delta_cap]`` and
-    ``delta_cap = (1/ln q)(1/(12n) + 1/(12e) + 1/(12(n-e)))``.
-    Requires 1 <= e <= n-1 (the estimate is undefined at the endpoints).
-    """
-    _check_q(q)
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"length must be an integer >= 2, got {n!r}")
-    if not isinstance(e, int) or not 1 <= e <= n - 1:
-        raise DomainError(f"log_binomial_estimate requires 1 <= e <= n-1, got e={e!r}")
-    return evaluate(digits, _log_binomial_estimate, q, n, e)

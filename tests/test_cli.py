@@ -495,6 +495,15 @@ class TestClassify:
         assert code == 0
         assert doc["results"]["classification"] == "NO_CONCLUSION"
 
+    def test_F_rounded_to_r_is_re_decided(self, capsys):
+        # F = 273222997.99999997 rounds to r in double precision
+        code, doc, _ = run_json(capsys, "classify", "--p", "3", "--n",
+                                "1004637445", "--r", "273222998",
+                                "--deterministic")
+        assert code == 0
+        assert doc["results"]["F_value"]["value"] == 273222998.0
+        assert doc["results"]["classification"] == "MAIN_THEOREM"
+
 
 # 10^320: an integer past the largest double
 _HUGE = str(10 ** 320)
@@ -697,10 +706,9 @@ _PUBLIC_NAMES = [
     "codim_guarantees", "constants", "derive_N", "derive_c_n0",
     "eb_rate_bound", "eb_rate_bound_continuous", "eb_soundness_sweep",
     "entropy", "entropy_d1", "entropy_d2", "envelope_check",
-    "f1_monotonicity_scan", "hamming_ball_volume", "hamming_distance",
-    "hamming_weight", "is_prime", "johnson_ball_check", "johnson_radius",
-    "johnson_radius_d1", "johnson_suite", "log_binomial_estimate",
-    "make_code", "max_code_size", "min_distance", "paper_tables",
+    "f1_monotonicity_scan", "hamming_ball_volume", "is_prime",
+    "johnson_ball_check", "johnson_radius", "johnson_radius_d1",
+    "johnson_suite", "make_code", "max_code_size", "paper_tables",
     "parse_code", "pigeonhole_suite", "pigeonhole_witness", "random_code",
     "rank_bound", "serialize_code", "stirling_bounds", "threshold_F",
     "threshold_F_array", "verify_rank_monotonicity",

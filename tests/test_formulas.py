@@ -14,8 +14,8 @@ from qbounds import (BoundParams, BoundResult, PreconditionError,
                      PrimeConstants, RankBoundResult, constants,
                      eb_rate_bound, eb_rate_bound_continuous, entropy,
                      entropy_d1, entropy_d2, johnson_radius,
-                     johnson_radius_d1, log_binomial_estimate, rank_bound,
-                     stirling_bounds, threshold_F, threshold_F_array)
+                     johnson_radius_d1, rank_bound, stirling_bounds,
+                     threshold_F, threshold_F_array)
 from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
 
 Q = st.integers(2, 11)
@@ -30,12 +30,6 @@ def _delta_args(draw, alphabet=Q, lo=0.0, hi=1.0, open_upper=False):
     delta = draw(st.floats(lo, hi)) * (q - 1) / q
     assume(not open_upper or delta < (q - 1) / q)
     return q, delta
-
-
-@st.composite
-def _log_binomial_args(draw):
-    q, n = draw(Q), draw(st.integers(2, 1000))
-    return q, n, draw(st.integers(1, n - 1))
 
 
 @st.composite
@@ -60,10 +54,9 @@ def _rank_args(draw):
     return p, draw(st.integers(16, 10 ** 5)), delta
 
 
-# Argument ranges keep clear of where float64 is ill-conditioned:
-# log_binomial_estimate's n log n differences cancel more as n grows, and
-# the continuous EB bound's 1/(J - 1/n) cancels as n J -> 1.  J_q
-# and J_q' cover their whole domain, up to delta = (q-1)/q.
+# Argument ranges keep clear of where float64 is ill-conditioned: the
+# continuous EB bound's 1/(J - 1/n) cancels as n J -> 1.  J_q and J_q'
+# cover their whole domain, up to delta = (q-1)/q.
 CASES = {
     "entropy": (entropy, st.tuples(Q, st.floats(0.0, 1.0))),
     "entropy_d1": (entropy_d1, st.tuples(Q, UNIT_OPEN)),
@@ -71,7 +64,6 @@ CASES = {
     "johnson_radius": (johnson_radius, _delta_args()),
     "johnson_radius_d1": (johnson_radius_d1, _delta_args(open_upper=True)),
     "stirling_bounds": (stirling_bounds, st.tuples(st.integers(1, 10 ** 6))),
-    "log_binomial_estimate": (log_binomial_estimate, _log_binomial_args()),
     "eb_rate_bound": (eb_rate_bound, _eb_args()),
     "eb_rate_bound_continuous": (eb_rate_bound_continuous,
                                  _eb_args(min_nJ=1.1)),

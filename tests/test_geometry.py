@@ -8,6 +8,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbounds import (Classification, DomainError, PreconditionError,
                      baseline_rank, classify_rank, codim_guarantees,
@@ -248,6 +250,8 @@ class TestCodimGuarantees:
         assert rep.tau1_codim_cap == Fraction(2003, 4)
         assert rep.tau2_codim_cap == Fraction(2001, 3)
         assert rep.exceeds_quarter and rep.exceeds_third
+        # an r past the largest double is compared, not converted
+        assert codim_guarantees(3, 2000, 10 ** 400).exceeds_third
 
     def test_strict_boundary(self):
         F = threshold_F(3, 2000)
@@ -293,6 +297,21 @@ class TestClassifyRank:
         assert rep.baseline == baseline_rank(2000)
         assert rep.max_rank == 1000
         assert rep.F_value == pytest.approx(threshold_F(3, 2000))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(p=st.sampled_from(SUPPORTED_PRIMES), n=st.integers(16, 10 ** 7),
+           offset=st.sampled_from((-1, 0, 1)))
+    def test_float_decisions_are_the_40_digit_ones(self, p, n, offset):
+        # up to n = 10^7 the float error of F (<= 7e-10) is below the
+        # decision margin, so a guarded double-precision decision of r > F
+        # is the exact one
+        r = round(threshold_F(p, n)) + offset
+        assert (classify_rank(p, n, r).classification
+                is classify_rank(p, n, r, digits=40).classification)
+        flags = [(rep.applicable, rep.exceeds_quarter, rep.exceeds_third)
+                 for rep in (codim_guarantees(p, n, r),
+                             codim_guarantees(p, n, r, digits=40))]
+        assert flags[0] == flags[1]
 
     def test_small_n_has_no_F(self):
         rep = classify_rank(3, 10, 5)

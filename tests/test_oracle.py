@@ -14,10 +14,10 @@ import pytest
 
 from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
                      eb_soundness_sweep, hamming_ball_volume,
-                     hamming_distance, hamming_weight, johnson_ball_check,
-                     johnson_suite, make_code, max_code_size, min_distance,
-                     parse_code, pigeonhole_suite, pigeonhole_witness,
-                     random_code, serialize_code)
+                     johnson_ball_check, johnson_suite, make_code,
+                     max_code_size, parse_code, pigeonhole_suite,
+                     pigeonhole_witness, random_code, serialize_code)
+from qbounds import oracle
 from qbounds.oracle import (Code, _distance_blocks, _lemma_space,
                             _symbol_dtype, all_words_array, upper_bound)
 
@@ -63,19 +63,27 @@ def _witness_ok(code, q, n, d, size):
                for i in range(size - 1))
 
 
+def _distance(a, b):
+    """Hamming distance of two words through the blocked kernel."""
+    (_, dist), = _distance_blocks(np.array([a]), np.array([b]))
+    return int(dist[0, 0])
+
+
 class TestWordOps:
     def test_weight(self):
-        assert hamming_weight((0, 0, 0)) == 0
-        assert hamming_weight((1, 2, 1, 2)) == 4
-        assert hamming_weight((1, 0, 2, 0)) == 2
+        # the weight of a word is its distance from the zero word
+        assert _distance((0, 0, 0), (0, 0, 0)) == 0
+        assert _distance((1, 2, 1, 2), (0, 0, 0, 0)) == 4
+        assert _distance((1, 0, 2, 0), (0, 0, 0, 0)) == 2
 
     def test_distance_basics(self):
-        assert hamming_distance((0, 1, 2), (0, 1, 2)) == 0
-        assert hamming_distance((0, 0, 0, 0), (1, 1, 1, 1)) == 4
+        assert _distance((0, 1, 2), (0, 1, 2)) == 0
+        assert _distance((0, 0, 0, 0), (1, 1, 1, 1)) == 4
 
     def test_distance_mismatch(self):
-        with pytest.raises(DomainError):
-            hamming_distance((0, 1), (0, 1, 2))
+        # words of another length never reach the kernel
+        with pytest.raises(DomainError, match="has length 2, expected 3"):
+            make_code(3, 3, [(0, 1, 2), (0, 1)])
 
     def test_metric_axioms_random(self):
         rng = random.Random(11)
@@ -84,11 +92,10 @@ class TestWordOps:
             n = rng.randint(1, 10)
             a, b, c = (tuple(rng.randrange(q) for _ in range(n))
                        for _ in range(3))
-            assert hamming_distance(a, b) >= 0
-            assert (hamming_distance(a, b) == 0) == (a == b)
-            assert hamming_distance(a, b) == hamming_distance(b, a)
-            assert (hamming_distance(a, c)
-                    <= hamming_distance(a, b) + hamming_distance(b, c))
+            assert _distance(a, b) >= 0
+            assert (_distance(a, b) == 0) == (a == b)
+            assert _distance(a, b) == _distance(b, a)
+            assert _distance(a, c) <= _distance(a, b) + _distance(b, c)
 
 
 class TestCode:
@@ -106,21 +113,25 @@ class TestCode:
     def test_min_distance_repetition(self):
         for q, n in ((2, 5), (3, 4)):
             code = make_code(q, n, [(s,) * n for s in range(q)])
-            assert min_distance(code) == n
+            assert code.min_distance() == n
 
     def test_min_distance_full_space(self):
         code = make_code(3, 2, itertools.product(range(3), repeat=2))
-        assert min_distance(code) == 1
+        assert code.min_distance() == 1
 
-    def test_min_distance_caches(self):
+    def test_min_distance_caches(self, monkeypatch):
         code = make_code(2, 4, [(0, 0, 0, 0), (1, 1, 1, 0)])
-        assert code.cached_min_distance is None
-        assert min_distance(code) == 3
-        assert code.cached_min_distance == 3
+        calls = []
+        words_array = oracle._words_array
+        monkeypatch.setattr(oracle, "_words_array",
+                            lambda c: calls.append(c) or words_array(c))
+        assert code.min_distance() == 3
+        assert code.min_distance() == 3
+        assert calls == [code]
 
     def test_min_distance_undefined(self):
         with pytest.raises(DomainError):
-            min_distance(make_code(2, 3, [(0, 0, 0)]))
+            make_code(2, 3, [(0, 0, 0)]).min_distance()
 
     def test_translation_invariance(self):
         rng = random.Random(12)
@@ -132,7 +143,7 @@ class TestCode:
             t = tuple(rng.randrange(q) for _ in range(n))
             shifted = make_code(q, n, [tuple((s + u) % q for s, u in zip(w, t))
                                        for w in code.words])
-            assert min_distance(code) == min_distance(shifted)
+            assert code.min_distance() == shifted.min_distance()
 
 
 class TestBeyondOneByteSymbols:
@@ -179,13 +190,13 @@ class TestMaxCodeSize:
         for q, n in ((2, 5), (3, 4), (5, 3)):
             size, witness = max_code_size(q, n, n)
             assert size == q
-            assert min_distance(witness) == n
+            assert witness.min_distance() == n
 
     def test_ternary_hamming_instance(self):
         size, witness = max_code_size(3, 4, 3)
         assert size == 9
         assert witness.size == 9
-        assert min_distance(witness) == 3
+        assert witness.min_distance() == 3
         assert (0, 0, 0, 0) in witness.words
 
     def test_known_binary_values(self):
@@ -225,19 +236,23 @@ class TestMaxCodeSize:
             max_code_size(3, 4, 3, time_limit=limit)
 
     def test_candidate_cap(self):
-        with pytest.raises(ResourceBudgetError):
-            max_code_size(2, 12, 2, max_candidates=100)
+        # 2^14 - 1 - 14 = 16,369 words of weight >= 2 in F_2^14
+        with pytest.raises(ResourceBudgetError,
+                           match=r"set of 16369 words exceeds cap 8192$"):
+            max_code_size(2, 14, 2)
 
-    def test_candidate_cap_counts_heavy_words(self):
+    def test_candidate_cap_counts_heavy_words(self, monkeypatch):
         # 163 words of weight >= 4 in F_2^8; fewer lie at distance >= 4
         # from w2 too, but the cap counts all 163
         heavy = sum(math.comb(8, w) for w in range(4, 9))
         assert heavy == 163
-        assert max_code_size(2, 8, 4, max_candidates=heavy)[0] == 16
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", heavy)
+        assert max_code_size(2, 8, 4)[0] == 16
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", heavy - 1)
         with pytest.raises(ResourceBudgetError,
                            match=rf"set of {heavy} words exceeds cap "
                                  rf"{heavy - 1}$"):
-            max_code_size(2, 8, 4, max_candidates=heavy - 1)
+            max_code_size(2, 8, 4)
 
     def test_leaves_the_lemma_space_cache_alone(self):
         before = _lemma_space.cache_info()
@@ -340,7 +355,7 @@ class TestJohnsonCheck:
         for _ in range(20):
             code = random_code(3, 5, rng.randint(2, 25),
                                seed=rng.randrange(2 ** 30))
-            d = min_distance(code)
+            d = code.min_distance()
             from qbounds import johnson_radius
             e = math.ceil(5 * johnson_radius(3, Fraction(d, 5))) - 1
             if e < 0:
@@ -408,7 +423,7 @@ class TestAgainstLoops:
                 assert rep.payload["max_count"] == best
                 assert rep.instances_checked == q ** n
         if size >= 2:
-            assert min_distance(code) == min(
+            assert code.min_distance() == min(
                 _loop_distance(a, b)
                 for a, b in itertools.combinations(code.words, 2))
 
@@ -558,7 +573,7 @@ class TestSoundnessSweep:
 class TestSerialization:
     def test_round_trip(self):
         code = random_code(3, 5, 12, seed=3)
-        min_distance(code)
+        code.min_distance()
         text = serialize_code(code)
         back = parse_code(text)
         assert back.words == code.words
@@ -590,6 +605,16 @@ class TestSerialization:
     def test_distance_mismatch_detected(self):
         with pytest.raises(DomainError):
             parse_code("2 3 2 3\n000\n100\n")
+
+    @pytest.mark.parametrize("text", ["2 3 2 0\n000\n111\n",
+                                      "2 3 2 -4\n000\n111\n",
+                                      "2 3 1 7\n000\n", "2 3 1 -1\n000\n"],
+                             ids=["zero", "negative", "singleton-positive",
+                                  "singleton-negative"])
+    def test_header_distance_must_be_the_written_one(self, text):
+        # serialize_code writes the minimum distance, or 0 when |C| < 2
+        with pytest.raises(DomainError, match="header distance"):
+            parse_code(text)
 
     @pytest.mark.parametrize("text", ["2 3 1 0\nab1\n", "11 2 1 0\n1 a\n",
                                       "11 2 1 0\n1,2\n"],

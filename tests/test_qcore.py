@@ -16,8 +16,7 @@ import pytest
 
 from qbounds import (DomainError, ResourceBudgetError, entropy, entropy_d1,
                      entropy_d2, hamming_ball_volume, johnson_radius,
-                     johnson_radius_d1, log_binomial_estimate,
-                     stirling_bounds)
+                     johnson_radius_d1, stirling_bounds)
 from qbounds.qcore import BALL_VOLUME_BITS, _johnson_ceil
 
 
@@ -252,30 +251,33 @@ class TestStirlingBounds:
             stirling_bounds(0)
 
 
+def _log_binomial_bracket(n, e, digits=None):
+    """Robbins bracket of ln C(n, e) from ``stirling_bounds``."""
+    lo_n, hi_n = stirling_bounds(n, digits)
+    lo_e, hi_e = stirling_bounds(e, digits)
+    lo_r, hi_r = stirling_bounds(n - e, digits)
+    return lo_n - hi_e - hi_r, hi_n - lo_e - lo_r
+
+
 class TestLogBinomialEstimate:
     def test_small_brackets_exact(self):
-        value, cap = log_binomial_estimate(3, 4, 2)
-        exact = math.log(math.comb(4, 2)) / math.log(3)
-        assert value - cap <= exact <= value + cap
-        value, cap = log_binomial_estimate(2, 10, 5)
-        exact = math.log(math.comb(10, 5)) / math.log(2)
-        assert value - cap <= exact <= value + cap
+        for n, e in ((4, 2), (10, 5)):
+            lo, hi = _log_binomial_bracket(n, e)
+            assert lo <= math.log(math.comb(n, e)) <= hi
 
     def test_cap_formula(self):
-        _, cap = log_binomial_estimate(5, 100, 25)
-        expected = (1 / 1200 + 1 / 300 + 1 / 900) / math.log(5)
-        assert cap == pytest.approx(expected, rel=1e-14)
+        # the width is the sum over k = n, e, n - e of 1/(12k) - 1/(12k+1)
+        lo, hi = _log_binomial_bracket(100, 25, digits=50)
+        width = sum(Fraction(1, 12 * k) - Fraction(1, 12 * k + 1)
+                    for k in (100, 25, 75))
+        assert float(hi - lo) == pytest.approx(float(width), rel=1e-14)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_bracket_sweep(self, q):
+        # the bracket of log_q C(n, e)
+        lq = math.log(q)
         for n in range(2, 61):
             for e in range(1, n):
-                value, cap = log_binomial_estimate(q, n, e)
-                exact = math.log(math.comb(n, e)) / math.log(q)
-                assert value - cap <= exact <= value + cap
-
-    def test_endpoints_rejected(self):
-        with pytest.raises(DomainError):
-            log_binomial_estimate(3, 10, 0)
-        with pytest.raises(DomainError):
-            log_binomial_estimate(3, 10, 10)
+                lo, hi = _log_binomial_bracket(n, e)
+                exact = math.log(math.comb(n, e)) / lq
+                assert lo / lq <= exact <= hi / lq
