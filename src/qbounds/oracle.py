@@ -10,11 +10,12 @@ numpy is imported only by the functions that build arrays.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
 the search's candidate filter and adjacency and the lemma checks' ball
-counts: per coordinate it compares a contiguous column of ``a`` with one
-of ``b`` (the long axis, innermost) into a reused boolean buffer, at most
-2^22 one-byte distances and as many booleans a block.  The lemma checks
-read each space from a small read-only cache; ``Code.min_distance`` keeps
-its row loop, which stops at the first distance 1.
+counts at radii 0 < e < n: per coordinate it compares a contiguous column
+of ``a`` with one of ``b`` (the long axis, innermost) into a reused boolean
+buffer, at most 2^22 one-byte distances and as many booleans a block.  The
+lemma checks decide radii 0 and n in closed form, computing no distance,
+and read each space from a small read-only cache; ``Code.min_distance``
+keeps its row loop, which stops at the first distance 1.
 """
 
 from __future__ import annotations
@@ -307,10 +308,16 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     """The center y maximizing |C /\\ B(y, e)| and its count.
 
     The count always meets the averaging bound |C| Vol_q(0, e) / q^n;
-    ties are broken toward the lexicographically smallest center.
+    ties are broken toward the lexicographically smallest center.  Radii
+    0 and n, and the empty code, are decided in closed form; every other
+    radius counts each ball through the distance kernel.
     """
-    if not 0 <= e <= code.n:
-        raise DomainError(f"radius must satisfy 0 <= e <= n, got {e!r}")
+    if not isinstance(e, int) or not 0 <= e <= code.n:
+        raise DomainError(f"radius must satisfy 0 <= e <= n, got e={e!r}")
+    if e == code.n or not code.words:
+        return (0,) * code.n, code.size  # B(y, n) is the whole space
+    if e == 0:
+        return code.words[0], 1  # B(y, 0) = {y}; the words are sorted
     import numpy as np
     space = _lemma_space(code.q, code.n)
     counts = np.zeros(len(space), dtype=np.int64)
@@ -330,9 +337,9 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
     over all q^n centers, for e/n < J_q(d/n)."""
     if code.size < 2:
         # every ball holds at most the one word; the cap is vacuous
+        _, count = pigeonhole_witness(code, e)  # also checks the radius
         return VerificationReport(suite="johnson-ball", instances_checked=1,
-                                  passed=True,
-                                  payload={"max_count": code.size})
+                                  passed=True, payload={"max_count": count})
     d = code.min_distance()
     _check_delta(code.q, Fraction(d, code.n))
     if e >= _johnson_ceil(code.q, code.n, Fraction(d, code.n)):
@@ -367,9 +374,11 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                      seed: int = 0) -> VerificationReport:
     """Lemma check: for seeded random codes, the best-center count from an
-    exhaustive scan meets the exact rational averaging bound."""
+    exhaustive scan meets the exact rational averaging bound.  The payload
+    counts the checks at a degenerate radius, e in {0, n}."""
     rng = random.Random(seed)
     checked = 0
+    degenerate = 0
     for t in range(trials):
         q = q_set[t % len(q_set)]
         n = rng.randint(2, n_max)
@@ -378,22 +387,27 @@ def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         e = rng.randint(0, n)
         _, count = pigeonhole_witness(code, e)
         checked += 1
+        degenerate += e in (0, n)
         if Fraction(count) < _pigeonhole_bound(code, e):
             return VerificationReport(
                 suite="pigeonhole", instances_checked=checked, passed=False,
                 counterexample={"code": serialize_code(code), "e": e,
                                 "count": count,
-                                "bound": str(_pigeonhole_bound(code, e))})
+                                "bound": str(_pigeonhole_bound(code, e))},
+                payload={"degenerate_radius": degenerate})
     return VerificationReport(suite="pigeonhole", instances_checked=checked,
-                              passed=True)
+                              passed=True,
+                              payload={"degenerate_radius": degenerate})
 
 
 def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Lemma check: the Johnson ball cap holds exhaustively for seeded
-    random codes at the decoding radius e = ceil(n J_q(d/n)) - 1."""
+    random codes at the decoding radius e = ceil(n J_q(d/n)) - 1.  The
+    payload counts the checks at the degenerate radius e = 0."""
     rng = random.Random(seed)
     checked = 0
+    degenerate = 0
     attempts = 0
     while checked < trials and attempts < 50 * trials:
         attempts += 1
@@ -407,12 +421,15 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         e = _johnson_ceil(q, n, Fraction(d, n)) - 1
         rep = johnson_ball_check(code, e)
         checked += 1
+        degenerate += e == 0
         if not rep.passed:
             return VerificationReport(
                 suite="johnson", instances_checked=checked, passed=False,
-                counterexample=rep.counterexample)
+                counterexample=rep.counterexample,
+                payload={"degenerate_radius": degenerate})
     return VerificationReport(suite="johnson", instances_checked=checked,
-                              passed=True)
+                              passed=True,
+                              payload={"degenerate_radius": degenerate})
 
 
 def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,

@@ -328,6 +328,14 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("suite", ["pigeonhole", "johnson"])
+    def test_lemma_suites_count_degenerate_radii(self, capsys, suite):
+        code, doc, _ = run_json(capsys, "verify", "--suite", suite,
+                                "--deterministic")
+        assert code == 0
+        rep, = doc["results"]["reports"]
+        assert 0 < rep["payload"]["degenerate_radius"] < 200
+
     def test_f1_suite(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--suite", "f1",
                                 "--deterministic")

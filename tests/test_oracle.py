@@ -165,6 +165,9 @@ class TestBeyondOneByteSymbols:
     def test_pigeonhole_witness(self):
         assert pigeonhole_witness(make_code(300, 2, [(256, 0)]), 0) == \
             ((256, 0), 1)
+        # e = 1 goes through the distance kernel, on uint16 symbols
+        code = make_code(300, 2, [(256, 0), (256, 5), (3, 5)])
+        assert pigeonhole_witness(code, 1) == ((256, 5), 3)
 
     def test_candidate_count(self):
         # the words of weight 2 over 300 symbols: 299^2
@@ -331,10 +334,27 @@ class TestPigeonhole:
             bound = Fraction(code.size * hamming_ball_volume(3, 5, e), 3 ** 5)
             assert Fraction(count) >= bound
 
-    def test_suite(self):
+    @pytest.mark.parametrize("e", range(4))
+    def test_empty_code(self, e):
+        assert pigeonhole_witness(make_code(2, 3, []), e) == ((0, 0, 0), 0)
+
+    def test_non_integer_radius(self):
+        code = random_code(3, 4, 10, seed=1)
+        for e in (1.5, 1.0, Fraction(1), None):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"got e={e!r}")):
+                pigeonhole_witness(code, e)
+
+    def test_suite(self, monkeypatch):
+        degenerate = []
+        witness = oracle.pigeonhole_witness
+        monkeypatch.setattr(oracle, "pigeonhole_witness", lambda code, e: (
+            degenerate.append(e in (0, code.n)) or witness(code, e)))
         rep = pigeonhole_suite(trials=60, seed=5)
         assert rep.passed
-        assert rep.instances_checked == 60
+        assert rep.instances_checked == len(degenerate) == 60
+        assert rep.payload == {"degenerate_radius": sum(degenerate)}
+        assert 0 < sum(degenerate) < 60
 
     def test_space_is_cached_read_only(self):
         code = random_code(3, 5, 7, seed=4)
@@ -365,16 +385,31 @@ class TestJohnsonCheck:
     def test_singleton_trivially_passes(self):
         code = make_code(3, 4, [(0, 1, 2, 0)])
         assert johnson_ball_check(code, 2).passed
+        for e in (-1, 5, 0.5):
+            with pytest.raises(DomainError, match=re.escape(f"got e={e!r}")):
+                johnson_ball_check(code, e)
 
     def test_precondition(self):
         code = make_code(2, 6, [(0,) * 6, (1, 1, 1, 0, 0, 0)])
         with pytest.raises(PreconditionError):
             johnson_ball_check(code, 5)
 
-    def test_suite(self):
+    def test_non_integer_radius(self):
+        # e = 0.5 is below the Johnson radius ceil(6 J_2(1/2)) = 3
+        code = make_code(2, 6, [(0,) * 6, (1, 1, 1, 0, 0, 0)])
+        with pytest.raises(DomainError, match=re.escape("got e=0.5")):
+            johnson_ball_check(code, 0.5)
+
+    def test_suite(self, monkeypatch):
+        degenerate = []
+        witness = oracle.pigeonhole_witness
+        monkeypatch.setattr(oracle, "pigeonhole_witness", lambda code, e: (
+            degenerate.append(e == 0) or witness(code, e)))
         rep = johnson_suite(trials=60, seed=6)
         assert rep.passed
-        assert rep.instances_checked == 60
+        assert rep.instances_checked == len(degenerate) == 60
+        assert rep.payload == {"degenerate_radius": sum(degenerate)}
+        assert 0 < sum(degenerate) < 60
 
 
 def _loop_distance(a, b):
@@ -434,7 +469,7 @@ class TestAgainstLoops:
                  ).astype(np.uint8)
         dist = [(space != np.array(w, dtype=np.uint8)).sum(axis=1)
                 for w in code.words]
-        for e in (0, 8):
+        for e in (0, 1, 8):
             counts = sum((d <= e).astype(np.int64) for d in dist)
             idx = int(counts.argmax())
             assert pigeonhole_witness(code, e) == \
