@@ -5,17 +5,20 @@ of the pigeonhole and Johnson ball-counting lemmas.
 Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
 q^n <= ``SPACE_BUDGET`` = 10^6, and ``max_code_size`` takes at most
 ``MAX_CANDIDATES`` = 8192 words of weight >= d; larger instances raise
-ResourceBudgetError, as do searches that exceed their wall-clock cap.
-numpy is imported only by the functions that build arrays.
+ResourceBudgetError, as do searches that exceed their wall-clock cap;
+the space and candidate caps are checked before any array is built.  numpy
+is imported only by the functions that build arrays.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
-the search's candidate filter and adjacency and the lemma checks' ball
-counts at radii 0 < e < n: per coordinate it compares a contiguous column
-of ``a`` with one of ``b`` (the long axis, innermost) into a reused boolean
-buffer, at most 2^22 one-byte distances and as many booleans a block.  The
-lemma checks decide radii 0 and n in closed form, computing no distance,
-and read each space from a small read-only cache; ``Code.min_distance``
-keeps its row loop, which stops at the first distance 1.
+the search's candidate filter (on prefix and suffix halves, never on the
+whole space) and adjacency and the lemma checks' ball counts at radii
+0 < e < n: per coordinate it compares a contiguous column of ``a`` with
+one of ``b`` (the long axis, innermost) into a reused boolean buffer, at
+most 2^22 one-byte distances and as many booleans a block.  The lemma
+checks decide radii 0 and n in closed form, computing no distance, and
+cache each space of at most ``LEMMA_CACHE_WORDS`` words read-only;
+``Code.min_distance`` keeps its row loop, which stops at the first
+distance 1.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .report import VerificationReport
 
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
+LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
 
 
 class _CodeFields(NamedTuple):
@@ -99,12 +103,20 @@ def _words_array(code: Code) -> np.ndarray:
         code.size, code.n)
 
 
+def _space_size(q: int, n: int, budget: int = SPACE_BUDGET) -> int:
+    """q^n, or ResourceBudgetError naming q and n when it exceeds
+    ``budget``; as q^n >= 2^n, an n >= budget.bit_length() is over it and
+    no large power is formed."""
+    total = q ** n if n < budget.bit_length() else budget + 1
+    if total > budget:
+        raise ResourceBudgetError(f"q^n = {q}^{n} exceeds budget {budget}")
+    return total
+
+
 def all_words_array(q: int, n: int) -> np.ndarray:
     """All q^n words as a (q^n, n) array of ``_symbol_dtype(q)`` in
     lexicographic order."""
-    total = q ** n
-    if total > SPACE_BUDGET:
-        raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
+    total = _space_size(q, n)
     import numpy as np
     return np.indices((q,) * n, dtype=_symbol_dtype(q)).reshape(n, total).T
 
@@ -199,6 +211,28 @@ def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
     return adj
 
 
+def _candidates(q: int, n: int, d: int) -> np.ndarray:
+    """The words at distance >= d from both 0 and w2 = 0^(n-d) 1^d, in
+    lexicographic order.  A word's distance to either is the sum of its
+    prefix's (length k = n // 2) and its suffix's, so the kernel sees only
+    the q^k prefixes and q^(n-k) suffixes; the pairs are filtered 2^16 at
+    a time, and ``nonzero`` lists them row-major: lexicographic order."""
+    import numpy as np
+    k = n // 2
+    pre, suf = all_words_array(q, k), all_words_array(q, n - k)
+    fixed = np.zeros((2, n), dtype=pre.dtype)  # the words 0 and w2
+    fixed[1, n - d:] = 1
+    _, dpre = next(_distance_blocks(fixed[:, :k], pre))  # 2 rows: one block
+    _, dsuf = next(_distance_blocks(fixed[:, k:], suf))
+    rows = max(1, (1 << 16) // len(suf))
+    parts = []
+    for lo in range(0, len(pre), rows):
+        ok = (dpre[:, lo:lo + rows, None] + dsuf[:, None] >= d).all(axis=0)
+        i, j = ok.nonzero()
+        parts.append(np.concatenate((pre[lo + i], suf[j]), axis=1))
+    return np.concatenate(parts)
+
+
 def max_code_size(q: int, n: int, d: int, *,
                   time_limit: float = 60.0) -> tuple[int, Code]:
     """Exact A_q(n, d) with an extremal witness.
@@ -213,7 +247,8 @@ def max_code_size(q: int, n: int, d: int, *,
     permuting coordinates and, in each coordinate, the symbols with 0
     fixed, maps the pair to (0, w2); all three are isometries.  The
     remaining words are a maximum clique among the candidates, the words
-    at distance >= d from both 0 and w2, in the distance->=d graph.
+    at distance >= d from both 0 and w2, in the distance->=d graph; built
+    from word halves, they take memory in proportion to q^ceil(n/2).
 
     Search: the incumbent is seeded with the greedy clique taken in
     candidate (lexicographic) order; a depth-first search on an explicit
@@ -224,30 +259,23 @@ def max_code_size(q: int, n: int, d: int, *,
 
     Raises DomainError when ``time_limit`` is not > 0 (NaN included, as a
     NaN deadline never passes), and ResourceBudgetError when q^n exceeds
-    the space budget, the words of weight >= d outnumber
-    ``MAX_CANDIDATES``, or the wall clock exceeds ``time_limit`` seconds.
+    the space budget, the q^n - V_q(n, d - 1) words of weight >= d
+    outnumber ``MAX_CANDIDATES``, or the wall clock exceeds ``time_limit``.
     """
     _check_qnd(q, n, d)
     if not time_limit > 0:
         raise DomainError(f"time_limit must be > 0 seconds, got {time_limit!r}")
-    total = q ** n
-    if total > SPACE_BUDGET:
-        raise ResourceBudgetError(f"q^n = {total} exceeds budget {SPACE_BUDGET}")
+    total = _space_size(q, n)
     if d == 1:
         # distinct words always have distance >= 1: the whole space works
         return total, Code(q, n, tuple(itertools.product(range(q), repeat=n)))
 
-    import numpy as np
-    deadline = time.monotonic() + time_limit
-    space = all_words_array(q, n)
-    fixed = np.zeros((2, n), dtype=space.dtype)  # the words 0 and w2
-    fixed[1, n - d:] = 1
-    _, dist = next(_distance_blocks(fixed, space))  # 2 x q^n: one block
-    heavy = int(np.count_nonzero(dist[0] >= d))
+    heavy = total - hamming_ball_volume(q, n, d - 1)  # words of weight >= d
     if heavy > MAX_CANDIDATES:
         raise ResourceBudgetError(
             f"candidate set of {heavy} words exceeds cap {MAX_CANDIDATES}")
-    cand = space[(dist >= d).all(axis=0)]  # lexicographic
+    deadline = time.monotonic() + time_limit
+    cand = _candidates(q, n, d)
     adj = _adjacency(cand, d, deadline)
     target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
 
@@ -289,7 +317,7 @@ def max_code_size(q: int, n: int, d: int, *,
             if best_size == target:
                 break
 
-    witness_words = [(0,) * n, tuple(int(s) for s in fixed[1])] + [
+    witness_words = [(0,) * n, (0,) * (n - d) + (1,) * d] + [
         tuple(int(s) for s in cand[v]) for v in best_clique]
     return best_size + 2, make_code(q, n, witness_words)
 
@@ -319,7 +347,8 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     if e == 0:
         return code.words[0], 1  # B(y, 0) = {y}; the words are sorted
     import numpy as np
-    space = _lemma_space(code.q, code.n)
+    space = (_lemma_space if _space_size(code.q, code.n) <= LEMMA_CACHE_WORDS
+             else all_words_array)(code.q, code.n)
     counts = np.zeros(len(space), dtype=np.int64)
     for _, dist in _distance_blocks(_words_array(code), space):
         counts += np.count_nonzero(dist <= e, axis=0)
@@ -359,12 +388,12 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
 def random_code(q: int, n: int, size: int, seed: int) -> Code:
     """Deterministic random code of distinct words (fixed seed, fixed code)."""
     _check_qnd(q, n, 1)
-    total = q ** n
+    total = _space_size(q, n, budget=2 ** 63 - 1)  # sample() needs < 2^63
     if size > total:
         raise DomainError(f"size {size} exceeds q^n = {total}")
     import numpy as np
-    # sample() needs total < 2^63, so int64 holds every index and power;
-    # sorted distinct indices decode to distinct words in lexicographic order
+    # int64 holds every index and power; sorted distinct indices decode to
+    # distinct words in lexicographic order
     idxs = sorted(random.Random(seed).sample(range(total), size))
     words = np.array(idxs, dtype=np.int64)[:, None] // q ** np.arange(
         n - 1, -1, -1, dtype=np.int64) % q

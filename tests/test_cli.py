@@ -445,6 +445,16 @@ class TestOracle:
                            "--d", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["10000", "30000000"])
+    def test_huge_space_exit_2(self, capsys, n):
+        # 3^10000 has too many digits for str(); 3^(3 10^7) took seconds
+        start = time.monotonic()
+        code, out, err = run(capsys, "oracle", "--q", "3", "--n", n,
+                             "--d", "3")
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: q^n = 3^{n} exceeds budget 1000000\n"
+
     def test_nan_time_limit_exit_2(self):
         # a NaN deadline never passes, so the search would never stop; a
         # fresh process with a timeout turns such a hang into a failure

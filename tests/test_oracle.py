@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
                      max_code_size, parse_code, pigeonhole_suite,
                      pigeonhole_witness, random_code, serialize_code)
 from qbounds import oracle
-from qbounds.oracle import (Code, _distance_blocks, _lemma_space,
+from qbounds.oracle import (Code, _candidates, _distance_blocks, _lemma_space,
                             _symbol_dtype, all_words_array, upper_bound)
 
 # A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
@@ -228,6 +229,16 @@ class TestMaxCodeSize:
         with pytest.raises(ResourceBudgetError):
             max_code_size(5, 10, 3)
 
+    @pytest.mark.parametrize("build", [
+        lambda q, n: max_code_size(q, n, 3), all_words_array],
+        ids=["max_code_size", "all_words_array"])
+    @pytest.mark.parametrize("q, n", [(5, 10), (3, 10 ** 4), (3, 3 * 10 ** 7)])
+    def test_space_budget_names_q_and_n(self, build, q, n):
+        # 3^10000 has too many digits for str(); 3^(3 10^7) took seconds
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"^q\^n = {q}\^{n} exceeds budget 1000000$"):
+            build(q, n)
+
     def test_time_budget(self):
         with pytest.raises(ResourceBudgetError):
             max_code_size(2, 12, 3, time_limit=0.01)
@@ -256,6 +267,27 @@ class TestMaxCodeSize:
                            match=rf"set of {heavy} words exceeds cap "
                                  rf"{heavy - 1}$"):
             max_code_size(2, 8, 4)
+
+    def test_cap_rejection_builds_no_words(self, monkeypatch):
+        # 2^19 - V_2(19, 2) = 524,097 words of weight >= 3: the count is
+        # closed-form, so no word array exists when the cap rejects it
+        def no_words(q, n):
+            raise AssertionError(f"all_words_array({q}, {n}) was called")
+        monkeypatch.setattr(oracle, "all_words_array", no_words)
+        with pytest.raises(ResourceBudgetError,
+                           match=r"set of 524097 words exceeds cap 8192$"):
+            max_code_size(2, 19, 3)
+
+    def test_memory_follows_the_candidates(self):
+        # 2^19 words would take 10 MB; the two halves take 2^9 and 2^10
+        max_code_size(2, 19, 15)  # numpy and its caches are loaded
+        tracemalloc.start()
+        try:
+            assert max_code_size(2, 19, 15)[0] == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_leaves_the_lemma_space_cache_alone(self):
         before = _lemma_space.cache_info()
@@ -289,6 +321,26 @@ class TestMaxCodeSize:
         finally:
             sys.setrecursionlimit(old_limit)
         assert size == 243
+
+
+def test_candidates_match_the_full_space_filter():
+    # every (q, n, d) with q^n <= 2^14 and 2 <= d <= n: n = 2, odd n and
+    # d > n / 2 included; same words, same lexicographic order, same dtype
+    checked = 0
+    for q in range(2, 129):
+        for n in range(2, 15):
+            if q ** n > 2 ** 14:
+                break
+            space = all_words_array(q, n)
+            weight = (space != 0).sum(axis=1)
+            for d in range(2, n + 1):
+                w2 = np.array([0] * (n - d) + [1] * d)
+                keep = (weight >= d) & ((space != w2).sum(axis=1) >= d)
+                got = _candidates(q, n, d)
+                assert got.dtype == space.dtype, (q, n, d)
+                assert np.array_equal(got, space[keep]), (q, n, d)
+                checked += 1
+    assert checked == 340
 
 
 class TestUpperBound:
@@ -355,6 +407,15 @@ class TestPigeonhole:
         assert rep.instances_checked == len(degenerate) == 60
         assert rep.payload == {"degenerate_radius": sum(degenerate)}
         assert 0 < sum(degenerate) < 60
+
+    def test_caches_only_small_spaces(self):
+        # 2^16 words are cached; 2^17 are built for the call and let go
+        _lemma_space.cache_clear()
+        pigeonhole_witness(random_code(2, 16, 5, seed=1), 1)
+        assert _lemma_space.cache_info().currsize == 1
+        pigeonhole_witness(random_code(2, 17, 5, seed=1), 1)
+        info = _lemma_space.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
 
     def test_space_is_cached_read_only(self):
         code = random_code(3, 5, 7, seed=4)
@@ -572,6 +633,12 @@ class TestRandomCode:
     def test_size_cap(self):
         with pytest.raises(DomainError):
             random_code(2, 3, 9, seed=0)
+
+    @pytest.mark.parametrize("q, n", [(2, 63), (3, 40), (2, 20000)])
+    def test_space_beyond_the_sample_range(self, q, n):
+        # random.sample takes a range of at most 2^63 - 1 indices
+        with pytest.raises(ResourceBudgetError, match=rf"^q\^n = {q}\^{n} "):
+            random_code(q, n, 3, seed=0)
 
     @pytest.mark.parametrize("q, n", [(2, 1), (2, 9), (2, 62), (3, 7),
                                       (5, 26), (7, 22), (300, 2), (1000, 6)])
