@@ -11,13 +11,16 @@ is imported only by the functions that build arrays.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
 the search's candidate filter (on prefix and suffix halves, never on the
-whole space) and adjacency and the lemma checks' ball counts at radii
-0 < e < n: per coordinate it compares a contiguous column of ``a`` with
-one of ``b`` (the long axis, innermost) into a reused boolean buffer, at
-most 2^22 one-byte distances and as many booleans a block.  The lemma
-checks decide radii 0 and n in closed form, computing no distance, and
-cache each space of at most ``LEMMA_CACHE_WORDS`` words read-only;
-``Code.min_distance`` keeps its row loop, which stops at the first
+whole space), adjacency, ``Code.min_distance`` and the lemma checks' ball
+counts at radii 0 < e < n: a block is one broadcast comparison of the
+contiguous columns of a few rows of ``a`` with those of ``b`` (the long
+axis, innermost), summed over the coordinates into distances of one byte
+while n < 256, at most ``BLOCK_PAIRS`` = 2^20 symbol pairs a block.  A
+code keeps its words as a read-only symbol array, built once
+(``random_code`` stores the one it decodes), so no check rebuilds it.
+The lemma checks decide radii 0 and n in closed form, computing no
+distance, and cache each space of at most ``LEMMA_CACHE_WORDS`` words
+read-only; ``Code.min_distance`` stops at the first block that holds a
 distance 1.
 """
 
@@ -39,6 +42,7 @@ from .report import VerificationReport
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
 LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
+BLOCK_PAIRS = 1 << 20  # symbol pairs compared by one distance block
 
 
 class _CodeFields(NamedTuple):
@@ -50,12 +54,14 @@ class _CodeFields(NamedTuple):
 class Code(_CodeFields):
     """An explicit set of length-n words over a q-letter alphabet.
 
-    Words are stored sorted and deduplicated; the minimum distance is
-    computed once, by ``min_distance``, and cached on the code outside its
-    fields, so equality and ``repr`` ignore it.
+    Words are stored sorted and deduplicated.  The minimum distance and
+    the words as a read-only symbol array are computed once, by
+    ``min_distance`` and ``_words_array``, and cached on the code outside
+    its fields, so equality, ``repr`` and ``_replace`` ignore them.
     """
 
     _min_distance: int | None = None
+    _array: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -69,10 +75,12 @@ class Code(_CodeFields):
             # Singleton bound |C| <= q^(n-d+1): a larger code has distance 1
             best = 1 if self.size > self.q ** (self.n - 1) else self.n
             if best > 1:
+                import numpy as np
                 arr = _words_array(self)
-                for i in range(self.size - 1):
-                    d = int((arr[i + 1:] != arr[i]).sum(axis=1).min())
-                    best = min(best, d)
+                for lo, dist in _distance_blocks(arr, arr):
+                    # a word's distance to itself, D[i, lo + i], is no pair
+                    np.fill_diagonal(dist[:, lo:], self.n)
+                    best = min(best, int(dist.min()))
                     if best == 1:
                         break
             self._min_distance = best
@@ -98,9 +106,14 @@ def _symbol_dtype(q: int):
 
 
 def _words_array(code: Code) -> np.ndarray:
-    import numpy as np
-    return np.array(code.words, dtype=_symbol_dtype(code.q)).reshape(
-        code.size, code.n)
+    """The words as a read-only (size, n) array of ``_symbol_dtype(q)``,
+    built once and cached on the code."""
+    if code._array is None:
+        import numpy as np
+        code._array = np.array(code.words, dtype=_symbol_dtype(code.q)
+                               ).reshape(code.size, code.n)
+        code._array.flags.writeable = False
+    return code._array
 
 
 def _space_size(q: int, n: int, budget: int = SPACE_BUDGET) -> int:
@@ -123,20 +136,22 @@ def all_words_array(q: int, n: int) -> np.ndarray:
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(lo, D)`` over blocks of rows of ``a``: ``D[i, j]`` is the
-    Hamming distance of ``a[lo + i]`` and ``b[j]``, <= 2^22 entries a block.
-    Pass the longer operand as ``b``: its axis is the innermost."""
+    Hamming distance of ``a[lo + i]`` and ``b[j]``, in the narrowest
+    unsigned type that holds n (uint8 while n < 256).  A block is one
+    broadcast comparison of the columns of its rows with those of ``b``,
+    at most ``BLOCK_PAIRS`` symbol pairs (one row at least), summed over
+    the coordinates.  Pass the longer operand as ``b``: its axis is the
+    innermost."""
     import numpy as np
-    rows = max(1, (1 << 22) // max(len(b), 1))
+    rows = max(1, min(len(a), BLOCK_PAIRS // max(b.size, 1)))
+    dtype = np.min_scalar_type(a.shape[1])
     a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    ne = np.empty((min(rows, len(a)), len(b)), dtype=bool)
+    # one boolean buffer serves every block; a fresh one per block was slower
+    ne = np.empty((len(a_cols), rows, len(b)), dtype=bool)
     for lo in range(0, len(a), rows):
-        block = a_cols[:, lo:lo + rows]
-        dist = np.zeros((block.shape[1], len(b)), dtype=np.uint8)
-        out = ne[:len(dist)]
-        for k in range(len(b_cols)):
-            np.not_equal(block[k][:, None], b_cols[k], out=out)
-            dist += out.view(np.uint8)
-        yield lo, dist
+        out = ne[:, :len(a) - lo]
+        np.not_equal(a_cols[:, lo:lo + rows, None], b_cols[:, None, :], out=out)
+        yield lo, out.view(np.uint8).sum(axis=0, dtype=dtype)
 
 
 # --- maximum code size via branch-and-bound clique search ----------------
@@ -222,8 +237,9 @@ def _candidates(q: int, n: int, d: int) -> np.ndarray:
     pre, suf = all_words_array(q, k), all_words_array(q, n - k)
     fixed = np.zeros((2, n), dtype=pre.dtype)  # the words 0 and w2
     fixed[1, n - d:] = 1
-    _, dpre = next(_distance_blocks(fixed[:, :k], pre))  # 2 rows: one block
-    _, dsuf = next(_distance_blocks(fixed[:, k:], suf))
+    dpre, dsuf = (
+        np.concatenate([dist for _, dist in _distance_blocks(part, half)])
+        for part, half in ((fixed[:, :k], pre), (fixed[:, k:], suf)))
     rows = max(1, (1 << 16) // len(suf))
     parts = []
     for lo in range(0, len(pre), rows):
@@ -351,14 +367,11 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
              else all_words_array)(code.q, code.n)
     counts = np.zeros(len(space), dtype=np.int64)
     for _, dist in _distance_blocks(_words_array(code), space):
-        counts += np.count_nonzero(dist <= e, axis=0)
+        # a block's counts fit the narrowest type that holds its row count
+        counts += (dist <= e).view(np.uint8).sum(
+            axis=0, dtype=np.min_scalar_type(len(dist)))
     idx = int(counts.argmax())  # argmax returns the first (lex-least) max
     return tuple(space[idx].tolist()), int(counts[idx])
-
-
-def _pigeonhole_bound(code: Code, e: int) -> Fraction:
-    return Fraction(code.size * hamming_ball_volume(code.q, code.n, e),
-                    code.q ** code.n)
 
 
 def johnson_ball_check(code: Code, e: int) -> VerificationReport:
@@ -370,8 +383,9 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
         return VerificationReport(suite="johnson-ball", instances_checked=1,
                                   passed=True, payload={"max_count": count})
     d = code.min_distance()
-    _check_delta(code.q, Fraction(d, code.n))
-    if e >= _johnson_ceil(code.q, code.n, Fraction(d, code.n)):
+    delta = Fraction(d, code.n)
+    _check_delta(code.q, delta)
+    if e >= _johnson_ceil(code.q, code.n, delta):
         raise PreconditionError(
             f"Johnson bound needs e/n < J_q(d/n); e={e}, n={code.n}, d={d}")
     center, count = pigeonhole_witness(code, e)
@@ -389,22 +403,39 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
     """Deterministic random code of distinct words (fixed seed, fixed code)."""
     _check_qnd(q, n, 1)
     total = _space_size(q, n, budget=2 ** 63 - 1)  # sample() needs < 2^63
-    if size > total:
-        raise DomainError(f"size {size} exceeds q^n = {total}")
+    if not isinstance(size, int) or not 0 <= size <= total:
+        raise DomainError(
+            f"size must satisfy 0 <= size <= q^n = {total}, got {size!r}")
     import numpy as np
     # int64 holds every index and power; sorted distinct indices decode to
     # distinct words in lexicographic order
     idxs = sorted(random.Random(seed).sample(range(total), size))
     words = np.array(idxs, dtype=np.int64)[:, None] // q ** np.arange(
         n - 1, -1, -1, dtype=np.int64) % q
-    return Code(q, n, tuple(map(tuple, words.tolist())))
+    code = Code(q, n, tuple(map(tuple, words.tolist())))
+    code._array = words.astype(_symbol_dtype(q))  # what _words_array builds
+    code._array.flags.writeable = False
+    return code
+
+
+def _check_suite_args(q_set, n_max: int, n_min: int, trials: int) -> None:
+    """A lemma suite draws an alphabet from ``q_set`` and a length in
+    [n_min, n_max], and passes only after at least one check."""
+    if not q_set:
+        raise DomainError("q_set must name at least one alphabet size")
+    if not isinstance(n_max, int) or n_max < n_min:
+        raise DomainError(f"n_max must be an integer >= {n_min}, got {n_max!r}")
+    if not isinstance(trials, int) or trials < 1:
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
 
 
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                      seed: int = 0) -> VerificationReport:
     """Lemma check: for seeded random codes, the best-center count from an
-    exhaustive scan meets the exact rational averaging bound.  The payload
-    counts the checks at a degenerate radius, e in {0, n}."""
+    exhaustive scan meets the averaging bound, decided in integers as
+    count q^n >= |C| V_q(n, e).  The payload counts the checks at a
+    degenerate radius, e in {0, n}."""
+    _check_suite_args(q_set, n_max, 2, trials)
     rng = random.Random(seed)
     checked = 0
     degenerate = 0
@@ -417,12 +448,13 @@ def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         _, count = pigeonhole_witness(code, e)
         checked += 1
         degenerate += e in (0, n)
-        if Fraction(count) < _pigeonhole_bound(code, e):
+        covered = code.size * hamming_ball_volume(q, n, e)
+        if count * q ** n < covered:
             return VerificationReport(
                 suite="pigeonhole", instances_checked=checked, passed=False,
                 counterexample={"code": serialize_code(code), "e": e,
                                 "count": count,
-                                "bound": str(_pigeonhole_bound(code, e))},
+                                "bound": str(Fraction(covered, q ** n))},
                 payload={"degenerate_radius": degenerate})
     return VerificationReport(suite="pigeonhole", instances_checked=checked,
                               passed=True,
@@ -432,8 +464,10 @@ def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
 def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Lemma check: the Johnson ball cap holds exhaustively for seeded
-    random codes at the decoding radius e = ceil(n J_q(d/n)) - 1.  The
-    payload counts the checks at the degenerate radius e = 0."""
+    random codes at the decoding radius e = ceil(n J_q(d/n)) - 1; a code
+    with d q > (q-1) n is drawn again.  The payload counts the checks at
+    the degenerate radius e = 0."""
+    _check_suite_args(q_set, n_max, 3, trials)
     rng = random.Random(seed)
     checked = 0
     degenerate = 0
@@ -445,7 +479,7 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
         size = rng.randint(2, min(q ** n, 30))
         code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
         d = code.min_distance()
-        if Fraction(d, n) > Fraction(q - 1, q):
+        if d * q > (q - 1) * n:
             continue
         e = _johnson_ceil(q, n, Fraction(d, n)) - 1
         rep = johnson_ball_check(code, e)

@@ -24,12 +24,14 @@ def _check_q(q):
 
 def _check_delta(q, delta, *, open_lower=False, open_upper=False):
     """Require delta in [0, (q-1)/q], with either end excluded on request;
-    a rational delta is compared exactly."""
-    top = Fraction(q - 1, q)
-    if not isinstance(delta, Rational):
-        top = float(top)
-    if not ((0 < delta if open_lower else 0 <= delta)
-            and (delta < top if open_upper else delta <= top)):
+    a rational delta = u/v is decided exactly, as u q against (q-1) v, any
+    other against the correctly rounded double (q-1)/q."""
+    if isinstance(delta, Rational):
+        x, top = delta.numerator * q, (q - 1) * delta.denominator
+    else:
+        x, top = delta, (q - 1) / q
+    if not ((0 < x if open_lower else 0 <= x)
+            and (x < top if open_upper else x <= top)):
         raise DomainError(
             f"relative distance must satisfy 0 {'<' if open_lower else '<='} "
             f"delta {'<' if open_upper else '<='} (q-1)/q, got {delta}")

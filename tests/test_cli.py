@@ -336,6 +336,15 @@ class TestVerify:
         rep, = doc["results"]["reports"]
         assert 0 < rep["payload"]["degenerate_radius"] < 200
 
+    @pytest.mark.parametrize("suite", ["pigeonhole", "johnson"])
+    def test_lemma_suites_match_the_golden_files(self, capsys, suite):
+        # the files hold the stdout of an earlier release, byte for byte
+        golden = Path(__file__).parent / "golden" / f"verify-{suite}-seed1.json"
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1",
+                           "--deterministic")
+        assert code == 0
+        assert out == golden.read_text()
+
     def test_f1_suite(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--suite", "f1",
                                 "--deterministic")

@@ -134,6 +134,25 @@ class TestCode:
         with pytest.raises(DomainError):
             make_code(2, 3, [(0, 0, 0)]).min_distance()
 
+    def test_min_distance_beyond_one_byte_lengths(self):
+        # distances of 256 and 300 symbols would wrap around in one byte
+        n = 300
+        code = make_code(2, n, [(0,) * n, (1,) * 256 + (0,) * 44, (1,) * n])
+        assert code.min_distance() == 44
+        assert make_code(2, n, code.words[::2]).min_distance() == 300
+        assert make_code(2, n, code.words[:2]).min_distance() == 256
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 8])
+    def test_min_distance_over_several_blocks(self, seed):
+        # 600 words of 12 symbols: 2^20 // 7,200 = 145 rows a block, five
+        # blocks; the closest pair starts in block 1, 3, 2 and 3 (0-based)
+        code = random_code(4, 12, 600, seed)
+        arr = np.array(code.words)
+        assert len(list(_distance_blocks(arr, arr))) == 5
+        assert code.min_distance() == min(
+            int((arr[i + 1:] != arr[i]).sum(axis=1).min())
+            for i in range(len(arr) - 1))
+
     def test_translation_invariance(self):
         rng = random.Random(12)
         for _ in range(30):
@@ -145,6 +164,41 @@ class TestCode:
             shifted = make_code(q, n, [tuple((s + u) % q for s, u in zip(w, t))
                                        for w in code.words])
             assert code.min_distance() == shifted.min_distance()
+
+
+class TestWordsArray:
+    @pytest.mark.parametrize("q, n, size, seed", [
+        (2, 5, 7, 0), (3, 4, 0, 1), (3, 7, 40, 2), (5, 6, 60, 7),
+        (300, 2, 40, 3)])
+    def test_random_code_keeps_its_array(self, q, n, size, seed):
+        code = random_code(q, n, size, seed)
+        arr = oracle._words_array(code)
+        assert arr is code._array is oracle._words_array(code)
+        assert arr.dtype == _symbol_dtype(q) and arr.shape == (size, n)
+        assert np.array_equal(arr, np.array(code.words).reshape(size, n))
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+    def test_first_call_fills_the_cache(self):
+        code = make_code(300, 2, [(299, 0), (1, 256)])
+        assert code._array is None
+        arr = oracle._words_array(code)
+        assert code._array is arr and not arr.flags.writeable
+        assert arr.dtype == np.uint16 and arr.tolist() == [[1, 256], [299, 0]]
+
+    def test_equality_ignores_the_cache(self):
+        drawn = random_code(3, 5, 12, seed=4)  # holds its array
+        built = make_code(3, 5, drawn.words)   # holds none
+        assert drawn._array is not None and built._array is None
+        for _ in range(2):
+            assert drawn == built and hash(drawn) == hash(built)
+            assert repr(drawn) == repr(built)
+            oracle._words_array(built)
+            drawn.min_distance()
+        again = drawn._replace()
+        assert again == drawn and again._array is None
+        assert again._min_distance is None
 
 
 class TestBeyondOneByteSymbols:
@@ -408,6 +462,27 @@ class TestPigeonhole:
         assert rep.payload == {"degenerate_radius": sum(degenerate)}
         assert 0 < sum(degenerate) < 60
 
+    @pytest.mark.parametrize("q, n", [(2, 8), (2, 9), (2, 10), (3, 5)])
+    def test_whole_space_counts(self, q, n):
+        # one block of 256 rows at (2, 8), several blocks of up to 227 rows
+        # at (2, 9) and (2, 10): every ball holds V_q(n, e) codewords
+        code = make_code(q, n, itertools.product(range(q), repeat=n))
+        for e in range(1, n):
+            assert pigeonhole_witness(code, e) == \
+                ((0,) * n, hamming_ball_volume(q, n, e))
+
+    def test_suite_reports_the_exact_bound(self, monkeypatch):
+        monkeypatch.setattr(oracle, "pigeonhole_witness",
+                            lambda code, e: ((0,) * code.n, 0))
+        rep = pigeonhole_suite(trials=5, seed=1)
+        assert not rep.passed and rep.instances_checked == 1
+        ce = rep.counterexample
+        code = parse_code(ce["code"])
+        assert ce["count"] == 0
+        assert Fraction(ce["bound"]) == Fraction(
+            code.size * hamming_ball_volume(code.q, code.n, ce["e"]),
+            code.q ** code.n)
+
     def test_caches_only_small_spaces(self):
         # 2^16 words are cached; 2^17 are built for the call and let go
         _lemma_space.cache_clear()
@@ -472,6 +547,35 @@ class TestJohnsonCheck:
         assert rep.payload == {"degenerate_radius": sum(degenerate)}
         assert 0 < sum(degenerate) < 60
 
+    def test_suite_checks_up_to_the_edge(self, monkeypatch):
+        # a code with d/n = (q-1)/q is checked; one beyond it is drawn again
+        deltas = []
+        check = oracle.johnson_ball_check
+        monkeypatch.setattr(oracle, "johnson_ball_check", lambda code, e: (
+            deltas.append((code.q, Fraction(code.min_distance(), code.n)))
+            or check(code, e)))
+        assert johnson_suite(trials=200, seed=0).passed
+        assert all(delta <= Fraction(q - 1, q) for q, delta in deltas)
+        assert any(delta == Fraction(q - 1, q) for q, delta in deltas)
+
+
+class TestSuiteArguments:
+    @pytest.mark.parametrize("suite, n_min", [(pigeonhole_suite, 2),
+                                              (johnson_suite, 3)])
+    def test_bad_arguments_raise_domain_error(self, suite, n_min):
+        for n_max in (n_min - 1, 0, 7.0, None):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"n_max must be an integer >= {n_min}, got {n_max!r}")):
+                suite(n_max=n_max)
+        with pytest.raises(DomainError, match="q_set"):
+            suite(q_set=())
+        for trials in (0, -3, 2.0):
+            # no check at all must not read as a pass
+            with pytest.raises(DomainError, match=re.escape(
+                    f"trials must be a positive integer, got {trials!r}")):
+                suite(trials=trials)
+        assert suite(n_max=n_min, trials=3).passed
+
 
 def _loop_distance(a, b):
     return sum(map(operator.ne, a, b))
@@ -524,7 +628,7 @@ class TestAgainstLoops:
                 for a, b in itertools.combinations(code.words, 2))
 
     def test_ball_counts_over_many_blocks(self):
-        # 33 code rows against 2^17 centers: blocks of 32 + 1 rows
+        # 33 code rows against 2^17 centers of 17 symbols: one row a block
         code = random_code(2, 17, 33, seed=8)
         space = (np.arange(2 ** 17)[:, None] >> np.arange(16, -1, -1) & 1
                  ).astype(np.uint8)
@@ -577,12 +681,12 @@ class TestDistanceKernel:
         assert _kernel_against_loop(a, b) == [6]
 
     def test_several_blocks(self):
-        # 2^22 // 70,000 = 59 rows a block
+        # 2^20 symbol pairs // (70,000 x 6) = 2 rows a block
         rng = random.Random(33)
         a = _random_words(rng, 4, 6, 70)
         b = all_words_array(4, 6)[np.random.default_rng(33).integers(
             0, 4 ** 6, size=70_000)]
-        assert _kernel_against_loop(a, b) == [59, 11]
+        assert _kernel_against_loop(a, b) == [2] * 35
 
     def test_beyond_one_byte_symbols(self):
         rng = random.Random(34)
@@ -633,6 +737,12 @@ class TestRandomCode:
     def test_size_cap(self):
         with pytest.raises(DomainError):
             random_code(2, 3, 9, seed=0)
+
+    @pytest.mark.parametrize("size", [-1, -9, 1.5, 2.0, None])
+    def test_bad_size(self, size):
+        with pytest.raises(DomainError, match=re.escape(
+                f"0 <= size <= q^n = 8, got {size!r}")):
+            random_code(2, 3, size, seed=0)
 
     @pytest.mark.parametrize("q, n", [(2, 63), (3, 40), (2, 20000)])
     def test_space_beyond_the_sample_range(self, q, n):

@@ -17,7 +17,7 @@ import pytest
 from qbounds import (DomainError, ResourceBudgetError, entropy, entropy_d1,
                      entropy_d2, hamming_ball_volume, johnson_radius,
                      johnson_radius_d1, stirling_bounds)
-from qbounds.qcore import BALL_VOLUME_BITS, _johnson_ceil
+from qbounds.qcore import BALL_VOLUME_BITS, _check_delta, _johnson_ceil
 
 
 class TestEntropy:
@@ -138,6 +138,31 @@ class TestJohnsonRadius:
             johnson_radius(3, 0.7)
         with pytest.raises(DomainError):
             johnson_radius_d1(3, Fraction(2, 3))  # derivative unbounded
+
+
+class TestCheckDelta:
+    @pytest.mark.parametrize("q", [2, 3, 5, 29])
+    def test_rational_ends_are_exact(self, q):
+        top, tiny = Fraction(q - 1, q), Fraction(1, 10 ** 40)
+        _check_delta(q, top)
+        _check_delta(q, top - tiny, open_upper=True)
+        _check_delta(q, tiny, open_lower=True)
+        _check_delta(q, 0)
+        for delta, kw in ((top, {"open_upper": True}), (top + tiny, {}),
+                          (top + tiny, {"open_upper": True}),
+                          (0, {"open_lower": True}), (-tiny, {}), (1, {})):
+            with pytest.raises(DomainError):
+                _check_delta(q, delta, **kw)
+
+    def test_float_end_is_the_rounded_double(self):
+        # the double nearest 4/5 lies above it, and is still accepted
+        top = (5 - 1) / 5
+        assert Fraction(top) > Fraction(4, 5)
+        _check_delta(5, top)
+        for delta, kw in ((top, {"open_upper": True}),
+                          (math.nextafter(top, 1), {})):
+            with pytest.raises(DomainError):
+                _check_delta(5, delta, **kw)
 
 
 class TestJohnsonCeil:
