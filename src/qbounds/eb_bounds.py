@@ -8,9 +8,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
-from .precision import evaluate
+from .precision import evaluate, strict_sign
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
+# The two relative distances of the small-codimension rank caps.
+_QUARTER, _THIRD = Fraction(1, 4), Fraction(1, 3)
 
 # Miller-Rabin to the first 13 prime bases: a composite verdict is a proof,
 # and a prime verdict is exact below the least strong pseudoprime to all of
@@ -202,12 +204,14 @@ def verify_rank_monotonicity(p: int, n: int) -> bool:
     """True iff rank_bound(p, n, 1/3) < rank_bound(p, n, 1/4).
 
     Holds for every prime p >= 3 and n >= 16; n below 16 is rejected
-    because the underlying derivative estimate needs it.
+    because the underlying derivative estimate needs it.  Both bounds are
+    in their domain there (16 J_p(1/4) > 1), and the difference is decided
+    by ``strict_sign``.
     """
     if not is_prime(p) or p < 3:
         raise DomainError(f"p must be a prime >= 3, got {p!r}")
     if not isinstance(n, int) or n < 16:
         raise PreconditionError(f"monotonicity statement requires n >= 16, got {n!r}")
-    third = rank_bound(p, n, Fraction(1, 3)).r_upper
-    quarter = rank_bound(p, n, Fraction(1, 4)).r_upper
-    return third < quarter
+    sign, _ = strict_sign(lambda m: _rank_bound(m, p, n, _QUARTER).r_upper
+                          - _rank_bound(m, p, n, _THIRD).r_upper)
+    return sign > 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .eb_bounds import _rank_bound, is_prime, rank_bound
+from .eb_bounds import _QUARTER, _THIRD, _rank_bound, is_prime
 from .errors import DomainError, PreconditionError
 from . import precision
 from .precision import escalation_digits, evaluate, strict_sign
@@ -340,6 +340,13 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
         payload={"p": p, "n_star": n_star, "escalations": escalations})
 
 
+def _codim_values(m, p, n):
+    """F(n, p) and the rank bounds at m = floor(n/2), delta = 1/4 and 1/3."""
+    half = n // 2
+    return (_threshold_F(m, p, n), _rank_bound(m, p, half, _QUARTER).r_upper,
+            _rank_bound(m, p, half, _THIRD).r_upper)
+
+
 def _exceeds(r: int, value, formula, digits) -> bool:
     """r > value, ``value`` being ``formula(m)`` at ``digits``; within the
     decision margin of it ``strict_sign`` re-decides r - formula(m).  r is
@@ -370,7 +377,9 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
 
     The contradiction driving both caps is the rank bound evaluated at
     m = floor(n/2) with delta = 1/4 and 1/3; a weight-w image vector
-    corresponds to a fixed-point set of codimension 2w.
+    corresponds to a fixed-point set of codimension 2w.  The three values
+    are one evaluation after this function's own checks: n >= 16 puts
+    them in their domains (m >= 8 and 8 J_p(1/4) > 8 * 2/15 > 1).
     """
     _check_odd_prime(p)
     if p > 29:
@@ -379,19 +388,17 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
         raise DomainError(f"n must be an integer >= 16, got {n!r}")
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
-    F = threshold_F(p, n, digits)
-    half, quarter, third = n // 2, Fraction(1, 4), Fraction(1, 3)
-    rb14 = rank_bound(p, half, quarter, digits).r_upper
-    rb13 = rank_bound(p, half, third, digits).r_upper
+    F, rb14, rb13 = evaluate(digits, _codim_values, p, n)
+    half = n // 2
     return CodimReport(
         p=p, n=n, r=r, F_value=F,
         applicable=_exceeds(r, F, lambda m: _threshold_F(m, p, n), digits),
         tau1_codim_cap=Fraction(n + 3, 4), tau2_codim_cap=Fraction(n + 1, 3),
         rank_bound_quarter=rb14, rank_bound_third=rb13,
         exceeds_quarter=_exceeds(
-            r, rb14, lambda m: _rank_bound(m, p, half, quarter).r_upper, digits),
+            r, rb14, lambda m: _rank_bound(m, p, half, _QUARTER).r_upper, digits),
         exceeds_third=_exceeds(
-            r, rb13, lambda m: _rank_bound(m, p, half, third).r_upper, digits))
+            r, rb13, lambda m: _rank_bound(m, p, half, _THIRD).r_upper, digits))
 
 
 class Classification(Enum):
@@ -429,12 +436,7 @@ def classify_rank(p: int, n: int, r: int, digits=None) -> ThresholdReport:
         raise DomainError(f"r must be a nonnegative integer, got {r!r}")
     max_rank = n // 2
     base = baseline_rank(n)
-    F = None
-    if n >= 16 and p <= 29:
-        try:
-            F = threshold_F(p, n, digits)
-        except PreconditionError:
-            F = None
+    F = evaluate(digits, _threshold_F, p, n) if n >= 16 and p <= 29 else None
     if r > max_rank:
         cls = Classification.IMPOSSIBLE
     elif r == max_rank:

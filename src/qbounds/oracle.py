@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 from .eb_bounds import BoundParams, eb_rate_bound
 from .errors import DomainError, PreconditionError, ResourceBudgetError
-from .qcore import _check_delta, _johnson_ceil, hamming_ball_volume
+from .qcore import (BALL_VOLUME_BITS, _check_delta, _johnson_ceil,
+                    hamming_ball_volume)
 from .report import VerificationReport
 
 SPACE_BUDGET = 10 ** 6
@@ -172,8 +173,15 @@ class UpperBound(NamedTuple):
 
 def upper_bound(q: int, n: int, d: int) -> UpperBound:
     """Proven A_q(n, d) <= min(q^(n-d+1), floor(q^n / V_q(n, floor((d-1)/2))))
-    (Singleton and sphere packing); a tie is credited to Singleton."""
+    (Singleton and sphere packing); a tie is credited to Singleton.  A q^n
+    that may exceed BALL_VOLUME_BITS bits, the ball volume's budget, is a
+    ResourceBudgetError, raised before either power is formed."""
     _check_qnd(q, n, d)
+    bits = n * (q - 1).bit_length() + 1
+    if bits > BALL_VOLUME_BITS:
+        raise ResourceBudgetError(
+            f"upper bound for A_{q}({n}, {d}): q^n may need {bits} bits, "
+            f"over the budget of {BALL_VOLUME_BITS}")
     singleton = q ** (n - d + 1)
     packing = q ** n // hamming_ball_volume(q, n, (d - 1) // 2)
     if singleton <= packing:
@@ -418,9 +426,11 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
     return code
 
 
-def _check_suite_args(q_set, n_max: int, n_min: int, trials: int) -> None:
-    """A lemma suite draws an alphabet from ``q_set`` and a length in
-    [n_min, n_max], and passes only after at least one check."""
+def _check_suite_args(q_set, n_max: int, n_min: int,
+                      trials: int = 1) -> None:
+    """A suite draws an alphabet from ``q_set`` and a length in
+    [n_min, n_max]; an empty set or range, or no trial, would pass with no
+    check."""
     if not q_set:
         raise DomainError("q_set must name at least one alphabet size")
     if not isinstance(n_max, int) or n_max < n_min:
@@ -505,6 +515,7 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
     their true minimum distance.  Instances whose search breaches its
     resource caps are skipped and counted.
     """
+    _check_suite_args(q_set, n_max, 2)
     rng = random.Random(seed)
     solved = 0
     skipped_pre = 0

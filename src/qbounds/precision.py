@@ -96,14 +96,15 @@ def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
     """Sign of the difference ``diff(m)``, a formula over the numeric
     context ``m``, escalating to high precision near zero.
 
-    ``diff(FLOAT)`` decides when |diff| >= DECISION_MARGIN; otherwise
+    ``diff(FLOAT)`` decides when |diff| >= DECISION_MARGIN (a value out of
+    a double's range is a DomainError, as in ``evaluate``); otherwise
     ``diff(MP)`` is re-evaluated at ``escalation_digits(digits)`` digits.
     Returns ``(sign, escalated)`` with sign in {-1, +1}.  Raises
     AmbiguousComparisonError if the high-precision difference is still
     below the square of the margin.
     """
     hi, margin = escalation_digits(digits), DECISION_MARGIN
-    d = diff(FLOAT)
+    d = evaluate(None, diff)
     if abs(d) >= margin:
         return (1 if d > 0 else -1), False
     import mpmath

@@ -127,24 +127,33 @@ def johnson_radius_d1(q, delta, digits=None):
 
 def hamming_ball_volume(q, n, e):
     """Exact number of words within Hamming distance e of a fixed word:
-    sum_{i=0}^{e} C(n, i) (q-1)^i, in arbitrary-size integers.  A volume
-    that may exceed BALL_VOLUME_BITS bits is a ResourceBudgetError."""
+    sum_{i=0}^{e} C(n, i) (q-1)^i, in arbitrary-size integers.  It sums the
+    shorter side of n/2: for 2e > n it is q^n minus the terms with i > e,
+    when q^n is within the budget.  A volume that may exceed
+    BALL_VOLUME_BITS bits is a ResourceBudgetError."""
     _check_q(q)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"length must be a nonnegative integer, got {n!r}")
     if not isinstance(e, int) or e < 0 or e > n:
         raise DomainError(f"radius must satisfy 0 <= e <= n, got e={e!r}")
     # the volume is at most q^n and at most (e+1) (n(q-1))^e
-    bits = min(n * (q - 1).bit_length() + 1,
+    space_bits = n * (q - 1).bit_length() + 1
+    bits = min(space_bits,
                e * (n * (q - 1)).bit_length() + (e + 1).bit_length())
     if bits > BALL_VOLUME_BITS:
         raise ResourceBudgetError(
             f"ball volume V_{q}({n}, {e}) may need {bits} bits, over the "
             f"budget of {BALL_VOLUME_BITS}")
-    total, term = 0, 1  # term = C(n, i) (q-1)^i
-    for i in range(e + 1):
-        total += term
-        term = term * (n - i) * (q - 1) // (i + 1)
+    if 2 * e <= n or space_bits > BALL_VOLUME_BITS:
+        total, term = 0, 1  # term = C(n, i) (q-1)^i
+        for i in range(e + 1):
+            total += term
+            term = term * (n - i) * (q - 1) // (i + 1)
+        return total
+    total, term = q ** n, (q - 1) ** n  # term = C(n, i) (q-1)^i, i from n
+    for i in range(n, e, -1):
+        total -= term
+        term = term * i // ((n - i + 1) * (q - 1))
     return total
 
 

@@ -10,6 +10,9 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
                      classify_rank, eb_rate_bound, eb_rate_bound_continuous,
                      entropy, is_prime, johnson_radius, max_code_size,
                      rank_bound, verify_rank_monotonicity)
+from qbounds import eb_bounds
+from qbounds.eb_bounds import _rank_bound
+from qbounds.precision import FLOAT, escalation_digits, evaluate
 
 
 class TestBoundParams:
@@ -198,6 +201,41 @@ class TestRankMonotonicity:
     def test_prime_check(self):
         with pytest.raises(DomainError):
             verify_rank_monotonicity(4, 20)
+
+    def test_one_double_evaluation(self, monkeypatch):
+        calls = []
+
+        def spy(m, p, n, delta):
+            calls.append((m, delta))
+            return _rank_bound(m, p, n, delta)
+
+        monkeypatch.setattr(eb_bounds, "_rank_bound", spy)
+        assert verify_rank_monotonicity(3, 50)
+        assert calls == [(FLOAT, Fraction(1, 4)), (FLOAT, Fraction(1, 3))]
+
+    def test_escalated_verdicts_are_the_double_ones(self, monkeypatch):
+        # every difference on the suite's grid is >= 1.2, and strict_sign
+        # raises below the square of its margin, so no DECISION_MARGIN
+        # escalates them all; each comparison goes to the high-precision
+        # evaluation instead
+        grid = [*range(16, 201), 10 ** 3, 10 ** 4, 10 ** 5]
+        pairs = [(p, n) for p in (3, 29) for n in grid]
+        plain = [verify_rank_monotonicity(p, n) for p, n in pairs]
+        assert all(plain)
+        calls = []
+
+        def escalated(diff, digits=None):
+            calls.append(diff)
+            return (1 if evaluate(escalation_digits(digits), diff) > 0
+                    else -1), True
+
+        monkeypatch.setattr(eb_bounds, "strict_sign", escalated)
+        assert [verify_rank_monotonicity(p, n) for p, n in pairs] == plain
+        assert len(calls) == len(pairs)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="double precision"):
+            verify_rank_monotonicity(3, 10 ** 400)
 
 
 class TestIsPrime:

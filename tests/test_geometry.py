@@ -3,7 +3,9 @@ and rank classification."""
 
 from fractions import Fraction
 
+import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -15,7 +17,8 @@ from qbounds import (Classification, DomainError, PreconditionError,
                      baseline_rank, classify_rank, codim_guarantees,
                      constants, derive_N, derive_c_n0, entropy,
                      envelope_check, f1_monotonicity_scan, johnson_radius,
-                     paper_tables, threshold_F, threshold_F_array)
+                     paper_tables, rank_bound, threshold_F,
+                     threshold_F_array)
 import qbounds.precision
 from qbounds import geometry
 from qbounds.geometry import SUPPORTED_PRIMES, anchor_signs, primes_up_to
@@ -84,9 +87,13 @@ class TestThresholdF:
 
     def test_n16_gives_f5_term_domain(self):
         # F's f4/(f5 (n-1) - 2) needs f5 (n-1) > 2; at n = 16 that is
-        # 15 J_p(1/4) > 2, i.e. ceil(15 J_p(1/4)) >= 3, for every odd prime
+        # 15 J_p(1/4) > 2, i.e. ceil(15 J_p(1/4)) >= 3, for every odd prime.
+        # codim_guarantees' rank bounds at m = floor(n/2) >= 8 need
+        # ceil(m J_p(delta)) >= 2 for delta = 1/4 and 1/3
         for p in primes_up_to(10 ** 4)[1:]:
             assert _johnson_ceil(p, 15, Fraction(1, 4)) >= 3, p
+            for delta in (Fraction(1, 4), Fraction(1, 3)):
+                assert _johnson_ceil(p, 8, delta) >= 2, (p, delta)
 
 
 class TestBaselineRank:
@@ -263,6 +270,22 @@ class TestCodimGuarantees:
         for n in range(16, 400):
             w_max = (n + 3) // 8
             assert w_max >= 1  # a weight-w vector realizes codim 2w <= (n+3)/4
+
+    @pytest.mark.parametrize("digits", [None, 30])
+    def test_fields_are_the_public_functions(self, digits):
+        # one evaluation gives the values threshold_F and rank_bound give
+        rng = random.Random(20)
+        for p, _ in itertools.product(SUPPORTED_PRIMES,
+                                      range(20 if digits is None else 4)):
+            n = rng.choice((rng.randint(16, 300), rng.randint(16, 10 ** 6)))
+            r = rng.randint(1, n // 2)
+            rep = codim_guarantees(p, n, r, digits)
+            F = threshold_F(p, n, digits)
+            rb = [rank_bound(p, n // 2, delta, digits).r_upper
+                  for delta in (Fraction(1, 4), Fraction(1, 3))]
+            assert rep == (p, n, r, r > F, F, Fraction(n + 3, 4),
+                           Fraction(n + 1, 3), *rb, r > rb[0], r > rb[1])
+            assert classify_rank(p, n, r, digits).F_value == F
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -417,6 +418,17 @@ class TestUpperBound:
         with pytest.raises(DomainError):
             upper_bound(2, 4, 5)
 
+    def test_space_budget(self):
+        # no q^n past BALL_VOLUME_BITS is formed: 3^(3*10^6) takes about 1 s
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="65536"):
+            upper_bound(3, 3 * 10 ** 6, 3)
+        assert time.perf_counter() - start < 0.1
+        # n bitlen(q-1) + 1 = 2^16 is within it, 2^16 + 1 is not
+        assert upper_bound(2, 2 ** 16 - 1, 3).by == "sphere-packing"
+        with pytest.raises(ResourceBudgetError):
+            upper_bound(2, 2 ** 16, 3)
+
 
 class TestPigeonhole:
     def test_full_radius(self):
@@ -780,6 +792,18 @@ class TestSoundnessSweep:
         assert rep.passed
         assert rep.instances_checked > 0
         assert "skipped_precondition" in rep.payload
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q_set": ()}, "q_set must name at least one alphabet size"),
+        ({"n_max": 1}, "n_max must be an integer >= 2, got 1"),
+        ({"n_max": 0}, "n_max must be an integer >= 2, got 0"),
+        ({"n_max": 7.0}, "n_max must be an integer >= 2, got 7.0"),
+        ({"n_max": None}, "n_max must be an integer >= 2, got None")],
+        ids=["empty-q_set", "n_max-1", "n_max-0", "n_max-float", "n_max-None"])
+    def test_bad_arguments_raise_domain_error(self, kwargs, message):
+        # a sweep over nothing must not read as a pass
+        with pytest.raises(DomainError, match=re.escape(message)):
+            eb_soundness_sweep(**kwargs)
 
 
 class TestSerialization:

@@ -238,6 +238,23 @@ class TestHammingBallVolume:
             assert hamming_ball_volume(q, n, e) == sum(
                 math.comb(n, i) * (q - 1) ** i for i in range(e + 1))
 
+    @pytest.mark.parametrize("q", [2, 3, 11, 300])
+    def test_sums_either_side_of_half(self, q):
+        # radii below, at and above n/2 (n//2 + 1 included), n = 200 too
+        for n in [*range(61), 200]:
+            want = 0
+            for e in range(n + 1):
+                want += math.comb(n, e) * (q - 1) ** e
+                assert hamming_ball_volume(q, n, e) == want, (n, e)
+
+    def test_upper_side_over_the_space_budget(self):
+        # q^n needs 1700 * 41 + 1 > 2^16 bits, but the ball fits the budget
+        # (851 * 51 + 10 bits): its terms are summed from i = 0
+        q, n, e = 2 ** 40 + 1, 1700, 851
+        assert n * (q - 1).bit_length() + 1 > BALL_VOLUME_BITS
+        assert hamming_ball_volume(q, n, e) == sum(
+            math.comb(n, i) * (q - 1) ** i for i in range(e + 1))
+
     def test_budget(self):
         # with n = 2^1000 the bound (e+1) (n(q-1))^e takes 1001 e + 7 bits:
         # e = 65 is within BALL_VOLUME_BITS = 2^16, e = 66 is not
