@@ -174,8 +174,7 @@ def cmd_bound(args, dig):
 
 
 def _tables_rows(which, primes, dig, diagnostics):
-    from .geometry import (anchor_signs, constants, derive_c_n0, derive_N,
-                           paper_tables)
+    from .geometry import constants, derive_c_n0, derive_N, paper_tables
     rows = []
     if which == "constants":  # computed only: no published value is read
         for p in primes:
@@ -202,26 +201,22 @@ def _tables_rows(which, primes, dig, diagnostics):
                          "n0_paper": paper_val(paper["n0"][p]),
                          "n0_recomputed": computed(derived.n0),
                          "match": match})
-    elif which == "Np":
+    else:  # Np or anchor, both read from the N scan
         for p in primes:
-            derived = derive_N(p, dig)
+            derived, N = derive_N(p, dig), paper["N"][p]
             note(p, derived.escalations)
-            match = derived.N == paper["N"][p]
+            if which == "Np":
+                match = derived.N == N
+                rows.append({"p": p, "N_paper": paper_val(N),
+                             "N_recomputed": computed(derived.N),
+                             "first_failure": computed(derived.first_failure),
+                             "match": match})
+            else:  # F > baseline_rank on [16, N] iff it first fails past N
+                match = derived.first_failure > N
+                rows.append({"p": p, "N_paper": paper_val(N), "scanned":
+                             computed(min(N, derived.first_failure) - 15),
+                             "anchor_holds": match})
             mismatch |= not match
-            rows.append({"p": p, "N_paper": paper_val(paper["N"][p]),
-                         "N_recomputed": computed(derived.N),
-                         "first_failure": computed(derived.first_failure),
-                         "match": match})
-    else:  # anchor
-        for p in primes:
-            N = paper["N"][p]
-            signs, escalations = anchor_signs(p, N, dig)
-            note(p, escalations)
-            holds = bool((signs > 0).all())
-            mismatch |= not holds
-            rows.append({"p": p, "N_paper": paper_val(N),
-                         "scanned": computed(int(signs.size)),
-                         "anchor_holds": holds})
     return rows, mismatch
 
 
@@ -263,7 +258,7 @@ def cmd_verify(args, dig):
 
 
 def cmd_oracle(args, dig):
-    from .eb_bounds import BoundParams, eb_rate_bound
+    from .eb_bounds import _rate_check
     from .oracle import max_code_size, serialize_code, upper_bound
     size, witness = max_code_size(args.q, args.n, args.d,
                                   time_limit=args.time_limit)
@@ -277,12 +272,9 @@ def cmd_oracle(args, dig):
     }
     diagnostics = []
     try:
-        bound = eb_rate_bound(BoundParams(q=args.q, n=args.n, d=args.d),
-                              digits=dig)
-        rate = math.log(size) / (args.n * math.log(args.q))
-        results["rate"] = computed(rate)
-        results["eb_rate_bound"] = computed(bound.rate_upper)
-        results["sound"] = bool(rate <= bound.rate_upper)
+        rate, bound, holds = _rate_check(args.q, args.n, args.d, size, dig)
+        results.update(rate=computed(rate), eb_rate_bound=computed(bound),
+                       sound=holds)
     except (DomainError, PreconditionError) as exc:
         diagnostics.append(["info", f"bound comparison skipped: {exc}"])
     return {"q": args.q, "n": args.n, "d": args.d}, results, diagnostics, 0

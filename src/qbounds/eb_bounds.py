@@ -4,7 +4,9 @@ Every bound returns a per-term breakdown whose values sum to the headline
 number; the term labels are a stable contract consumed by the CLI.
 """
 
+import math
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
@@ -48,6 +50,11 @@ def is_prime(p) -> bool:
     return True
 
 
+def _check_odd_prime(p):
+    if not is_prime(p) or p < 3:
+        raise DomainError(f"expected a prime >= 3, got {p!r}")
+
+
 class _BoundFields(NamedTuple):
     q: int
     n: int
@@ -72,9 +79,11 @@ class BoundParams(_BoundFields):
             raise DomainError(f"n must be an integer >= 1, got {n!r}")
         if (d is None) == (delta is None):
             raise DomainError("exactly one of d, delta must be supplied")
-        if d is not None and not 1 <= d <= n:
-            raise DomainError(f"d must satisfy 1 <= d <= n, got d={d!r}")
-        if delta is not None and not 0 <= delta <= 1:
+        if d is not None and not (isinstance(d, int) and 1 <= d <= n):
+            raise DomainError(f"d must be an integer with 1 <= d <= n, "
+                              f"got d={d!r}")
+        if delta is not None and not (isinstance(delta, Real)
+                                      and 0 <= delta <= 1):
             raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
         return super().__new__(cls, q, n, d, delta)
 
@@ -134,6 +143,18 @@ def _eb_rate_bound(m, q, n, delta, e):
                               + m.one / (12 * (n - e) + 1)) / (n * lq)),
     )
     return BoundResult(rate_upper=sum(v for _, v in terms), e=e, terms=terms)
+
+
+def _rate_check(q, n, d, size, digits=None):
+    """``(rate, bound, holds)`` for a q-ary length-n code of ``size`` words
+    and minimum distance d: rate = log_q(size)/n in double precision,
+    bound = eb_rate_bound at ``digits``, and holds = rate < bound, decided
+    by ``strict_sign``."""
+    inputs = _eb_inputs(BoundParams(q=q, n=n, d=d))
+    bound = evaluate(digits, _eb_rate_bound, *inputs).rate_upper
+    sign, _ = strict_sign(lambda m: _eb_rate_bound(m, *inputs).rate_upper
+                          - m.log(size) / (n * m.log(q)), digits)
+    return math.log(size) / (n * math.log(q)), bound, sign > 0
 
 
 def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:
@@ -208,8 +229,7 @@ def verify_rank_monotonicity(p: int, n: int) -> bool:
     in their domain there (16 J_p(1/4) > 1), and the difference is decided
     by ``strict_sign``.
     """
-    if not is_prime(p) or p < 3:
-        raise DomainError(f"p must be a prime >= 3, got {p!r}")
+    _check_odd_prime(p)
     if not isinstance(n, int) or n < 16:
         raise PreconditionError(f"monotonicity statement requires n >= 16, got {n!r}")
     sign, _ = strict_sign(lambda m: _rank_bound(m, p, n, _QUARTER).r_upper

@@ -22,7 +22,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .eb_bounds import _QUARTER, _THIRD, _rank_bound, is_prime
+from .eb_bounds import (_QUARTER, _THIRD, _check_odd_prime, _rank_bound,
+                        is_prime)
 from .errors import DomainError, PreconditionError
 from . import precision
 from .precision import escalation_digits, evaluate, strict_sign
@@ -65,11 +66,6 @@ class PrimeConstants(NamedTuple):
     f3: float
     f4: float
     f5: float
-
-
-def _check_odd_prime(p):
-    if not is_prime(p) or p < 3:
-        raise DomainError(f"expected a prime >= 3, got {p!r}")
 
 
 def _constants(m, p):
@@ -147,9 +143,12 @@ def baseline_rank(n: int) -> int:
     and the maximal rank floor(n/2) for 5 <= n <= 12."""
     if not isinstance(n, int) or n < 5:
         raise DomainError(f"baseline_rank requires an integer n >= 5, got {n!r}")
-    if n <= 12:
-        return n // 2
-    return 3 * n // 8 + (2 if n % 8 in (2, 4) else 1)
+    return n // 2 if n <= 12 else _baseline(n)
+
+
+def _baseline(n):
+    """baseline_rank(n) for n >= 13, over integers and integer arrays alike."""
+    return 3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4))
 
 
 class DerivedCN0(NamedTuple):
@@ -192,19 +191,21 @@ def _guarded_blocks(p, lo, hi, rhss, digits, descending=False):
         yield start, signs, escalations
 
 
-def _scan_end(p, s, t, digits):
-    """``(n, escalations)`` with F(m, p) < s m + t proven for all m >= n: as
-    f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p),
-    so once f1 < s, g decreases from n_mono = ceil(2.5/((s - f1) ln p)) + 1
-    on, and doubling n from n_mono until g(n) < 0 finds the end."""
+def _scan_end(p, s, t, digits, n=None):
+    """``(n, escalations)``: the first of n, 2n, 4n, ... with
+    F(n, p) < s n + t, once f1 < s is proven.  With n None the doubling
+    starts at n_mono = ceil(2.5/((s - f1) ln p)) + 1 and the result holds
+    for all m >= n: as f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has
+    g'(m) < f1 - s + 2.5/(m ln p), so g decreases from n_mono on."""
     def gap(m):
         return m.num(s) - _constant_values(p, m.digits)[0]
 
     sign, esc = strict_sign(gap, digits)
     if sign < 0:
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
-    n = evaluate(escalation_digits(digits),
-                 lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p))))) + 1
+    if n is None:
+        n = evaluate(escalation_digits(digits),
+                     lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p))))) + 1
     while True:
         _check_F_domain(n)
         sign, more = strict_sign(
@@ -243,29 +244,17 @@ class DerivedN(NamedTuple):
     escalations: int
 
 
-def _baseline_rhs(m, n):
-    """baseline_rank(n) for n >= 13, over integers and integer arrays alike."""
-    return m.num(3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4)))
-
-
-def anchor_signs(p: int, n_hi: int, digits=None):
-    """The anchor claim F(n, p) > baseline_rank(n) over n in [16, n_hi]:
-    returns ``(signs, escalations)`` with sign +1 where it holds."""
-    import numpy as np
-    blocks = list(_guarded_blocks(p, 16, n_hi, (_baseline_rhs,), digits))
-    signs = [np.empty(0, np.int8)] + [s for _, (s,), _ in blocks]
-    return np.concatenate(signs), sum(esc for *_, esc in blocks)
-
-
 def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
-    all n in [16, N]; also reports the first failing n (= N + 1).  As
-    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
-    ``_scan_end`` proves for (3/8, 1/8), which f1(p) > 3/8 rules out; the
-    guarded scan runs up from 16 to the first failure."""
-    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits)
-    for start, (signs,), esc in _guarded_blocks(p, 16, end, (_baseline_rhs,),
-                                                digits):
+    all n in [16, N]; also reports the first failing n (= N + 1), so the
+    anchor claim holds on [16, n_hi] iff first_failure > n_hi.  As
+    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the first
+    end = 16 2^k with F(end, p) < 3 end/8 + 1/8 (``_scan_end``; f1(p) > 3/8
+    rules it out); the guarded scan runs up from 16 to the first failure."""
+    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits,
+                                 16)
+    for start, (signs,), esc in _guarded_blocks(
+            p, 16, end, (lambda m, n: m.num(_baseline(n)),), digits):
         escalations += esc
         fail = (signs < 0).nonzero()[0]
         if fail.size:
@@ -388,17 +377,15 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
         raise DomainError(f"n must be an integer >= 16, got {n!r}")
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
-    F, rb14, rb13 = evaluate(digits, _codim_values, p, n)
-    half = n // 2
+    values = evaluate(digits, _codim_values, p, n)
+    applicable, exceeds_quarter, exceeds_third = (
+        _exceeds(r, v, lambda m, i=i: _codim_values(m, p, n)[i], digits)
+        for i, v in enumerate(values))
     return CodimReport(
-        p=p, n=n, r=r, F_value=F,
-        applicable=_exceeds(r, F, lambda m: _threshold_F(m, p, n), digits),
+        p=p, n=n, r=r, F_value=values[0], applicable=applicable,
         tau1_codim_cap=Fraction(n + 3, 4), tau2_codim_cap=Fraction(n + 1, 3),
-        rank_bound_quarter=rb14, rank_bound_third=rb13,
-        exceeds_quarter=_exceeds(
-            r, rb14, lambda m: _rank_bound(m, p, half, _QUARTER).r_upper, digits),
-        exceeds_third=_exceeds(
-            r, rb13, lambda m: _rank_bound(m, p, half, _THIRD).r_upper, digits))
+        rank_bound_quarter=values[1], rank_bound_third=values[2],
+        exceeds_quarter=exceeds_quarter, exceeds_third=exceeds_third)
 
 
 class Classification(Enum):

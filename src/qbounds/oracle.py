@@ -34,7 +34,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .eb_bounds import BoundParams, eb_rate_bound
+from .eb_bounds import BoundParams, _eb_inputs, _rate_check
 from .errors import DomainError, PreconditionError, ResourceBudgetError
 from .qcore import (BALL_VOLUME_BITS, _check_delta, _johnson_ceil,
                     hamming_ball_volume)
@@ -505,69 +505,47 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                               payload={"degenerate_radius": degenerate})
 
 
-def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, seed: int = 0, *,
+def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, *,
                        time_limit: float = 10.0) -> VerificationReport:
     """Check the rate bound against exhaustively-solved extremal codes.
 
     For each (q, n, d) within budget whose parameters meet the bound's
-    preconditions, verify log_q A_q(n, d) / n <= eb_rate_bound(q, n, d),
-    plus the same check for three seeded random sub-codes of the witness at
-    their true minimum distance.  Instances whose search breaches its
-    resource caps are skipped and counted.
+    preconditions, verify log_q A_q(n, d) / n < eb_rate_bound(q, n, d)
+    (``_rate_check``).  Instances whose search breaches its resource caps
+    are skipped and counted.
     """
     _check_suite_args(q_set, n_max, 2)
-    rng = random.Random(seed)
     solved = 0
     skipped_pre = 0
     skipped_resource = 0
-    instances = []
     for q in q_set:
         for n in range(2, n_max + 1):
             if q ** n > SPACE_BUDGET:
                 continue
             for d in range(2, n + 1):
                 try:
-                    bound = eb_rate_bound(BoundParams(q=q, n=n, d=d))
+                    _eb_inputs(BoundParams(q=q, n=n, d=d))
                 except (DomainError, PreconditionError):
                     skipped_pre += 1
                     continue
-                instances.append((q, n, d, bound.rate_upper))
-    for q, n, d, bound in instances:
-        try:
-            size, witness = max_code_size(q, n, d, time_limit=time_limit)
-        except ResourceBudgetError:
-            skipped_resource += 1
-            continue
-        rate = math.log(size) / (n * math.log(q))
-        solved += 1
-        if rate > bound:
-            return VerificationReport(
-                suite="eb-soundness", instances_checked=solved, passed=False,
-                counterexample={"q": q, "n": n, "d": d, "A": size,
-                                "rate": rate, "bound": bound})
-        for _ in range(3):
-            if witness.size < 3:
-                break
-            sub_size = rng.randint(2, witness.size)
-            sub = make_code(q, n, rng.sample(list(witness.words), sub_size))
-            d_sub = sub.min_distance()
-            try:
-                sub_bound = eb_rate_bound(
-                    BoundParams(q=q, n=n, d=d_sub)).rate_upper
-            except (DomainError, PreconditionError):
-                continue
-            sub_rate = math.log(sub.size) / (n * math.log(q))
-            if sub_rate > sub_bound:
-                return VerificationReport(
-                    suite="eb-soundness", instances_checked=solved, passed=False,
-                    counterexample={"q": q, "n": n, "d": d_sub,
-                                    "code": serialize_code(sub),
-                                    "rate": sub_rate, "bound": sub_bound})
+                try:
+                    size, _ = max_code_size(q, n, d, time_limit=time_limit)
+                except ResourceBudgetError:
+                    skipped_resource += 1
+                    continue
+                solved += 1
+                rate, bound, holds = _rate_check(q, n, d, size)
+                if not holds:
+                    return VerificationReport(
+                        suite="eb-soundness", instances_checked=solved,
+                        passed=False,
+                        counterexample={"q": q, "n": n, "d": d, "A": size,
+                                        "rate": rate, "bound": bound})
     return VerificationReport(
         suite="eb-soundness", instances_checked=solved, passed=True,
         payload={"skipped_precondition": skipped_pre,
                  "skipped_resource": skipped_resource,
-                 "total_instances": len(instances)})
+                 "total_instances": solved + skipped_resource})
 
 
 # --- serialization --------------------------------------------------------

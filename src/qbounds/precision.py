@@ -81,6 +81,8 @@ def evaluate(digits, formula, *args):
 DOUBLE_DIGITS = 17
 # A strict comparison closer than this in double precision is escalated.
 DECISION_MARGIN = 1e-9
+# A high-precision |diff| below this is undecided, whatever the margin.
+AMBIGUITY_FLOOR = 1e-18
 
 
 def escalation_digits(digits=None) -> int:
@@ -101,16 +103,16 @@ def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
     ``diff(MP)`` is re-evaluated at ``escalation_digits(digits)`` digits.
     Returns ``(sign, escalated)`` with sign in {-1, +1}.  Raises
     AmbiguousComparisonError if the high-precision difference is still
-    below the square of the margin.
+    below ``AMBIGUITY_FLOOR``.
     """
-    hi, margin = escalation_digits(digits), DECISION_MARGIN
+    hi = escalation_digits(digits)
     d = evaluate(None, diff)
-    if abs(d) >= margin:
+    if abs(d) >= DECISION_MARGIN:
         return (1 if d > 0 else -1), False
     import mpmath
     with mpmath.workdps(hi):
         hd = diff(MP)
-        if abs(hd) < mpmath.mpf(margin) ** 2:
+        if abs(hd) < mpmath.mpf(AMBIGUITY_FLOOR):
             raise AmbiguousComparisonError(
                 f"comparison unresolved at {hi} digits "
                 f"(|diff| = {mpmath.nstr(abs(hd), 5)})")

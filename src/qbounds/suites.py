@@ -76,8 +76,7 @@ SUITES = {
     "johnson": lambda seed, digits=None: qbounds.johnson_suite(seed=seed),
     "pigeonhole": lambda seed, digits=None:
         qbounds.pigeonhole_suite(seed=seed),
-    "eb-soundness": lambda seed, digits=None:
-        qbounds.eb_soundness_sweep(seed=seed),
+    "eb-soundness": lambda seed, digits=None: qbounds.eb_soundness_sweep(),
     "monotonicity": lambda seed, digits=None: verify_monotonicity(),
     "f1": lambda seed, digits=None: qbounds.f1_monotonicity_scan(101, digits),
     "envelope": lambda seed, digits=None: verify_envelope(digits),

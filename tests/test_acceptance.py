@@ -102,9 +102,10 @@ def test_criterion_05_envelope():
 
 def test_criterion_06_bound_soundness_vs_oracle():
     size, _ = max_code_size(3, 4, 3)
-    rep = eb_soundness_sweep(q_set=(2, 3, 5), n_max=12, seed=20260826,
-                             time_limit=3.0)
-    ok = size == 9 and rep.passed
+    rep = eb_soundness_sweep(q_set=(2, 3, 5), n_max=12, time_limit=3.0)
+    # 70 instances in the space budget, 90 outside the bound's preconditions
+    ok = (size == 9 and rep.passed and rep.payload["total_instances"] == 70
+          and rep.payload["skipped_precondition"] == 90)
     report(6, "rate bound sound against every exhaustively solved code "
               "within the search budget; A_3(4,3)=9 found",
            ok, f"solved={rep.instances_checked}, "

@@ -285,6 +285,26 @@ class TestTables:
         assert code == 0
         assert doc["results"]["rows"][0]["anchor_holds"]
 
+    def test_anchor_fails_past_the_true_N(self, capsys, monkeypatch):
+        # a published N(3) of 100 claims the anchor past its first
+        # failure at 92: the row reads false and the scan stops there
+        from qbounds import geometry
+        published = geometry.paper_tables
+
+        def raised():
+            tables = published()
+            tables["N"] = {**tables["N"], 3: 100}
+            return tables
+
+        monkeypatch.setattr(geometry, "paper_tables", raised)
+        code, doc, err = run_json(capsys, "tables", "--which", "anchor",
+                                  "--primes", "3", "--deterministic")
+        assert code == 1 and err == "table mismatch against published values\n"
+        row, = doc["results"]["rows"]
+        assert row["anchor_holds"] is False
+        assert row["N_paper"]["value"] == 100
+        assert row["scanned"]["value"] == 92 - 15
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "tables", "--which", "candn0",
                            "--primes", "3", "--format", "csv",
@@ -341,6 +361,16 @@ class TestVerify:
         # the files hold the stdout of an earlier release, byte for byte
         golden = Path(__file__).parent / "golden" / f"verify-{suite}-seed1.json"
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1",
+                           "--deterministic")
+        assert code == 0
+        assert out == golden.read_text()
+
+    @pytest.mark.parametrize("which", ["anchor", "Np"])
+    def test_tables_match_the_golden_files(self, capsys, which):
+        # the files hold an earlier release's stdout; they print integers
+        # only, so they hold on every platform
+        golden = Path(__file__).parent / "golden" / f"tables-{which}.json"
+        code, out, _ = run(capsys, "tables", "--which", which,
                            "--deterministic")
         assert code == 0
         assert out == golden.read_text()
@@ -675,11 +705,16 @@ _STAGES = [
     ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
      [], ["oracle"]),
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
+    # the N scan and the anchor table read from it end at a failure
+    # found in double precision (the first requests to read the tables)
+    ([(["tables", "--which", "Np", "--primes", "3"], 0),
+      (["tables", "--which", "anchor", "--primes", "3"], 0)],
+     ["numpy"], ["data"]),
     # high precision, and the proven scan end checked against the
-    # published tables (the first request to read them)
+    # published tables
     ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
       (["tables", "--which", "candn0", "--primes", "3"], 0)],
-     ["numpy", "mpmath"], ["data"]),
+     ["numpy", "mpmath"], []),
 ]
 
 _IMPORT_PROBE = """

@@ -10,8 +10,8 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
                      classify_rank, eb_rate_bound, eb_rate_bound_continuous,
                      entropy, is_prime, johnson_radius, max_code_size,
                      rank_bound, verify_rank_monotonicity)
-from qbounds import eb_bounds
-from qbounds.eb_bounds import _rank_bound
+from qbounds import eb_bounds, precision
+from qbounds.eb_bounds import _rank_bound, _rate_check
 from qbounds.precision import FLOAT, escalation_digits, evaluate
 
 
@@ -31,6 +31,15 @@ class TestBoundParams:
             BoundParams(q=3, n=10, d=11)
         with pytest.raises(DomainError):
             BoundParams(q=3, n=10, d=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"d": 2.5}, {"d": 3.0}, {"d": Fraction(5, 2)}, {"d": "3"},
+        {"delta": "0.2"}, {"delta": 0.2j}, {"delta": [0.2]}],
+        ids=["d-2.5", "d-3.0", "d-Fraction", "d-str", "delta-str",
+             "delta-complex", "delta-list"])
+    def test_non_integer_d_or_non_real_delta(self, kwargs):
+        with pytest.raises(DomainError):
+            BoundParams(q=3, n=10, **kwargs)
 
 
 class TestFiniteForm:
@@ -77,6 +86,40 @@ class TestFiniteForm:
             eb_rate_bound(BoundParams(q=3, n=9, d=6))  # delta = 2/3
         with pytest.raises(PreconditionError):
             eb_rate_bound(BoundParams(q=3, n=4, d=1))  # e = 0
+
+
+class TestRateCheck:
+    # (3, 11, 5) is non-vacuous (bound 0.829): the Golay size 729 is under
+    # it and the whole space 3^11 is over it
+    @pytest.mark.parametrize("q, n, d, size, holds", [
+        (3, 5, 3, 18, True), (2, 8, 3, 20, True), (2, 6, 2, 32, True),
+        (3, 11, 5, 729, True), (3, 11, 5, 3 ** 11, False)])
+    def test_verdict_survives_forced_escalation(self, monkeypatch, q, n, d,
+                                                size, holds):
+        rate, bound, verdict = _rate_check(q, n, d, size)
+        assert rate == math.log(size) / (n * math.log(q))
+        assert bound == eb_rate_bound(BoundParams(q=q, n=n, d=d)).rate_upper
+        assert verdict is holds
+        signs = []
+        decide = eb_bounds.strict_sign
+        monkeypatch.setattr(precision, "DECISION_MARGIN", 10.0)
+        monkeypatch.setattr(eb_bounds, "strict_sign", lambda diff, digits:
+                            signs.append(decide(diff, digits)) or signs[-1])
+        assert _rate_check(q, n, d, size) == (rate, bound, holds)
+        assert signs == [(1 if holds else -1, True)]
+
+    def test_bound_at_digits(self):
+        rate, bound, holds = _rate_check(2, 8, 3, 20, digits=30)
+        assert bound == eb_rate_bound(BoundParams(q=2, n=8, d=3), digits=30
+                                      ).rate_upper
+        assert rate == math.log(20) / (8 * math.log(2)) and holds
+
+    @pytest.mark.parametrize("q, n, d, error", [
+        (3, 9, 6, DomainError), (3, 4, 1, PreconditionError),
+        (3, 10, 2.5, DomainError)])
+    def test_outside_the_bound_raises(self, q, n, d, error):
+        with pytest.raises(error):
+            _rate_check(q, n, d, 2)
 
 
 class TestIntegerJohnsonRadius:
@@ -213,11 +256,20 @@ class TestRankMonotonicity:
         assert verify_rank_monotonicity(3, 50)
         assert calls == [(FLOAT, Fraction(1, 4)), (FLOAT, Fraction(1, 3))]
 
+    def test_wide_margin_escalates_and_decides(self, monkeypatch):
+        # |diff| = 1.97 here: a margin of 1e3 escalates it, and the
+        # ambiguity floor does not follow the margin
+        signs = []
+        decide = eb_bounds.strict_sign
+        monkeypatch.setattr(precision, "DECISION_MARGIN", 1e3)
+        monkeypatch.setattr(eb_bounds, "strict_sign", lambda diff:
+                            signs.append(decide(diff)) or signs[-1])
+        assert verify_rank_monotonicity(3, 16)
+        assert signs == [(1, True)]
+
     def test_escalated_verdicts_are_the_double_ones(self, monkeypatch):
-        # every difference on the suite's grid is >= 1.2, and strict_sign
-        # raises below the square of its margin, so no DECISION_MARGIN
-        # escalates them all; each comparison goes to the high-precision
-        # evaluation instead
+        # every difference on the suite's grid is >= 1.2; each comparison
+        # goes to the high-precision evaluation
         grid = [*range(16, 201), 10 ** 3, 10 ** 4, 10 ** 5]
         pairs = [(p, n) for p in (3, 29) for n in grid]
         plain = [verify_rank_monotonicity(p, n) for p, n in pairs]

@@ -21,8 +21,17 @@ from qbounds import (Classification, DomainError, PreconditionError,
                      threshold_F_array)
 import qbounds.precision
 from qbounds import geometry
-from qbounds.geometry import SUPPORTED_PRIMES, anchor_signs, primes_up_to
+from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
 from qbounds.qcore import _johnson_ceil
+
+
+def _anchor_signs(p, n_hi, digits=None):
+    """``(signs, escalations)`` of the guarded anchor comparison
+    F(n, p) > baseline_rank(n) over [16, n_hi]."""
+    rhs = (lambda m, n: m.num(geometry._baseline(n)),)
+    blocks = list(geometry._guarded_blocks(p, 16, n_hi, rhs, digits))
+    return (np.concatenate([signs for _, (signs,), _ in blocks]),
+            sum(esc for *_, esc in blocks))
 
 
 class TestConstants:
@@ -146,7 +155,7 @@ class TestTableDerivation:
 
     @pytest.mark.parametrize("scan, args", [
         (derive_c_n0, (3,)), (derive_N, (3,)),
-        (anchor_signs, (3, 100)),
+        (_anchor_signs, (3, 100)),
         (envelope_check, (3, 16, 200)), (f1_monotonicity_scan, (101,))],
         ids=["derive_c_n0", "derive_N", "anchor_signs", "envelope_check",
              "f1_monotonicity_scan"])
@@ -187,7 +196,7 @@ class TestTableDerivation:
 
 
 def _block_scans(p):
-    signs, escalations = anchor_signs(p, 1000)
+    signs, escalations = _anchor_signs(p, 1000)
     return {"derive_c_n0": derive_c_n0(p), "derive_N": derive_N(p),
             "anchor_signs": (signs.tolist(), escalations),
             "envelope_check": envelope_check(p, 16, 9000),
@@ -207,11 +216,12 @@ class TestGuardedBlocks:
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_anchor_signs_match_scalar_comparisons(self, p):
-        signs, escalations = anchor_signs(p, 1000)
+        signs, escalations = _anchor_signs(p, 1000)
         assert escalations == 0
         assert signs.tolist() == [
             1 if threshold_F(p, n) > baseline_rank(n) else -1
             for n in range(16, 1001)]
+        assert {-1, 1} <= set(signs.tolist())
 
     def test_envelope_failure_names_the_top_of_the_range(self):
         rep = envelope_check(3, 16, 40)  # n* = 63 for p = 3
@@ -286,6 +296,18 @@ class TestCodimGuarantees:
             assert rep == (p, n, r, r > F, F, Fraction(n + 3, 4),
                            Fraction(n + 1, 3), *rb, r > rb[0], r > rb[1])
             assert classify_rank(p, n, r, digits).F_value == F
+
+    def test_escalated_flags_are_the_double_ones(self, monkeypatch):
+        # a margin wider than every |r - value| sends each of the three
+        # comparisons to strict_sign, which re-decides it from its own value
+        cases = []
+        for p, n in ((3, 2000), (29, 300)):
+            rep = codim_guarantees(p, n, 1)
+            for v in rep.F_value, rep.rank_bound_quarter, rep.rank_bound_third:
+                cases += [(p, n, math.floor(v)), (p, n, math.ceil(v))]
+        plain = [codim_guarantees(*case) for case in cases]
+        monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", 1e4)
+        assert [codim_guarantees(*case) for case in cases] == plain
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -14,14 +14,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbounds import (DomainError, PreconditionError, ResourceBudgetError,
-                     eb_soundness_sweep, hamming_ball_volume,
-                     johnson_ball_check, johnson_suite, make_code,
-                     max_code_size, parse_code, pigeonhole_suite,
+from qbounds import (BoundParams, DomainError, PreconditionError,
+                     ResourceBudgetError, eb_soundness_sweep,
+                     hamming_ball_volume, johnson_ball_check, johnson_suite,
+                     make_code, max_code_size, parse_code, pigeonhole_suite,
                      pigeonhole_witness, random_code, serialize_code)
-from qbounds import oracle
+from qbounds import eb_bounds, oracle
+from qbounds.eb_bounds import _eb_inputs
 from qbounds.oracle import (Code, _candidates, _distance_blocks, _lemma_space,
                             _symbol_dtype, all_words_array, upper_bound)
+from qbounds.precision import FLOAT
 
 # A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
 # earlier recursive search (fixed zero word only, no seed, no early exit)
@@ -787,11 +789,30 @@ class TestRandomCode:
 
 class TestSoundnessSweep:
     def test_small_sweep_passes(self):
-        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5, seed=0,
-                                 time_limit=5.0)
+        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5, time_limit=5.0)
         assert rep.passed
         assert rep.instances_checked > 0
         assert "skipped_precondition" in rep.payload
+
+    def test_a_halved_bound_fails_at_the_first_solved_instance(
+            self, monkeypatch):
+        bound = eb_bounds._eb_rate_bound
+
+        def halved(m, *args):
+            res = bound(m, *args)
+            return res._replace(rate_upper=res.rate_upper / 2)
+
+        monkeypatch.setattr(eb_bounds, "_eb_rate_bound", halved)
+        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5, time_limit=5.0)
+        assert not rep.passed and rep.instances_checked == 1
+        cx = rep.counterexample
+        assert set(cx) == {"q", "n", "d", "A", "rate", "bound"}
+        q, n, d = cx["q"], cx["n"], cx["d"]
+        assert cx["A"] == max_code_size(q, n, d)[0]
+        assert cx["rate"] == math.log(cx["A"]) / (n * math.log(q))
+        assert cx["bound"] == bound(FLOAT, *_eb_inputs(
+            BoundParams(q=q, n=n, d=d))).rate_upper / 2
+        assert cx["rate"] > cx["bound"]
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"q_set": ()}, "q_set must name at least one alphabet size"),
