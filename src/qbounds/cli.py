@@ -13,7 +13,8 @@ converts its numbers in one walk, writes it to stdout (JSON, ``--pretty`` or
 ``error:`` line, or one line on a table mismatch.  Exit codes: 0 = success,
 1 = a suite failed or a table disagrees with the published value, 2 = usage
 or precondition error, 141 = the reader closed stdout.  QB_PRECISION
-(decimal digits) sets the working precision; --digits beats it.
+(decimal digits) sets the working precision; --digits beats it.  Every
+integer argument goes through ``errors.check_int``, whose error names it.
 """
 
 import argparse
@@ -27,8 +28,8 @@ from numbers import Rational, Real
 
 from . import __version__
 from .errors import (DomainError, PreconditionError, QBoundsError,
-                     ResourceBudgetError)
-from .precision import check_digits, escalation_digits
+                     ResourceBudgetError, check_int)
+from .precision import escalation_digits
 from .suites import SUITES
 
 SCHEMA_VERSION = "1"
@@ -79,7 +80,7 @@ def _digits(args):
             digits = int(env)
         except ValueError:
             raise DomainError(f"QB_PRECISION must be an integer, got {env!r}")
-    check_digits(digits, source)
+    check_int(source, digits, 1)
     return digits
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_int
 from .precision import evaluate, strict_sign
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
@@ -73,17 +73,14 @@ class BoundParams(_BoundFields):
 
     def __new__(cls, q: int, n: int, d: int | None = None,
                 delta: float | Fraction | None = None):
-        if not isinstance(q, int) or q < 2:
-            raise DomainError(f"q must be an integer >= 2, got {q!r}")
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {n!r}")
-        if (d is None) == (delta is None):
+        check_int("q", q, 2)
+        check_int("n", n, 1)
+        if delta is None:
+            check_int("d", d, 1, n)
+        elif d is not None:
             raise DomainError("exactly one of d, delta must be supplied")
-        if d is not None and not (isinstance(d, int) and 1 <= d <= n):
-            raise DomainError(f"d must be an integer with 1 <= d <= n, "
-                              f"got d={d!r}")
-        if delta is not None and not (isinstance(delta, Real)
-                                      and 0 <= delta <= 1):
+        elif isinstance(delta, bool) or not (isinstance(delta, Real)
+                                             and 0 <= delta <= 1):
             raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
         return super().__new__(cls, q, n, d, delta)
 
@@ -195,8 +192,7 @@ def rank_bound(p: int, n: int, delta, digits=None) -> RankBoundResult:
     """
     if not is_prime(p):
         raise DomainError(f"rank_bound requires a prime alphabet, got p={p!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    check_int("n", n, 1)
     _check_delta(p, delta, open_lower=True, open_upper=True)
     if _johnson_ceil(p, n, delta) <= 1:
         raise PreconditionError(
@@ -230,7 +226,8 @@ def verify_rank_monotonicity(p: int, n: int) -> bool:
     by ``strict_sign``.
     """
     _check_odd_prime(p)
-    if not isinstance(n, int) or n < 16:
+    check_int("n", n, 1)
+    if n < 16:
         raise PreconditionError(f"monotonicity statement requires n >= 16, got {n!r}")
     sign, _ = strict_sign(lambda m: _rank_bound(m, p, n, _QUARTER).r_upper
                           - _rank_bound(m, p, n, _THIRD).r_upper)

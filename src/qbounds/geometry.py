@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .eb_bounds import (_QUARTER, _THIRD, _check_odd_prime, _rank_bound,
                         is_prime)
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_int
 from . import precision
 from .precision import escalation_digits, evaluate, strict_sign
 from .qcore import _entropy, _johnson_radius
@@ -113,6 +113,7 @@ def threshold_F(p: int, n: int, digits=None):
     """The rank threshold F(n, p) = f1 n + 2.5 log_p n + f2 + f3/(n-1)
     + f4/(f5 (n-1) - 2)."""
     _check_odd_prime(p)
+    check_int("n", n, 1)
     _check_F_domain(n)
     return evaluate(digits, _threshold_F, p, n)
 
@@ -141,8 +142,7 @@ def baseline_rank(n: int) -> int:
     """Smallest symmetry rank already classified by the prior theorems:
     floor(3n/8)+2 for n = 2, 4 mod 8, floor(3n/8)+1 otherwise (n >= 13),
     and the maximal rank floor(n/2) for 5 <= n <= 12."""
-    if not isinstance(n, int) or n < 5:
-        raise DomainError(f"baseline_rank requires an integer n >= 5, got {n!r}")
+    check_int("n", n, 5)
     return n // 2 if n <= 12 else _baseline(n)
 
 
@@ -171,7 +171,6 @@ def _guarded_blocks(p, lo, hi, rhss, digits, descending=False):
     per block; a comparison within the decision margin is re-decided by
     ``strict_sign``, and ``escalations`` counts those."""
     escalation_digits(digits)  # a bad digits fails even if nothing escalates
-    _check_odd_prime(p)
     import numpy as np
     m = _numpy()
     starts = range(lo, hi + 1, _BLOCK)
@@ -197,6 +196,7 @@ def _scan_end(p, s, t, digits, n=None):
     starts at n_mono = ceil(2.5/((s - f1) ln p)) + 1 and the result holds
     for all m >= n: as f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has
     g'(m) < f1 - s + 2.5/(m ln p), so g decreases from n_mono on."""
+    _check_odd_prime(p)
     def gap(m):
         return m.num(s) - _constant_values(p, m.digits)[0]
 
@@ -269,6 +269,7 @@ def derive_N(p: int, digits=None) -> DerivedN:
 def f1_monotonicity_scan(p_max: int, digits=None) -> VerificationReport:
     """Verify that f1(p) strictly increases over all primes in [3, p_max]
     and that f1(29) < 3/8 < f1(31).  Requires p_max >= 31."""
+    check_int("p_max", p_max, 3)
     if p_max < 31:
         raise PreconditionError(f"p_max must be >= 31, got {p_max}")
     primes = [p for p in primes_up_to(p_max) if p >= 3]
@@ -308,8 +309,8 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     Both comparisons are guarded by ``strict_sign``; an exact tie on the
     upper side is irrational and so cannot occur."""
     _check_odd_prime(p)
-    if not 16 <= n_lo < n_hi:
-        raise DomainError(f"need 16 <= n_lo < n_hi, got [{n_lo}, {n_hi}]")
+    check_int("n_lo", n_lo, 16)
+    check_int("n_hi", n_hi, n_lo + 1)
     last_bad, escalations = None, 0
     for start, (above, below), esc in _guarded_blocks(
             p, n_lo, n_hi, (lambda m, n: m.num(n) / 4,
@@ -329,11 +330,12 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
         payload={"p": p, "n_star": n_star, "escalations": escalations})
 
 
-def _codim_values(m, p, n):
-    """F(n, p) and the rank bounds at m = floor(n/2), delta = 1/4 and 1/3."""
-    half = n // 2
-    return (_threshold_F(m, p, n), _rank_bound(m, p, half, _QUARTER).r_upper,
-            _rank_bound(m, p, half, _THIRD).r_upper)
+# one formula per flag of codim_guarantees, so that a re-decision evaluates
+# its own: F(n, p), the rank bounds at m = floor(n/2), delta = 1/4 and 1/3
+_CODIM_FORMULAS = (
+    lambda m, p, n: _threshold_F(m, p, n),
+    lambda m, p, n: _rank_bound(m, p, n // 2, _QUARTER).r_upper,
+    lambda m, p, n: _rank_bound(m, p, n // 2, _THIRD).r_upper)
 
 
 def _exceeds(r: int, value, formula, digits) -> bool:
@@ -373,14 +375,12 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
     _check_odd_prime(p)
     if p > 29:
         raise DomainError(f"codim guarantees cover primes <= 29, got {p}")
-    if not isinstance(n, int) or n < 16:
-        raise DomainError(f"n must be an integer >= 16, got {n!r}")
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
-    values = evaluate(digits, _codim_values, p, n)
+    check_int("n", n, 16)
+    check_int("r", r, 1)
+    values = evaluate(digits, lambda m: [f(m, p, n) for f in _CODIM_FORMULAS])
     applicable, exceeds_quarter, exceeds_third = (
-        _exceeds(r, v, lambda m, i=i: _codim_values(m, p, n)[i], digits)
-        for i, v in enumerate(values))
+        _exceeds(r, v, lambda m, f=f: f(m, p, n), digits)
+        for f, v in zip(_CODIM_FORMULAS, values))
     return CodimReport(
         p=p, n=n, r=r, F_value=values[0], applicable=applicable,
         tau1_codim_cap=Fraction(n + 3, 4), tau2_codim_cap=Fraction(n + 1, 3),
@@ -417,12 +417,9 @@ def classify_rank(p: int, n: int, r: int, digits=None) -> ThresholdReport:
     - otherwise no conclusion.
     """
     _check_odd_prime(p)
-    if not isinstance(n, int) or n < 5:
-        raise DomainError(f"n must be an integer >= 5, got {n!r}")
-    if not isinstance(r, int) or r < 0:
-        raise DomainError(f"r must be a nonnegative integer, got {r!r}")
+    base = baseline_rank(n)  # checks n >= 5
+    check_int("r", r, 0)
     max_rank = n // 2
-    base = baseline_rank(n)
     F = evaluate(digits, _threshold_F, p, n) if n >= 16 and p <= 29 else None
     if r > max_rank:
         cls = Classification.IMPOSSIBLE

@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eb_bounds import BoundParams, _eb_inputs, _rate_check
-from .errors import DomainError, PreconditionError, ResourceBudgetError
+from .errors import (DomainError, PreconditionError, ResourceBudgetError,
+                     check_int)
 from .qcore import (BALL_VOLUME_BITS, _check_delta, _johnson_ceil,
                     hamming_ball_volume)
 from .report import VerificationReport
@@ -89,7 +90,7 @@ class Code(_CodeFields):
 
 
 def make_code(q: int, n: int, words) -> Code:
-    _check_qnd(q, n, 1)
+    BoundParams(q, n, 1)  # checks q and n
     normalized = sorted({tuple(map(int, w)) for w in words})
     for w in normalized:
         if len(w) != n:
@@ -157,15 +158,6 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
 
 # --- maximum code size via branch-and-bound clique search ----------------
 
-def _check_qnd(q, n, d):
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or not 1 <= d <= n:
-        raise DomainError(f"d must satisfy 1 <= d <= n, got {d!r}")
-
-
 class UpperBound(NamedTuple):
     value: int
     by: str  # "singleton" or "sphere-packing"
@@ -176,7 +168,7 @@ def upper_bound(q: int, n: int, d: int) -> UpperBound:
     (Singleton and sphere packing); a tie is credited to Singleton.  A q^n
     that may exceed BALL_VOLUME_BITS bits, the ball volume's budget, is a
     ResourceBudgetError, raised before either power is formed."""
-    _check_qnd(q, n, d)
+    BoundParams(q, n, d)  # checks q, n and d
     bits = n * (q - 1).bit_length() + 1
     if bits > BALL_VOLUME_BITS:
         raise ResourceBudgetError(
@@ -286,7 +278,7 @@ def max_code_size(q: int, n: int, d: int, *,
     the space budget, the q^n - V_q(n, d - 1) words of weight >= d
     outnumber ``MAX_CANDIDATES``, or the wall clock exceeds ``time_limit``.
     """
-    _check_qnd(q, n, d)
+    BoundParams(q, n, d)  # checks q, n and d
     if not time_limit > 0:
         raise DomainError(f"time_limit must be > 0 seconds, got {time_limit!r}")
     total = _space_size(q, n)
@@ -364,8 +356,7 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
     0 and n, and the empty code, are decided in closed form; every other
     radius counts each ball through the distance kernel.
     """
-    if not isinstance(e, int) or not 0 <= e <= code.n:
-        raise DomainError(f"radius must satisfy 0 <= e <= n, got e={e!r}")
+    check_int("e", e, 0, code.n)
     if e == code.n or not code.words:
         return (0,) * code.n, code.size  # B(y, n) is the whole space
     if e == 0:
@@ -385,11 +376,11 @@ def pigeonhole_witness(code: Code, e: int) -> tuple[tuple, int]:
 def johnson_ball_check(code: Code, e: int) -> VerificationReport:
     """Exhaustively verify the Johnson ball cap |C /\\ B(y, e)| <= q n d
     over all q^n centers, for e/n < J_q(d/n)."""
+    check_int("e", e, 0, code.n)
     if code.size < 2:
         # every ball holds at most the one word; the cap is vacuous
-        _, count = pigeonhole_witness(code, e)  # also checks the radius
         return VerificationReport(suite="johnson-ball", instances_checked=1,
-                                  passed=True, payload={"max_count": count})
+                                  passed=True, payload={"max_count": code.size})
     d = code.min_distance()
     delta = Fraction(d, code.n)
     _check_delta(code.q, delta)
@@ -409,11 +400,9 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
 
 def random_code(q: int, n: int, size: int, seed: int) -> Code:
     """Deterministic random code of distinct words (fixed seed, fixed code)."""
-    _check_qnd(q, n, 1)
+    BoundParams(q, n, 1)  # checks q and n
     total = _space_size(q, n, budget=2 ** 63 - 1)  # sample() needs < 2^63
-    if not isinstance(size, int) or not 0 <= size <= total:
-        raise DomainError(
-            f"size must satisfy 0 <= size <= q^n = {total}, got {size!r}")
+    check_int("size", size, 0, total)
     import numpy as np
     # int64 holds every index and power; sorted distinct indices decode to
     # distinct words in lexicographic order
@@ -429,14 +418,14 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
 def _check_suite_args(q_set, n_max: int, n_min: int,
                       trials: int = 1) -> None:
     """A suite draws an alphabet from ``q_set`` and a length in
-    [n_min, n_max]; an empty set or range, or no trial, would pass with no
-    check."""
+    [n_min, n_max]; an empty set or range, an alphabet that is no integer
+    >= 2, or no trial, would pass with no check."""
     if not q_set:
         raise DomainError("q_set must name at least one alphabet size")
-    if not isinstance(n_max, int) or n_max < n_min:
-        raise DomainError(f"n_max must be an integer >= {n_min}, got {n_max!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    for q in q_set:
+        check_int("q", q, 2)
+    check_int("n_max", n_max, n_min)
+    check_int("trials", trials, 1)
 
 
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,

@@ -22,7 +22,7 @@ from numbers import Rational
 from types import SimpleNamespace
 from typing import Callable
 
-from .errors import AmbiguousComparisonError, DomainError
+from .errors import AmbiguousComparisonError, DomainError, check_int
 
 
 def _mpf(x):
@@ -55,12 +55,6 @@ FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
 MP = _MPContext()
 
 
-def check_digits(digits, name="digits"):
-    """Reject a precision that is not a positive integer."""
-    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 1:
-        raise DomainError(f"{name} must be a positive integer, got {digits!r}")
-
-
 def evaluate(digits, formula, *args):
     """``formula(m, *args)`` in double precision when ``digits`` is None,
     else at ``digits`` decimal digits (a positive integer) with mpmath.  An
@@ -71,7 +65,7 @@ def evaluate(digits, formula, *args):
         except OverflowError as exc:
             raise DomainError(f"{exc} in double precision; retry with "
                               f"digits (--digits)") from None
-    check_digits(digits)
+    check_int("digits", digits, 1)
     import mpmath
     with mpmath.workdps(digits):
         return formula(MP, *args)
@@ -90,7 +84,7 @@ def escalation_digits(digits=None) -> int:
     default, else ``digits`` raised to at least ``DOUBLE_DIGITS``."""
     if digits is None:
         return 50
-    check_digits(digits)
+    check_int("digits", digits, 1)
     return max(digits, DOUBLE_DIGITS)
 
 

@@ -9,17 +9,12 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError, check_int
 from .precision import evaluate
 
 # The largest Hamming-ball volume computed, in bits (about 19,700 digits);
 # it bounds the work of the exact sum, as no term exceeds the volume.
 BALL_VOLUME_BITS = 1 << 16
-
-
-def _check_q(q):
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"alphabet size must be an integer >= 2, got {q!r}")
 
 
 def _check_delta(q, delta, *, open_lower=False, open_upper=False):
@@ -51,7 +46,7 @@ def entropy(q, x, digits=None):
 
     Uses the 0*log 0 = 0 convention at the endpoints.  Domain: 0 <= x <= 1.
     """
-    _check_q(q)
+    check_int("q", q, 2)
     if not 0 <= x <= 1:
         raise DomainError(f"entropy argument must be in [0, 1], got {x}")
     return evaluate(digits, _entropy, q, x)
@@ -64,7 +59,7 @@ def _entropy_d1(m, q, x):
 
 def entropy_d1(q, x, digits=None):
     """First derivative H_q'(x) = log_q((q-1)(1-x)/x), for 0 < x < 1."""
-    _check_q(q)
+    check_int("q", q, 2)
     if not 0 < x < 1:
         raise DomainError("entropy_d1 requires 0 < x < 1 (unbounded at endpoints)")
     return evaluate(digits, _entropy_d1, q, x)
@@ -77,7 +72,7 @@ def _entropy_d2(m, q, x):
 
 def entropy_d2(q, x, digits=None):
     """Second derivative H_q''(x) = -(1/ln q)(1/x + 1/(1-x)); always < 0."""
-    _check_q(q)
+    check_int("q", q, 2)
     if not 0 < x < 1:
         raise DomainError("entropy_d2 requires 0 < x < 1")
     return evaluate(digits, _entropy_d2, q, x)
@@ -101,7 +96,7 @@ def _johnson_radius(m, q, delta):
 def johnson_radius(q, delta, digits=None):
     """Johnson radius J_q(delta) = (1 - 1/q)(1 - sqrt(1 - q*delta/(q-1))),
     evaluated as delta / (1 + sqrt(1 - q*delta/(q-1)))."""
-    _check_q(q)
+    check_int("q", q, 2)
     _check_delta(q, delta)
     return evaluate(digits, _johnson_radius, q, delta)
 
@@ -120,7 +115,7 @@ def _johnson_radius_d1(m, q, delta):
 
 def johnson_radius_d1(q, delta, digits=None):
     """Derivative J_q'(delta) = (1/2)(1 - q*delta/(q-1))^(-1/2); >= 1/2."""
-    _check_q(q)
+    check_int("q", q, 2)
     _check_delta(q, delta, open_upper=True)
     return evaluate(digits, _johnson_radius_d1, q, delta)
 
@@ -131,11 +126,9 @@ def hamming_ball_volume(q, n, e):
     shorter side of n/2: for 2e > n it is q^n minus the terms with i > e,
     when q^n is within the budget.  A volume that may exceed
     BALL_VOLUME_BITS bits is a ResourceBudgetError."""
-    _check_q(q)
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"length must be a nonnegative integer, got {n!r}")
-    if not isinstance(e, int) or e < 0 or e > n:
-        raise DomainError(f"radius must satisfy 0 <= e <= n, got e={e!r}")
+    check_int("q", q, 2)
+    check_int("n", n, 0)
+    check_int("e", e, 0, n)
     # the volume is at most q^n and at most (e+1) (n(q-1))^e
     space_bits = n * (q - 1).bit_length() + 1
     bits = min(space_bits,
@@ -170,7 +163,6 @@ def stirling_bounds(k, digits=None):
     always straddles the exact value, and ln C(n, e), 1 <= e < n, lies in
     [lower(n) - upper(e) - upper(n-e), upper(n) - lower(e) - lower(n-e)].
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"stirling_bounds requires an integer k >= 1, got {k!r}")
+    check_int("k", k, 1)
     return evaluate(digits, _stirling_bounds, k)
 

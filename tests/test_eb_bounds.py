@@ -34,9 +34,10 @@ class TestBoundParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"d": 2.5}, {"d": 3.0}, {"d": Fraction(5, 2)}, {"d": "3"},
-        {"delta": "0.2"}, {"delta": 0.2j}, {"delta": [0.2]}],
+        {"delta": "0.2"}, {"delta": 0.2j}, {"delta": [0.2]}, {"d": True},
+        {"delta": True}],
         ids=["d-2.5", "d-3.0", "d-Fraction", "d-str", "delta-str",
-             "delta-complex", "delta-list"])
+             "delta-complex", "delta-list", "d-bool", "delta-bool"])
     def test_non_integer_d_or_non_real_delta(self, kwargs):
         with pytest.raises(DomainError):
             BoundParams(q=3, n=10, **kwargs)

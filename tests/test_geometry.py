@@ -3,6 +3,7 @@ and rank classification."""
 
 from fractions import Fraction
 
+import collections
 import itertools
 import math
 import random
@@ -308,6 +309,21 @@ class TestCodimGuarantees:
         plain = [codim_guarantees(*case) for case in cases]
         monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", 1e4)
         assert [codim_guarantees(*case) for case in cases] == plain
+
+    def test_a_re_decision_evaluates_its_own_value_only(self, monkeypatch):
+        # a margin of 1e4 re-decides all three flags, each once in double
+        # precision and once at 50 digits, from its own formula: F once
+        # and the two rank bounds once each per evaluation (7 and 14 calls
+        # when each re-decision evaluated all three values)
+        plain = codim_guarantees(3, 2000, 600)
+        calls = collections.Counter()
+        for name in ("_threshold_F", "_rank_bound"):
+            monkeypatch.setattr(geometry, name, lambda *args, name=name,
+                                fn=getattr(geometry, name):
+                                calls.update([name]) or fn(*args))
+        monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", 1e4)
+        assert codim_guarantees(3, 2000, 600) == plain
+        assert calls == {"_threshold_F": 3, "_rank_bound": 6}
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -25,6 +25,12 @@ from qbounds.oracle import (Code, _candidates, _distance_blocks, _lemma_space,
                             _symbol_dtype, all_words_array, upper_bound)
 from qbounds.precision import FLOAT
 
+
+def _exactly(message):
+    """A ``match`` pattern that accepts ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 # A_q(n, d) for q in {2, 3, 4, 5}, q^n <= 2100 and 2 <= d <= n, wherever the
 # earlier recursive search (fixed zero word only, no seed, no early exit)
 # finished within 20 s; pinned from it, so the symmetry-reduced search must
@@ -460,9 +466,9 @@ class TestPigeonhole:
 
     def test_non_integer_radius(self):
         code = random_code(3, 4, 10, seed=1)
-        for e in (1.5, 1.0, Fraction(1), None):
-            with pytest.raises(DomainError,
-                               match=re.escape(f"got e={e!r}")):
+        for e in (1.5, 1.0, Fraction(1), None, True):
+            with pytest.raises(DomainError, match=_exactly(
+                    f"e must be an integer with 0 <= e <= 4, got {e!r}")):
                 pigeonhole_witness(code, e)
 
     def test_suite(self, monkeypatch):
@@ -536,7 +542,8 @@ class TestJohnsonCheck:
         code = make_code(3, 4, [(0, 1, 2, 0)])
         assert johnson_ball_check(code, 2).passed
         for e in (-1, 5, 0.5):
-            with pytest.raises(DomainError, match=re.escape(f"got e={e!r}")):
+            with pytest.raises(DomainError, match=_exactly(
+                    f"e must be an integer with 0 <= e <= 4, got {e!r}")):
                 johnson_ball_check(code, e)
 
     def test_precondition(self):
@@ -547,7 +554,8 @@ class TestJohnsonCheck:
     def test_non_integer_radius(self):
         # e = 0.5 is below the Johnson radius ceil(6 J_2(1/2)) = 3
         code = make_code(2, 6, [(0,) * 6, (1, 1, 1, 0, 0, 0)])
-        with pytest.raises(DomainError, match=re.escape("got e=0.5")):
+        with pytest.raises(DomainError, match=_exactly(
+                "e must be an integer with 0 <= e <= 6, got 0.5")):
             johnson_ball_check(code, 0.5)
 
     def test_suite(self, monkeypatch):
@@ -578,15 +586,15 @@ class TestSuiteArguments:
                                               (johnson_suite, 3)])
     def test_bad_arguments_raise_domain_error(self, suite, n_min):
         for n_max in (n_min - 1, 0, 7.0, None):
-            with pytest.raises(DomainError, match=re.escape(
+            with pytest.raises(DomainError, match=_exactly(
                     f"n_max must be an integer >= {n_min}, got {n_max!r}")):
                 suite(n_max=n_max)
         with pytest.raises(DomainError, match="q_set"):
             suite(q_set=())
         for trials in (0, -3, 2.0):
             # no check at all must not read as a pass
-            with pytest.raises(DomainError, match=re.escape(
-                    f"trials must be a positive integer, got {trials!r}")):
+            with pytest.raises(DomainError, match=_exactly(
+                    f"trials must be an integer >= 1, got {trials!r}")):
                 suite(trials=trials)
         assert suite(n_max=n_min, trials=3).passed
 
@@ -754,8 +762,8 @@ class TestRandomCode:
 
     @pytest.mark.parametrize("size", [-1, -9, 1.5, 2.0, None])
     def test_bad_size(self, size):
-        with pytest.raises(DomainError, match=re.escape(
-                f"0 <= size <= q^n = 8, got {size!r}")):
+        with pytest.raises(DomainError, match=_exactly(
+                f"size must be an integer with 0 <= size <= 8, got {size!r}")):
             random_code(2, 3, size, seed=0)
 
     @pytest.mark.parametrize("q, n", [(2, 63), (3, 40), (2, 20000)])
@@ -819,8 +827,11 @@ class TestSoundnessSweep:
         ({"n_max": 1}, "n_max must be an integer >= 2, got 1"),
         ({"n_max": 0}, "n_max must be an integer >= 2, got 0"),
         ({"n_max": 7.0}, "n_max must be an integer >= 2, got 7.0"),
-        ({"n_max": None}, "n_max must be an integer >= 2, got None")],
-        ids=["empty-q_set", "n_max-1", "n_max-0", "n_max-float", "n_max-None"])
+        ({"n_max": None}, "n_max must be an integer >= 2, got None"),
+        ({"q_set": (1,)}, "q must be an integer >= 2, got 1"),
+        ({"q_set": (2, True)}, "q must be an integer >= 2, got True")],
+        ids=["empty-q_set", "n_max-1", "n_max-0", "n_max-float", "n_max-None",
+             "q_set-1", "q_set-bool"])
     def test_bad_arguments_raise_domain_error(self, kwargs, message):
         # a sweep over nothing must not read as a pass
         with pytest.raises(DomainError, match=re.escape(message)):
