@@ -7,7 +7,8 @@ double precision and escalates a comparison to high precision
 (``strict_sign``) only when its margin is below ``DECISION_MARGIN``, so
 results are identical to a full high-precision scan.  The n0 scan runs
 top-down and the N scan bottom-up, each stopping at the block that decides
-it; ``escalations`` counts the comparisons a scan made and escalated.  Each
+it, and the envelope scan stops where a slope bound proves its tail;
+``escalations`` counts the comparisons a scan made and escalated.  Each
 comparison is one difference written over the numeric context.  numpy is
 imported only by the functions that build arrays, and the published
 tables are read from ``paper_constants.json`` on first use.
@@ -129,9 +130,15 @@ def _numpy():
 
 def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     """Vectorized double-precision F(n, p) over an integer array of n:
-    threshold_F's own formula over the numpy context."""
+    threshold_F's own formula over the numpy context.  As ``check_int``
+    does for a scalar n, it rejects an array of any other kind, bool
+    included."""
     _check_odd_prime(p)
+    import numpy as np
     m = _numpy()
+    ns = np.asarray(ns)
+    if ns.dtype.kind not in "iu":
+        raise DomainError(f"ns must be an integer array, got dtype {ns.dtype}")
     ns = m.num(ns)
     if ns.size:
         _check_F_domain(ns.min())
@@ -190,12 +197,30 @@ def _guarded_blocks(p, lo, hi, rhss, digits, descending=False):
         yield start, signs, escalations
 
 
+def _first_negative(bound, n, digits, ceiling=None):
+    """``(n, escalations)``: the first of n, 2n, 4n, ..., none past
+    ``ceiling`` (if given), at which ``strict_sign`` proves
+    ``bound(m, n) < 0``; n is None if no such point up to ``ceiling``."""
+    escalations = 0
+    while ceiling is None or n <= ceiling:
+        sign, esc = strict_sign(lambda m: bound(m, n), digits)
+        escalations += esc
+        if sign < 0:
+            return n, escalations
+        n *= 2
+    return None, escalations
+
+
 def _scan_end(p, s, t, digits, n=None):
     """``(n, escalations)``: the first of n, 2n, 4n, ... with
-    F(n, p) < s n + t, once f1 < s is proven.  With n None the doubling
-    starts at n_mono = ceil(2.5/((s - f1) ln p)) + 1 and the result holds
-    for all m >= n: as f3, f4, f5 > 0, g(m) = F(m, p) - s m - t has
-    g'(m) < f1 - s + 2.5/(m ln p), so g decreases from n_mono on."""
+    F(n, p) < s n + t, once f1 < s is proven.  With n None the result
+    holds for all m >= n: as f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's
+    domain), g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p),
+    a bound that falls as m grows, so g decreases from the first n_mono at
+    which ``strict_sign`` proves that bound negative.  The doubling for
+    n_mono starts at the double-precision estimate
+    ceil(2.5/((s - f1) ln p)) + 1 (at high precision only if f1 < s itself
+    had to escalate), and the doubling for n starts at n_mono."""
     _check_odd_prime(p)
     def gap(m):
         return m.num(s) - _constant_values(p, m.digits)[0]
@@ -204,16 +229,16 @@ def _scan_end(p, s, t, digits, n=None):
     if sign < 0:
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
     if n is None:
-        n = evaluate(escalation_digits(digits),
-                     lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p))))) + 1
-    while True:
-        _check_F_domain(n)
-        sign, more = strict_sign(
-            lambda m: _threshold_F(m, p, n) - m.num(s) * n - m.num(t), digits)
+        estimate = evaluate(escalation_digits(digits) if esc else None,
+                            lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p)))))
+        n, more = _first_negative(lambda m, n: 2.5 / (n * m.log(p)) - gap(m),
+                                  estimate + 1, digits)
         esc += more
-        if sign < 0:
-            return n, esc
-        n *= 2
+    _check_F_domain(n)
+    n, more = _first_negative(
+        lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t), n,
+        digits)
+    return n, esc + more
 
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
@@ -307,18 +332,52 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi.
 
     Both comparisons are guarded by ``strict_sign``; an exact tie on the
-    upper side is irrational and so cannot occur."""
+    upper side is irrational and so cannot occur.  The scan proves its
+    tail instead of walking it: as f3, f4, f5 > 0 and f5 (m-1) > 2 for
+    m >= 16, U(m) = F(m, p) - sqrt(3) m/4 and L(m) = F(m, p) - m/4 have
+
+        U'(m) < f1 - sqrt(3)/4 + 2.5/(m ln p), a bound falling in m;
+        L'(m) > f1 - 1/4 - f3/(m-1)^2 - f4 f5/(f5 (m-1) - 2)^2, rising in m.
+
+    Once ``strict_sign`` proves U' < 0 and L' > 0 at n_t (the larger of
+    the first such points in n_lo, 2 n_lo, 4 n_lo, ..., up to n_hi), U
+    falls and L rises on [n_t, inf), so both sides hold for every n from
+    the first n >= n_t at which they hold: the scan stops there and
+    reports it as ``tail_proven_from``.  Without such an n up to n_hi
+    (f1 >= sqrt(3)/4, f1 <= 1/4, or n_hi too small) the scan covers
+    [n_lo, n_hi] and ``tail_proven_from`` is None.  Either way n* and the
+    counterexample depend on n_hi only, and ``instances_checked``
+    = n_hi - n_lo + 1 counts every n decided, by scan or by proof."""
     _check_odd_prime(p)
     check_int("n_lo", n_lo, 16)
     check_int("n_hi", n_hi, n_lo + 1)
-    last_bad, escalations = None, 0
+    def upper(m, n):  # the bound on U'(n), proven < 0
+        return (_constant_values(p, m.digits)[0] - m.sqrt(3) / 4
+                + 2.5 / (n * m.log(p)))
+
+    def lower(m, n):  # minus the bound on L'(n), proven < 0
+        f1, _, f3, f4, f5 = _constant_values(p, m.digits)
+        return (m.num(1) / 4 - f1 + f3 / (n - 1) ** 2
+                + f4 * f5 / (f5 * (n - 1) - 2) ** 2)
+
+    ends, escs = zip(*(_first_negative(bound, n_lo, digits, n_hi)
+                       for bound in (upper, lower)))
+    n_t, escalations = None if None in ends else max(ends), sum(escs)
+    last_bad = tail = None
     for start, (above, below), esc in _guarded_blocks(
             p, n_lo, n_hi, (lambda m, n: m.num(n) / 4,
                             lambda m, n: m.sqrt(3) * m.num(n) / 4), digits):
         escalations += esc
-        bad = ((above < 0) | (below > 0)).nonzero()[0]
+        good = (above > 0) & (below < 0)
+        bad = (~good).nonzero()[0]
         if bad.size:
             last_bad = start + int(bad[-1])
+        if n_t is not None:
+            skip = max(n_t - start, 0)
+            held = good[skip:].nonzero()[0]
+            if held.size:
+                tail = start + skip + int(held[0])
+                break
     if last_bad == n_hi:
         return VerificationReport(
             suite="envelope", instances_checked=n_hi - n_lo + 1, passed=False,
@@ -327,7 +386,8 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     return VerificationReport(
         suite="envelope", instances_checked=n_hi - n_lo + 1, passed=True,
         counterexample=None,
-        payload={"p": p, "n_star": n_star, "escalations": escalations})
+        payload={"p": p, "n_star": n_star, "escalations": escalations,
+                 "tail_proven_from": tail})
 
 
 # one formula per flag of codim_guarantees, so that a re-decision evaluates

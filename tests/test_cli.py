@@ -706,14 +706,14 @@ _STAGES = [
      [], ["oracle"]),
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
     # the N scan and the anchor table read from it end at a failure
-    # found in double precision (the first requests to read the tables)
+    # found in double precision (the first requests to read the tables),
+    # and the n0 scan's proven end is found in double precision too
     ([(["tables", "--which", "Np", "--primes", "3"], 0),
-      (["tables", "--which", "anchor", "--primes", "3"], 0)],
-     ["numpy"], ["data"]),
-    # high precision, and the proven scan end checked against the
-    # published tables
-    ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0),
+      (["tables", "--which", "anchor", "--primes", "3"], 0),
       (["tables", "--which", "candn0", "--primes", "3"], 0)],
+     ["numpy"], ["data"]),
+    # high precision
+    ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0)],
      ["numpy", "mpmath"], []),
 ]
 

@@ -87,6 +87,20 @@ class TestThresholdF:
         for i in (0, 50, 150):
             assert arr[i] == pytest.approx(threshold_F(3, int(ns[i])), rel=1e-14)
 
+    @pytest.mark.parametrize("ns", [np.array([16.5, 17]), np.array([16.0]),
+                                    np.array([True, True]), []],
+                             ids=["fractional", "integral-float", "bool",
+                                  "empty-list"])
+    def test_array_rejects_non_integer_kinds(self, ns):
+        # as check_int does for a scalar n
+        with pytest.raises(DomainError):
+            threshold_F_array(3, ns)
+
+    def test_array_takes_unsigned_ints(self):
+        ns = np.arange(16, 40, dtype=np.uint32)
+        assert (threshold_F_array(3, ns)
+                == threshold_F_array(3, ns.astype(np.int64))).all()
+
     def test_high_precision_agrees(self):
         hp = threshold_F(3, 1908, digits=50)
         assert float(hp) == pytest.approx(threshold_F(3, 1908), rel=1e-13)
@@ -201,6 +215,8 @@ def _block_scans(p):
     return {"derive_c_n0": derive_c_n0(p), "derive_N": derive_N(p),
             "anchor_signs": (signs.tolist(), escalations),
             "envelope_check": envelope_check(p, 16, 9000),
+            # past the first block: the scan stops at the proven tail
+            "envelope_tail": envelope_check(p, 16, 20_000),
             "envelope_fails": envelope_check(p, 16, 40)}
 
 
@@ -249,6 +265,43 @@ class TestScans:
         rep = envelope_check(3, 16, 10 ** 5)
         assert rep.passed
         assert rep.payload["n_star"] <= 92
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_envelope_tail_proof(self, p):
+        # n* is the same whatever the top of the range: the proven tail
+        # decides the rest, which is also why 10^9 takes milliseconds
+        reports = [envelope_check(p, 16, n_hi) for n_hi in (10 ** 5, 10 ** 6,
+                                                            10 ** 9)]
+        assert all(rep.passed for rep in reports)
+        assert len({rep.payload["n_star"] for rep in reports}) == 1
+        assert [rep.instances_checked for rep in reports] == [
+            10 ** 5 - 15, 10 ** 6 - 15, 10 ** 9 - 15]
+        tail = reports[0].payload["tail_proven_from"]
+        assert reports[0].payload["n_star"] <= tail <= 128
+        assert {rep.payload["tail_proven_from"] for rep in reports} == {tail}
+
+    @pytest.mark.parametrize("f1, passed", [(0.44, False), (0.25, True)],
+                             ids=["f1-above-sqrt3-4", "f1-at-quarter"])
+    def test_envelope_without_proof_scans_its_range(self, monkeypatch, f1,
+                                                    passed):
+        # f1 >= sqrt(3)/4 leaves the upper slope unproven (and F above
+        # sqrt(3) n/4), f1 = 1/4 the lower one (with F still above n/4):
+        # the check scans all of [16, n_hi] and reports what a comparison
+        # at every n gives
+        rest = geometry._constant_values(3, None)[1:]
+        monkeypatch.setattr(geometry, "_constant_values",
+                            lambda p, digits: (f1, *rest))
+        rep = envelope_check(3, 16, 3000)
+        bad = [n for n in range(16, 3001)
+               if not n / 4 < threshold_F(3, n) <= math.sqrt(3) * n / 4]
+        assert rep.passed == passed and rep.instances_checked == 2985
+        if passed:
+            assert rep.payload["tail_proven_from"] is None
+            assert rep.payload["n_star"] == bad[-1] + 1
+        else:
+            assert bad[-1] == 3000
+            assert rep.counterexample == {"p": 3, "n": 3000,
+                                          "F": threshold_F(3, 3000)}
 
     def test_envelope_all_primes_at_cap(self):
         for p in SUPPORTED_PRIMES:
