@@ -2,12 +2,17 @@
 threshold F(n, p), the baseline classification rank, and the exhaustive
 scans that re-derive the published c/n0 and N tables.
 
-Every scan walks n in cache-sized blocks, evaluates F once per block in
-double precision and escalates a comparison to high precision
-(``strict_sign``) only when its margin is below ``DECISION_MARGIN``, so
-results are identical to a full high-precision scan.  The n0 scan runs
-top-down and the N scan bottom-up, each stopping at the block that decides
-it, and the envelope scan stops where a slope bound proves its tail;
+Every scan asks one question of one guarded walk, ``_violation``: the
+first (or last) n in a range at which F(n, p) compares with a right-hand
+side the wrong way.  It walks n in cache-sized blocks, evaluates F once
+per block in double precision and escalates a comparison to high
+precision (``strict_sign``) only when its margin is below
+``DECISION_MARGIN``, so results are identical to a full high-precision
+scan; it stops in the block that holds the answer.  The far end of each
+walk is proven, not scanned: ``_first_negative`` proves a slope bound and
+then a value bound negative at doubling points.  The n0 walk runs down
+from its proven end, the N walk up towards it, and the envelope walk down
+from the point from which both of its sides are proven;
 ``escalations`` counts the comparisons a scan made and escalated.  Each
 comparison is one difference written over the numeric context.  numpy is
 imported only by the functions that build arrays, and the published
@@ -171,56 +176,69 @@ class DerivedCN0(NamedTuple):
 _BLOCK = 1 << 13
 
 
-def _guarded_blocks(p, lo, hi, rhss, digits, descending=False):
-    """Yield ``(start, signs, escalations)`` per block of ``_BLOCK`` values
-    of n in [lo, hi], bottom-up or top-down: ``signs[j, i]`` is the sign
-    (+1/-1) of F(n, p) - rhss[j](m, n) at n = start + i, F evaluated once
-    per block; a comparison within the decision margin is re-decided by
-    ``strict_sign``, and ``escalations`` counts those."""
+def _violation(p, lo, hi, rhss, digits, last=False):
+    """``(n, escalations)``: the first n in [lo, hi] (the last with
+    ``last``) at which the sign of F(n, p) - rhs(m, n) is not ``want`` for
+    some ``(rhs, want)`` in ``rhss``; n is None if there is none.  The walk
+    goes up from lo (down from hi with ``last``) in blocks of ``_BLOCK``
+    values of n and stops in the block that holds the answer.  It evaluates
+    F once per block in double precision; a comparison within the decision
+    margin is re-decided by ``strict_sign``, and ``escalations`` counts
+    those."""
     escalation_digits(digits)  # a bad digits fails even if nothing escalates
     import numpy as np
     m = _numpy()
+    margin = precision.DECISION_MARGIN
+    escalations = 0
     starts = range(lo, hi + 1, _BLOCK)
-    for start in reversed(starts) if descending else starts:
+    for start in reversed(starts) if last else starts:
         ns = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.int64)
         F = _threshold_F(m, p, m.num(ns))
-        signs = np.empty((len(rhss), ns.size), dtype=np.int8)
-        escalations = 0
-        for row, rhs in zip(signs, rhss):
+        hits = []
+        for rhs, want in rhss:
             diff = F - rhs(m, ns)
-            np.sign(diff, out=row, casting="unsafe")
-            for i in np.flatnonzero(np.abs(diff) < precision.DECISION_MARGIN):
-                n = start + int(i)
-                row[i], esc = strict_sign(
+            near = np.flatnonzero(want * diff < margin)  # not proven right
+            wrong = np.abs(diff[near]) >= margin
+            for j in np.flatnonzero(~wrong):
+                n = start + int(near[j])
+                sign, esc = strict_sign(
                     lambda m: _threshold_F(m, p, n) - rhs(m, n), digits)
+                wrong[j] = sign != want
                 escalations += esc
-        yield start, signs, escalations
-
-
-def _first_negative(bound, n, digits, ceiling=None):
-    """``(n, escalations)``: the first of n, 2n, 4n, ..., none past
-    ``ceiling`` (if given), at which ``strict_sign`` proves
-    ``bound(m, n) < 0``; n is None if no such point up to ``ceiling``."""
-    escalations = 0
-    while ceiling is None or n <= ceiling:
-        sign, esc = strict_sign(lambda m: bound(m, n), digits)
-        escalations += esc
-        if sign < 0:
-            return n, escalations
-        n *= 2
+            if wrong.any():
+                hits.append(int(near[wrong][-1 if last else 0]))
+        if hits:
+            return start + (max(hits) if last else min(hits)), escalations
     return None, escalations
 
 
-def _scan_end(p, s, t, digits, n=None):
-    """``(n, escalations)``: the first of n, 2n, 4n, ... with
-    F(n, p) < s n + t, once f1 < s is proven.  With n None the result
-    holds for all m >= n: as f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's
-    domain), g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p),
-    a bound that falls as m grows, so g decreases from the first n_mono at
-    which ``strict_sign`` proves that bound negative.  The doubling for
-    n_mono starts at the double-precision estimate
+def _first_negative(bounds, n, digits, ceiling=None):
+    """``(n, escalations)``: proves ``bounds`` negative one after another,
+    each ``bound(m, n)`` by ``strict_sign`` at the first of n, 2n, 4n, ...
+    where it is, the next bound starting from there; n is the point of the
+    last proof, None if a proof would pass ``ceiling`` (if given)."""
+    escalations = 0
+    for bound in bounds:
+        while ceiling is None or n <= ceiling:
+            sign, esc = strict_sign(lambda m: bound(m, n), digits)
+            escalations += esc
+            if sign < 0:
+                break
+            n *= 2
+        else:
+            return None, escalations
+    return n, escalations
+
+
+def _scan_end(p, s, t, digits):
+    """``(n, escalations)``: an n with F(m, p) < s m + t for every m >= n,
+    once f1 < s is proven.  As f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's
+    domain), g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p), a
+    bound that falls as m grows: ``_first_negative`` proves it negative at
+    n_mono, from which g decreases, and then g itself at n = n_mono 2^k.
+    The doubling starts at the double-precision estimate
     ceil(2.5/((s - f1) ln p)) + 1 (at high precision only if f1 < s itself
-    had to escalate), and the doubling for n starts at n_mono."""
+    had to escalate), and not below 16."""
     _check_odd_prime(p)
     def gap(m):
         return m.num(s) - _constant_values(p, m.digits)[0]
@@ -228,38 +246,29 @@ def _scan_end(p, s, t, digits, n=None):
     sign, esc = strict_sign(gap, digits)
     if sign < 0:
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
-    if n is None:
-        estimate = evaluate(escalation_digits(digits) if esc else None,
-                            lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p)))))
-        n, more = _first_negative(lambda m, n: 2.5 / (n * m.log(p)) - gap(m),
-                                  estimate + 1, digits)
-        esc += more
-    _check_F_domain(n)
+    estimate = evaluate(escalation_digits(digits) if esc else None,
+                        lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p)))))
     n, more = _first_negative(
-        lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t), n,
-        digits)
+        (lambda m, n: 2.5 / (n * m.log(p)) - gap(m),
+         lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t)),
+        max(estimate + 1, 16), digits)
     return n, esc + more
 
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
-    n >= n0, taking c(p) from the published table.  The guarded scan runs
+    n >= n0, taking c(p) from the published table.  The guarded walk runs
     down from the end ``_scan_end`` proves for (c(p), 0) to the last n
     with F > c n."""
     c = _published_c().get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
     end, escalations = _scan_end(p, c, 0, digits)
-    last = None
-    for start, (signs,), esc in _guarded_blocks(
-            p, 16, end, (lambda m, n: m.num(c) * n,), digits, descending=True):
-        escalations += esc
-        viol = (signs > 0).nonzero()[0]
-        if viol.size:
-            last = start + int(viol[-1])
-            break
+    last, esc = _violation(p, 16, end, ((lambda m, n: m.num(c) * n, -1),),
+                           digits, last=True)
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
-                      cap=end, last_violation=last, escalations=escalations)
+                      cap=end, last_violation=last,
+                      escalations=escalations + esc)
 
 
 class DerivedN(NamedTuple):
@@ -273,22 +282,16 @@ def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
     all n in [16, N]; also reports the first failing n (= N + 1), so the
     anchor claim holds on [16, n_hi] iff first_failure > n_hi.  As
-    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the first
-    end = 16 2^k with F(end, p) < 3 end/8 + 1/8 (``_scan_end``; f1(p) > 3/8
-    rules it out); the guarded scan runs up from 16 to the first failure."""
-    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits,
-                                 16)
-    for start, (signs,), esc in _guarded_blocks(
-            p, 16, end, (lambda m, n: m.num(_baseline(n)),), digits):
-        escalations += esc
-        fail = (signs < 0).nonzero()[0]
-        if fail.size:
-            first = start + int(fail[0])
-            break
+    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
+    ``_scan_end`` proves for (3/8, 1/8) (f1(p) > 3/8 rules it out); the
+    guarded walk runs up from 16 to the first failure."""
+    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits)
+    first, esc = _violation(
+        p, 16, end, ((lambda m, n: m.num(_baseline(n)), 1),), digits)
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
     return DerivedN(p=p, N=first - 1, first_failure=first,
-                    escalations=escalations)
+                    escalations=escalations + esc)
 
 
 def f1_monotonicity_scan(p_max: int, digits=None) -> VerificationReport:
@@ -332,52 +335,48 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi.
 
     Both comparisons are guarded by ``strict_sign``; an exact tie on the
-    upper side is irrational and so cannot occur.  The scan proves its
+    upper side is irrational and so cannot occur.  The check proves its
     tail instead of walking it: as f3, f4, f5 > 0 and f5 (m-1) > 2 for
     m >= 16, U(m) = F(m, p) - sqrt(3) m/4 and L(m) = F(m, p) - m/4 have
 
         U'(m) < f1 - sqrt(3)/4 + 2.5/(m ln p), a bound falling in m;
         L'(m) > f1 - 1/4 - f3/(m-1)^2 - f4 f5/(f5 (m-1) - 2)^2, rising in m.
 
-    Once ``strict_sign`` proves U' < 0 and L' > 0 at n_t (the larger of
-    the first such points in n_lo, 2 n_lo, 4 n_lo, ..., up to n_hi), U
-    falls and L rises on [n_t, inf), so both sides hold for every n from
-    the first n >= n_t at which they hold: the scan stops there and
-    reports it as ``tail_proven_from``.  Without such an n up to n_hi
-    (f1 >= sqrt(3)/4, f1 <= 1/4, or n_hi too small) the scan covers
-    [n_lo, n_hi] and ``tail_proven_from`` is None.  Either way n* and the
-    counterexample depend on n_hi only, and ``instances_checked``
-    = n_hi - n_lo + 1 counts every n decided, by scan or by proof."""
+    ``_first_negative`` proves U' < 0 and then U < 0 at points of
+    n_lo, 2 n_lo, 4 n_lo, ..., up to n_hi, so U < 0 from the second point
+    on; likewise -L' < 0 and then -L < 0.  From the larger of the two
+    points, reported as ``tail_proven_from``, both sides hold for every n,
+    and the guarded walk runs down from it to the last n where a side
+    fails.  Without a proof up to n_hi (f1 >= sqrt(3)/4, f1 <= 1/4, or
+    n_hi too small) the walk runs down from n_hi and ``tail_proven_from``
+    is None.  Either way n* and the counterexample depend on n_hi only,
+    and ``instances_checked`` = n_hi - n_lo + 1 counts every n decided, by
+    walk or by proof."""
     _check_odd_prime(p)
     check_int("n_lo", n_lo, 16)
     check_int("n_hi", n_hi, n_lo + 1)
-    def upper(m, n):  # the bound on U'(n), proven < 0
+    def quarter(m, n):
+        return m.num(n) / 4
+
+    def upper(m, n):
+        return m.sqrt(3) * m.num(n) / 4
+
+    def upper_slope(m, n):  # the bound on U'(n)
         return (_constant_values(p, m.digits)[0] - m.sqrt(3) / 4
                 + 2.5 / (n * m.log(p)))
 
-    def lower(m, n):  # minus the bound on L'(n), proven < 0
+    def lower_slope(m, n):  # minus the bound on L'(n)
         f1, _, f3, f4, f5 = _constant_values(p, m.digits)
         return (m.num(1) / 4 - f1 + f3 / (n - 1) ** 2
                 + f4 * f5 / (f5 * (n - 1) - 2) ** 2)
 
-    ends, escs = zip(*(_first_negative(bound, n_lo, digits, n_hi)
-                       for bound in (upper, lower)))
-    n_t, escalations = None if None in ends else max(ends), sum(escs)
-    last_bad = tail = None
-    for start, (above, below), esc in _guarded_blocks(
-            p, n_lo, n_hi, (lambda m, n: m.num(n) / 4,
-                            lambda m, n: m.sqrt(3) * m.num(n) / 4), digits):
-        escalations += esc
-        good = (above > 0) & (below < 0)
-        bad = (~good).nonzero()[0]
-        if bad.size:
-            last_bad = start + int(bad[-1])
-        if n_t is not None:
-            skip = max(n_t - start, 0)
-            held = good[skip:].nonzero()[0]
-            if held.size:
-                tail = start + skip + int(held[0])
-                break
+    sides = ((upper_slope, lambda m, n: _threshold_F(m, p, n) - upper(m, n)),
+             (lower_slope, lambda m, n: quarter(m, n) - _threshold_F(m, p, n)))
+    ends, escs = zip(*(_first_negative(bounds, n_lo, digits, n_hi)
+                       for bounds in sides))
+    tail = None if None in ends else max(ends)
+    last_bad, esc = _violation(p, n_lo, tail or n_hi,
+                               ((quarter, 1), (upper, -1)), digits, last=True)
     if last_bad == n_hi:
         return VerificationReport(
             suite="envelope", instances_checked=n_hi - n_lo + 1, passed=False,
@@ -386,7 +385,7 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     return VerificationReport(
         suite="envelope", instances_checked=n_hi - n_lo + 1, passed=True,
         counterexample=None,
-        payload={"p": p, "n_star": n_star, "escalations": escalations,
+        payload={"p": p, "n_star": n_star, "escalations": sum(escs) + esc,
                  "tail_proven_from": tail})
 
 

@@ -365,7 +365,7 @@ class TestVerify:
         assert code == 0
         assert out == golden.read_text()
 
-    @pytest.mark.parametrize("which", ["anchor", "Np"])
+    @pytest.mark.parametrize("which", ["anchor", "Np", "candn0"])
     def test_tables_match_the_golden_files(self, capsys, which):
         # the files hold an earlier release's stdout; they print integers
         # only, so they hold on every platform
@@ -374,6 +374,32 @@ class TestVerify:
                            "--deterministic")
         assert code == 0
         assert out == golden.read_text()
+
+    def test_envelope_matches_the_golden_file(self, capsys):
+        # the file holds the stdout of a release that scanned every n up to
+        # 10^5; the proven tail must not move n* or the count of instances
+        golden = Path(__file__).parent / "golden" / "verify-envelope.json"
+        code, out, _ = run(capsys, "verify", "--suite", "envelope",
+                           "--deterministic")
+        assert code == 0
+        assert out == golden.read_text()
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("tables-anchor", ["tables", "--which", "anchor"]),
+        ("tables-Np", ["tables", "--which", "Np"]),
+        ("tables-candn0", ["tables", "--which", "candn0"]),
+        ("verify-envelope", ["verify", "--suite", "envelope"])],
+        ids=["anchor", "Np", "candn0", "envelope"])
+    def test_scan_goldens_hold_at_40_digits(self, capsys, golden, argv):
+        # more digits re-decide only the close comparisons, and no scan
+        # decision changes: the document is the golden one but for its
+        # inputs.digits
+        code, doc, _ = run_json(capsys, *argv, "--digits", "40",
+                                "--deterministic")
+        assert code == 0
+        assert doc["inputs"].pop("digits") == 40
+        path = Path(__file__).parent / "golden" / f"{golden}.json"
+        assert doc == json.loads(path.read_text())
 
     def test_f1_suite(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--suite", "f1",
@@ -705,6 +731,8 @@ _STAGES = [
     ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
      [], ["oracle"]),
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
+    # the envelope proves its tail and walks below it in double precision
+    ([(["verify", "--suite", "envelope"], 0)], ["numpy"], []),
     # the N scan and the anchor table read from it end at a failure
     # found in double precision (the first requests to read the tables),
     # and the n0 scan's proven end is found in double precision too

@@ -26,13 +26,37 @@ from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
 from qbounds.qcore import _johnson_ceil
 
 
+# the anchor comparison F(n, p) > baseline_rank(n) and the envelope's two
+# sides, n/4 < F(n, p) and F(n, p) < sqrt(3) n/4, as ``_violation`` takes them
+_ANCHOR = ((lambda m, n: m.num(geometry._baseline(n)), 1),)
+_QUARTER = ((lambda m, n: m.num(n) / 4, 1),)
+_UPPER = ((lambda m, n: m.sqrt(3) * m.num(n) / 4, -1),)
+
+
+def _violations(p, lo, hi, rhss, digits=None, last=False):
+    """``(ns, escalations)``: every n in [lo, hi] that ``_violation`` names,
+    in walk order, found by restarting the walk past each one, and the
+    escalations of all the walks."""
+    found, escalations = [], 0
+    while True:
+        n, esc = geometry._violation(p, lo, hi, rhss, digits, last)
+        escalations += esc
+        if n is None:
+            return found, escalations
+        found.append(n)
+        lo, hi = (lo, n - 1) if last else (n + 1, hi)
+
+
 def _anchor_signs(p, n_hi, digits=None):
     """``(signs, escalations)`` of the guarded anchor comparison
-    F(n, p) > baseline_rank(n) over [16, n_hi]."""
-    rhs = (lambda m, n: m.num(geometry._baseline(n)),)
-    blocks = list(geometry._guarded_blocks(p, 16, n_hi, rhs, digits))
-    return (np.concatenate([signs for _, (signs,), _ in blocks]),
-            sum(esc for *_, esc in blocks))
+    F(n, p) > baseline_rank(n) over [16, n_hi], read off the failures
+    ``_violation`` names walking up; walking down names the same."""
+    up, escalations = _violations(p, 16, n_hi, _ANCHOR, digits)
+    down, _ = _violations(p, 16, n_hi, _ANCHOR, digits, last=True)
+    assert down == up[::-1]
+    failures = set(up)
+    signs = [-1 if n in failures else 1 for n in range(16, n_hi + 1)]
+    return np.array(signs), escalations
 
 
 class TestConstants:
@@ -214,9 +238,11 @@ def _block_scans(p):
     signs, escalations = _anchor_signs(p, 1000)
     return {"derive_c_n0": derive_c_n0(p), "derive_N": derive_N(p),
             "anchor_signs": (signs.tolist(), escalations),
+            "envelope_sides": _violations(p, 16, 200, _QUARTER + _UPPER),
             "envelope_check": envelope_check(p, 16, 9000),
-            # past the first block: the scan stops at the proven tail
+            # n_hi past the first block: the walk starts at the proven tail
             "envelope_tail": envelope_check(p, 16, 20_000),
+            # no proof up to n_hi: the walk starts at n_hi
             "envelope_fails": envelope_check(p, 16, 40)}
 
 
@@ -225,7 +251,7 @@ class TestGuardedBlocks:
     @pytest.mark.parametrize("p", [3, 7])
     def test_block_size_changes_nothing(self, monkeypatch, p, block):
         # blocks of 7 and 64 split the ranges unevenly: this covers block
-        # edges, both walk directions and the n0/N scans' exits below the
+        # edges, both walk directions and the n0/N walks' exits below the
         # top block
         expected = _block_scans(p)
         monkeypatch.setattr(geometry, "_BLOCK", block)
@@ -233,12 +259,49 @@ class TestGuardedBlocks:
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_anchor_signs_match_scalar_comparisons(self, p):
+        # every failure the walk names, up and down, is a scalar one
         signs, escalations = _anchor_signs(p, 1000)
         assert escalations == 0
         assert signs.tolist() == [
             1 if threshold_F(p, n) > baseline_rank(n) else -1
             for n in range(16, 1001)]
         assert {-1, 1} <= set(signs.tolist())
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_envelope_sides_match_scalar_comparisons(self, p):
+        # each side alone and both together, walked up and down
+        def quarter(n):
+            return n / 4 < threshold_F(p, n)
+
+        def upper(n):
+            return threshold_F(p, n) < math.sqrt(3) * n / 4
+
+        for rhss, holds in ((_QUARTER, quarter), (_UPPER, upper),
+                            (_QUARTER + _UPPER,
+                             lambda n: quarter(n) and upper(n))):
+            bad = [n for n in range(16, 201) if not holds(n)]
+            assert _violations(p, 16, 200, rhss) == (bad, 0)
+            assert _violations(p, 16, 200, rhss, last=True) == (bad[::-1], 0)
+        assert bad
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_envelope_evaluates_nothing_past_its_proven_tail(self, monkeypatch,
+                                                            p):
+        # the walk covers [16, tail_proven_from] only, and from there on
+        # both sides hold by proof; a scalar check agrees over 10^4 more n
+        threshold, top = geometry._threshold_F, []
+
+        def recording(m, p, n):
+            if isinstance(n, np.ndarray):
+                top.append(n.max())
+            return threshold(m, p, n)
+
+        monkeypatch.setattr(geometry, "_threshold_F", recording)
+        tail = envelope_check(p, 16, 10 ** 5).payload["tail_proven_from"]
+        assert tail <= 128 and top and max(top) <= tail
+        monkeypatch.undo()
+        for n in range(tail, tail + 10 ** 4 + 1):
+            assert n / 4 < threshold_F(p, n) <= math.sqrt(3) * n / 4, n
 
     def test_envelope_failure_names_the_top_of_the_range(self):
         rep = envelope_check(3, 16, 40)  # n* = 63 for p = 3
