@@ -234,11 +234,13 @@ def _rows_to_csv(rows):
 
 def cmd_tables(args, dig):
     from .geometry import SUPPORTED_PRIMES
-    primes = tuple(args.primes) if args.primes else SUPPORTED_PRIMES
-    for p in primes:
+    primes = SUPPORTED_PRIMES if args.primes is None else tuple(args.primes)
+    for i, p in enumerate(primes):
         if p not in SUPPORTED_PRIMES:
             raise DomainError(f"prime {p} is not in the supported set "
                               f"{SUPPORTED_PRIMES}")
+        if p in primes[:i]:
+            raise DomainError(f"prime {p} is given more than once")
     diagnostics = []
     rows, mismatch = _tables_rows(args.which, primes, dig, diagnostics)
     if mismatch:
@@ -248,6 +250,7 @@ def cmd_tables(args, dig):
 
 
 def cmd_verify(args, dig):
+    check_int("--seed", args.seed, 0)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [SUITES[name](args.seed, dig) for name in names]
     results = [{"suite": rep.suite,
@@ -334,7 +337,7 @@ _COMMANDS = {
     "tables": ("re-derive the published tables", cmd_tables, [
         ("--which", {"choices": ["constants", "candn0", "Np", "anchor"],
                      "required": True}),
-        ("--primes", {"type": int, "nargs": "*", "default": None}),
+        ("--primes", {"type": int, "nargs": "+", "default": None}),
         ("--format", {"choices": ["json", "csv"], "default": "json"})]),
     "verify": ("run a verification suite", cmd_verify, [
         ("--suite", {"choices": ["all"] + list(SUITES), "default": "all"}),

@@ -34,7 +34,7 @@ from .errors import DomainError, PreconditionError, check_int
 from . import precision
 from .precision import escalation_digits, evaluate, strict_sign
 from .qcore import _entropy, _johnson_radius
-from .report import VerificationReport
+from .report import VerificationReport, first_failure
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -302,31 +302,26 @@ def f1_monotonicity_scan(p_max: int, digits=None) -> VerificationReport:
         raise PreconditionError(f"p_max must be >= 31, got {p_max}")
     primes = [p for p in primes_up_to(p_max) if p >= 3]
     f1 = {p: constants(p).f1 for p in primes}
-    escalations = 0
-    checked = 0
-    for a, b in zip(primes, primes[1:]):
-        checked += 1
-        s, esc = strict_sign(lambda m: _constant_values(b, m.digits)[0]
-                             - _constant_values(a, m.digits)[0], digits)
-        escalations += esc
-        if s <= 0:
-            return VerificationReport(
-                suite="f1-monotonicity", instances_checked=checked, passed=False,
-                counterexample={"p_low": a, "p_high": b,
-                                "f1_low": f1[a], "f1_high": f1[b]})
-    for p, want_below in ((29, True), (31, False)):
-        checked += 1
-        s, esc = strict_sign(
-            lambda m: m.num(3) / 8 - _constant_values(p, m.digits)[0], digits)
-        escalations += esc
-        if (s > 0) != want_below:
-            return VerificationReport(
-                suite="f1-monotonicity", instances_checked=checked, passed=False,
-                counterexample={"p": p, "f1": f1[p], "three_eighths": 0.375})
-    return VerificationReport(
-        suite="f1-monotonicity", instances_checked=checked, passed=True,
-        counterexample=None,
-        payload={"f1_29": f1[29], "f1_31": f1[31], "escalations": escalations})
+    payload = {"f1_29": f1[29], "f1_31": f1[31], "escalations": 0}
+
+    def positive(diff):
+        s, esc = strict_sign(diff, digits)
+        payload["escalations"] += esc
+        return s > 0
+
+    def checks():
+        for a, b in zip(primes, primes[1:]):
+            rising = positive(lambda m: _constant_values(b, m.digits)[0]
+                              - _constant_values(a, m.digits)[0])
+            yield None if rising else {"p_low": a, "p_high": b,
+                                       "f1_low": f1[a], "f1_high": f1[b]}
+        for p, want_below in ((29, True), (31, False)):
+            below = positive(
+                lambda m: m.num(3) / 8 - _constant_values(p, m.digits)[0])
+            yield None if below == want_below else {
+                "p": p, "f1": f1[p], "three_eighths": 0.375}
+
+    return first_failure("f1-monotonicity", checks(), payload)
 
 
 def envelope_check(p: int, n_lo: int, n_hi: int,

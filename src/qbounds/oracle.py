@@ -39,7 +39,7 @@ from .errors import (DomainError, PreconditionError, ResourceBudgetError,
                      check_int)
 from .qcore import (BALL_VOLUME_BITS, _check_delta, _johnson_ceil,
                     hamming_ball_volume)
-from .report import VerificationReport
+from .report import VerificationReport, first_failure
 
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
@@ -401,6 +401,7 @@ def johnson_ball_check(code: Code, e: int) -> VerificationReport:
 def random_code(q: int, n: int, size: int, seed: int) -> Code:
     """Deterministic random code of distinct words (fixed seed, fixed code)."""
     BoundParams(q, n, 1)  # checks q and n
+    check_int("seed", seed, 0)
     total = _space_size(q, n, budget=2 ** 63 - 1)  # sample() needs < 2^63
     check_int("size", size, 0, total)
     import numpy as np
@@ -416,16 +417,18 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
 
 
 def _check_suite_args(q_set, n_max: int, n_min: int,
-                      trials: int = 1) -> None:
+                      trials: int = 1, seed: int = 0) -> None:
     """A suite draws an alphabet from ``q_set`` and a length in
     [n_min, n_max]; an empty set or range, an alphabet that is no integer
-    >= 2, or no trial, would pass with no check."""
+    >= 2, or no trial, would pass with no check.  A negative seed would
+    draw the codes of its absolute value."""
     if not q_set:
         raise DomainError("q_set must name at least one alphabet size")
     for q in q_set:
         check_int("q", q, 2)
     check_int("n_max", n_max, n_min)
     check_int("trials", trials, 1)
+    check_int("seed", seed, 0)
 
 
 def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
@@ -434,64 +437,52 @@ def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
     exhaustive scan meets the averaging bound, decided in integers as
     count q^n >= |C| V_q(n, e).  The payload counts the checks at a
     degenerate radius, e in {0, n}."""
-    _check_suite_args(q_set, n_max, 2, trials)
+    _check_suite_args(q_set, n_max, 2, trials, seed)
     rng = random.Random(seed)
-    checked = 0
-    degenerate = 0
-    for t in range(trials):
-        q = q_set[t % len(q_set)]
-        n = rng.randint(2, n_max)
-        size = rng.randint(1, min(q ** n, 40))
-        code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
-        e = rng.randint(0, n)
-        _, count = pigeonhole_witness(code, e)
-        checked += 1
-        degenerate += e in (0, n)
-        covered = code.size * hamming_ball_volume(q, n, e)
-        if count * q ** n < covered:
-            return VerificationReport(
-                suite="pigeonhole", instances_checked=checked, passed=False,
-                counterexample={"code": serialize_code(code), "e": e,
-                                "count": count,
-                                "bound": str(Fraction(covered, q ** n))},
-                payload={"degenerate_radius": degenerate})
-    return VerificationReport(suite="pigeonhole", instances_checked=checked,
-                              passed=True,
-                              payload={"degenerate_radius": degenerate})
+    payload = {"degenerate_radius": 0}
+
+    def checks():
+        for t in range(trials):
+            q = q_set[t % len(q_set)]
+            n = rng.randint(2, n_max)
+            size = rng.randint(1, min(q ** n, 40))
+            code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
+            e = rng.randint(0, n)
+            _, count = pigeonhole_witness(code, e)
+            payload["degenerate_radius"] += e in (0, n)
+            covered = code.size * hamming_ball_volume(q, n, e)
+            yield None if count * q ** n >= covered else {
+                "code": serialize_code(code), "e": e, "count": count,
+                "bound": str(Fraction(covered, q ** n))}
+
+    return first_failure("pigeonhole", checks(), payload)
 
 
 def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Lemma check: the Johnson ball cap holds exhaustively for seeded
     random codes at the decoding radius e = ceil(n J_q(d/n)) - 1; a code
-    with d q > (q-1) n is drawn again.  The payload counts the checks at
-    the degenerate radius e = 0."""
-    _check_suite_args(q_set, n_max, 3, trials)
+    with d q > (q-1) n is drawn again, with at most 50·trials draws in
+    all.  The payload counts the checks at the degenerate radius e = 0."""
+    _check_suite_args(q_set, n_max, 3, trials, seed)
     rng = random.Random(seed)
-    checked = 0
-    degenerate = 0
-    attempts = 0
-    while checked < trials and attempts < 50 * trials:
-        attempts += 1
-        q = q_set[attempts % len(q_set)]
-        n = rng.randint(3, n_max)
-        size = rng.randint(2, min(q ** n, 30))
-        code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
-        d = code.min_distance()
-        if d * q > (q - 1) * n:
-            continue
-        e = _johnson_ceil(q, n, Fraction(d, n)) - 1
-        rep = johnson_ball_check(code, e)
-        checked += 1
-        degenerate += e == 0
-        if not rep.passed:
-            return VerificationReport(
-                suite="johnson", instances_checked=checked, passed=False,
-                counterexample=rep.counterexample,
-                payload={"degenerate_radius": degenerate})
-    return VerificationReport(suite="johnson", instances_checked=checked,
-                              passed=True,
-                              payload={"degenerate_radius": degenerate})
+    payload = {"degenerate_radius": 0}
+
+    def checks():
+        for attempt in range(1, 50 * trials + 1):
+            q = q_set[attempt % len(q_set)]
+            n = rng.randint(3, n_max)
+            size = rng.randint(2, min(q ** n, 30))
+            code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
+            d = code.min_distance()
+            if d * q > (q - 1) * n:
+                continue
+            e = _johnson_ceil(q, n, Fraction(d, n)) - 1
+            payload["degenerate_radius"] += e == 0
+            yield johnson_ball_check(code, e).counterexample
+
+    return first_failure("johnson", itertools.islice(checks(), trials),
+                         payload)
 
 
 def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, *,
@@ -504,37 +495,31 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, *,
     are skipped and counted.
     """
     _check_suite_args(q_set, n_max, 2)
-    solved = 0
-    skipped_pre = 0
-    skipped_resource = 0
-    for q in q_set:
-        for n in range(2, n_max + 1):
-            if q ** n > SPACE_BUDGET:
-                continue
-            for d in range(2, n + 1):
-                try:
-                    _eb_inputs(BoundParams(q=q, n=n, d=d))
-                except (DomainError, PreconditionError):
-                    skipped_pre += 1
+    payload = {"skipped_precondition": 0, "skipped_resource": 0,
+               "total_instances": 0}
+
+    def checks():
+        for q in q_set:
+            for n in range(2, n_max + 1):
+                if q ** n > SPACE_BUDGET:
                     continue
-                try:
-                    size, _ = max_code_size(q, n, d, time_limit=time_limit)
-                except ResourceBudgetError:
-                    skipped_resource += 1
-                    continue
-                solved += 1
-                rate, bound, holds = _rate_check(q, n, d, size)
-                if not holds:
-                    return VerificationReport(
-                        suite="eb-soundness", instances_checked=solved,
-                        passed=False,
-                        counterexample={"q": q, "n": n, "d": d, "A": size,
-                                        "rate": rate, "bound": bound})
-    return VerificationReport(
-        suite="eb-soundness", instances_checked=solved, passed=True,
-        payload={"skipped_precondition": skipped_pre,
-                 "skipped_resource": skipped_resource,
-                 "total_instances": solved + skipped_resource})
+                for d in range(2, n + 1):
+                    try:
+                        _eb_inputs(BoundParams(q=q, n=n, d=d))
+                    except (DomainError, PreconditionError):
+                        payload["skipped_precondition"] += 1
+                        continue
+                    payload["total_instances"] += 1
+                    try:
+                        size, _ = max_code_size(q, n, d, time_limit=time_limit)
+                    except ResourceBudgetError:
+                        payload["skipped_resource"] += 1
+                        continue
+                    rate, bound, holds = _rate_check(q, n, d, size)
+                    yield None if holds else {"q": q, "n": n, "d": d, "A": size,
+                                              "rate": rate, "bound": bound}
+
+    return first_failure("eb-soundness", checks(), payload)
 
 
 # --- serialization --------------------------------------------------------

@@ -5,7 +5,7 @@ A suite's library module is imported only when the suite runs."""
 
 import qbounds
 
-from .report import VerificationReport
+from .report import VerificationReport, first_failure
 
 # ln k! sits only ~1/(360 k^3) below the bracket's upper edge, inside
 # float64 noise from k ~ 1e3 on, so both sides are compared in software
@@ -17,36 +17,27 @@ def verify_stirling() -> VerificationReport:
     """The Robbins bracket holds for every k <= 10^4 and at 10^5, 10^6."""
     import mpmath
     from .qcore import stirling_bounds
-    checked = 0
-    with mpmath.workdps(STIRLING_DIGITS):
+
+    def checks():
         for k in [*range(1, 10_001), 10 ** 5, 10 ** 6]:
             lo, hi = stirling_bounds(k, digits=STIRLING_DIGITS)
             ref = mpmath.loggamma(k + 1)
-            checked += 1
-            if not lo < ref < hi:
-                return VerificationReport(
-                    suite="stirling", instances_checked=checked, passed=False,
-                    counterexample={"k": k, "lower": float(lo),
-                                    "ln_kfact": float(ref), "upper": float(hi)})
-    return VerificationReport(suite="stirling", instances_checked=checked,
-                              passed=True)
+            yield None if lo < ref < hi else {
+                "k": k, "lower": float(lo), "ln_kfact": float(ref),
+                "upper": float(hi)}
+
+    with mpmath.workdps(STIRLING_DIGITS):
+        return first_failure("stirling", checks())
 
 
 def verify_monotonicity() -> VerificationReport:
     """rank_bound(p, n, 1/3) < rank_bound(p, n, 1/4) on a grid of n."""
     from .eb_bounds import verify_rank_monotonicity
     from .geometry import SUPPORTED_PRIMES
-    checked = 0
     grid = list(range(16, 201)) + [10 ** 3, 10 ** 4, 10 ** 5]
-    for p in SUPPORTED_PRIMES:
-        for n in grid:
-            checked += 1
-            if not verify_rank_monotonicity(p, n):
-                return VerificationReport(
-                    suite="monotonicity", instances_checked=checked,
-                    passed=False, counterexample={"p": p, "n": n})
-    return VerificationReport(suite="monotonicity", instances_checked=checked,
-                              passed=True)
+    return first_failure("monotonicity", (
+        None if verify_rank_monotonicity(p, n) else {"p": p, "n": n}
+        for p in SUPPORTED_PRIMES for n in grid))
 
 
 def verify_envelope(digits=None) -> VerificationReport:

@@ -51,13 +51,15 @@ _ENTRY_POINTS = [
      {"n_lo": 15, "n_hi": 16}),
     (make_code, {"q": 2, "n": 4, "words": []}, {"q": 1, "n": 0}),
     (random_code, {"q": 2, "n": 3, "size": 2, "seed": 0},
-     {"q": 1, "n": 0, "size": 9}),
+     {"q": 1, "n": 0, "size": 9, "seed": -1}),
     (upper_bound, {"q": 2, "n": 4, "d": 2}, {"q": 1, "n": 0, "d": 5}),
     (max_code_size, {"q": 2, "n": 4, "d": 2}, {"q": 1, "n": 0, "d": 5}),
     (pigeonhole_witness, {"code": _CODE, "e": 1}, {"e": 7}),
     (johnson_ball_check, {"code": _CODE, "e": 1}, {"e": 7}),
-    (pigeonhole_suite, {"n_max": 4, "trials": 2}, {"n_max": 1, "trials": 0}),
-    (johnson_suite, {"n_max": 4, "trials": 2}, {"n_max": 2, "trials": 0}),
+    (pigeonhole_suite, {"n_max": 4, "trials": 2},
+     {"n_max": 1, "trials": 0, "seed": -1}),
+    (johnson_suite, {"n_max": 4, "trials": 2},
+     {"n_max": 2, "trials": 0, "seed": -1}),
     (eb_soundness_sweep, {"q_set": (2,), "n_max": 4}, {"n_max": 1}),
 ]
 

@@ -24,6 +24,7 @@ from qbounds import (BoundParams, VerificationReport, classify_rank,
                      parse_code, rank_bound)
 from qbounds import cli
 from qbounds.cli import _COMMANDS, _EVAL, build_parser, main
+from qbounds.suites import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -314,6 +315,19 @@ class TestTables:
         assert lines[0].startswith("p,c,n0_paper")
         assert lines[1].startswith("3,9/32,1908,1908")
 
+    def test_repeated_prime_exit_2(self, capsys):
+        code, out, err = run(capsys, "tables", "--which", "constants",
+                             "--primes", "3", "5", "3", "--deterministic")
+        assert (code, out) == (2, "")
+        assert err == "error: prime 3 is given more than once\n"
+
+    def test_primes_needs_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--which", "constants", "--primes"])
+        assert exc.value.code == 2
+        assert "--primes: expected at least one argument" in \
+            capsys.readouterr().err
+
     def test_unsupported_prime(self, capsys):
         code, _, err = run(capsys, "tables", "--which", "candn0",
                            "--primes", "31")
@@ -364,6 +378,24 @@ class TestVerify:
                            "--deterministic")
         assert code == 0
         assert out == golden.read_text()
+
+    @pytest.mark.parametrize("suite", ["stirling", "monotonicity", "f1"])
+    def test_deterministic_suites_match_the_golden_files(self, capsys, suite):
+        # the files hold the stdout of an earlier release, byte for byte
+        golden = Path(__file__).parent / "golden" / f"verify-{suite}.json"
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--deterministic")
+        assert code == 0
+        assert out == golden.read_text()
+
+    @pytest.mark.parametrize("suite", ["all", *SUITES])
+    def test_negative_seed_exit_2(self, capsys, suite):
+        # random.Random seeds from |seed|, so -1 would rerun seed 1; the
+        # check comes before any suite runs
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--seed", "-1", "--deterministic")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("which", ["anchor", "Np", "candn0"])
     def test_tables_match_the_golden_files(self, capsys, which):
@@ -445,7 +477,6 @@ class TestVerify:
             suite="johnson", instances_checked=4, passed=False,
             counterexample={"code": "2 3 2\n000\n111", "e": 1, "cap": 18,
                             "center": (0, 1, 0), "count": 19})
-        from qbounds.suites import SUITES
         monkeypatch.setitem(SUITES, "f1", lambda seed, digits=None: failed)
         code, out, err = run(capsys, "verify", "--suite", "f1",
                              *["--pretty"] * pretty, "--deterministic")
