@@ -14,7 +14,7 @@ class PreconditionError(QBoundsError, ValueError):
 
 
 class ResourceBudgetError(QBoundsError, RuntimeError):
-    """An exhaustive computation exceeded its size or wall-clock budget."""
+    """An exhaustive computation exceeded its size, work or wall-clock budget."""
 
 
 class AmbiguousComparisonError(QBoundsError, RuntimeError):

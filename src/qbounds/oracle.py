@@ -3,11 +3,12 @@ sizes A_q(n, d) by pruned exhaustive clique search, and exhaustive checks
 of the pigeonhole and Johnson ball-counting lemmas.
 
 Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
-q^n <= ``SPACE_BUDGET`` = 10^6, and ``max_code_size`` takes at most
-``MAX_CANDIDATES`` = 8192 words of weight >= d; larger instances raise
-ResourceBudgetError, as do searches that exceed their wall-clock cap;
-the space and candidate caps are checked before any array is built.  numpy
-is imported only by the functions that build arrays.
+q^n <= ``SPACE_BUDGET`` = 10^6; ``max_code_size`` decides d <= 2 in closed
+form, and for d >= 3 takes at most ``MAX_CANDIDATES`` = 8192 words of weight
+>= d and ``MAX_WORK`` units of search.  Larger instances raise
+ResourceBudgetError, before any array is built for the space and candidate
+caps; the wall clock is a safety net.  numpy is imported only by the
+functions that build arrays.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
 the search's candidate filter (on prefix and suffix halves, never on the
@@ -43,6 +44,10 @@ from .report import VerificationReport, first_failure
 
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
+# each colouring frame adds |cand| ceil((max cand + 1) / 64), the 64-bit words
+# its bitmask ANDs touch; A_3(5, 3) needs 1,955,260 and A_5(4, 3) 125,532,664,
+# and any cap between them solves the same criterion-06 instances
+MAX_WORK = 2_000_000
 LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
 BLOCK_PAIRS = 1 << 20  # symbol pairs compared by one distance block
 
@@ -213,14 +218,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _adjacency(cand: np.ndarray, d: int, deadline: float) -> list[int]:
+def _adjacency(cand: np.ndarray, d: int) -> list[int]:
     """Row i as an int whose bit j is set iff cand[i], cand[j] are at
     distance >= d; built a block of rows at a time."""
     import numpy as np
     adj: list[int] = []
     for _, dist in _distance_blocks(cand, cand):
-        if time.monotonic() > deadline:
-            raise ResourceBudgetError("adjacency construction exceeded time limit")
         bits = np.packbits(dist >= d, axis=1, bitorder="little")
         adj.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
     return adj
@@ -251,9 +254,11 @@ def _candidates(q: int, n: int, d: int) -> np.ndarray:
 
 def max_code_size(q: int, n: int, d: int, *,
                   time_limit: float = 60.0) -> tuple[int, Code]:
-    """Exact A_q(n, d) with an extremal witness.
+    """Exact A_q(n, d) with an extremal witness; for d <= 2, Singleton's
+    q^(n-d+1) is met by the whole space (d = 1) and by the words whose
+    last symbol is the sum of the others mod q (d = 2).
 
-    Symmetry: for d >= 2 some optimal code contains the all-zero word and
+    Symmetry: for d >= 3 some optimal code contains the all-zero word and
     w2 = 0^(n-d) 1^d.  Take an optimal code; while its minimum distance
     d' exceeds d, move one symbol of a word u toward its nearest
     neighbour v (set one coordinate where they differ to v's symbol):
@@ -276,15 +281,20 @@ def max_code_size(q: int, n: int, d: int, *,
     Raises DomainError when ``time_limit`` is not > 0 (NaN included, as a
     NaN deadline never passes), and ResourceBudgetError when q^n exceeds
     the space budget, the q^n - V_q(n, d - 1) words of weight >= d
-    outnumber ``MAX_CANDIDATES``, or the wall clock exceeds ``time_limit``.
+    outnumber ``MAX_CANDIDATES``, the search spends ``MAX_WORK``, or the
+    wall clock exceeds ``time_limit``, a safety net.
     """
     BoundParams(q, n, d)  # checks q, n and d
     if not time_limit > 0:
         raise DomainError(f"time_limit must be > 0 seconds, got {time_limit!r}")
     total = _space_size(q, n)
-    if d == 1:
-        # distinct words always have distance >= 1: the whole space works
-        return total, Code(q, n, tuple(itertools.product(range(q), repeat=n)))
+    if d <= 2:
+        # two words that differ in one symbol differ in their sums too
+        words = itertools.product(range(q), repeat=n - d + 1)
+        code = Code(q, n, tuple(words if d == 1 else
+                                (w + (sum(w) % q,) for w in words)))
+        code._min_distance = d  # by construction
+        return code.size, code
 
     heavy = total - hamming_ball_volume(q, n, d - 1)  # words of weight >= d
     if heavy > MAX_CANDIDATES:
@@ -292,7 +302,7 @@ def max_code_size(q: int, n: int, d: int, *,
             f"candidate set of {heavy} words exceeds cap {MAX_CANDIDATES}")
     deadline = time.monotonic() + time_limit
     cand = _candidates(q, n, d)
-    adj = _adjacency(cand, d, deadline)
+    adj = _adjacency(cand, d)
     target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
 
     best_mask = 0
@@ -302,7 +312,13 @@ def max_code_size(q: int, n: int, d: int, *,
     best_clique = _bits(best_mask)
     best_size = len(best_clique)
 
+    work = 0  # see MAX_WORK
+
     def frame(cand_mask: int) -> list:
+        nonlocal work
+        work += cand_mask.bit_count() * -(-cand_mask.bit_length() // 64)
+        if work > MAX_WORK:
+            raise ResourceBudgetError(f"work budget {MAX_WORK} spent")
         order, bounds = _greedy_color_order(_bits(cand_mask), adj)
         return [order, bounds, len(order) - 1, cand_mask]
 
@@ -485,18 +501,18 @@ def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
                          payload)
 
 
-def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, *,
-                       time_limit: float = 10.0) -> VerificationReport:
-    """Check the rate bound against exhaustively-solved extremal codes.
+def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7) -> VerificationReport:
+    """Check the rate bound against exactly solved extremal codes.
 
     For each (q, n, d) within budget whose parameters meet the bound's
     preconditions, verify log_q A_q(n, d) / n < eb_rate_bound(q, n, d)
-    (``_rate_check``).  Instances whose search breaches its resource caps
-    are skipped and counted.
+    (``_rate_check``).  Instances over ``max_code_size``'s space,
+    candidate or work budget are skipped and counted, no clock deciding
+    which; the payload lists each solved instance as [q, n, d, A].
     """
     _check_suite_args(q_set, n_max, 2)
     payload = {"skipped_precondition": 0, "skipped_resource": 0,
-               "total_instances": 0}
+               "total_instances": 0, "solved": []}
 
     def checks():
         for q in q_set:
@@ -511,10 +527,11 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7, *,
                         continue
                     payload["total_instances"] += 1
                     try:
-                        size, _ = max_code_size(q, n, d, time_limit=time_limit)
+                        size, _ = max_code_size(q, n, d)
                     except ResourceBudgetError:
                         payload["skipped_resource"] += 1
                         continue
+                    payload["solved"].append([q, n, d, size])
                     rate, bound, holds = _rate_check(q, n, d, size)
                     yield None if holds else {"q": q, "n": n, "d": d, "A": size,
                                               "rate": rate, "bound": bound}

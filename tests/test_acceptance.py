@@ -100,14 +100,30 @@ def test_criterion_05_envelope():
            ok, f"max n*={max(stars.values()) if stars else '-'}")
 
 
+# [q, n, d, A_q(n, d)] in sweep order
+CRITERION_06_SOLVED = [
+    [2, 5, 2, 16], [2, 6, 2, 32], [2, 7, 2, 64], [2, 7, 3, 16],
+    [2, 8, 2, 128], [2, 9, 2, 256], [2, 10, 2, 512], [2, 11, 2, 1024],
+    [2, 12, 2, 2048], [3, 4, 2, 27], [3, 5, 2, 81], [3, 5, 3, 18],
+    [3, 6, 2, 243], [3, 7, 2, 729], [3, 8, 2, 2187], [3, 9, 2, 6561],
+    [3, 10, 2, 19683], [3, 11, 2, 59049], [3, 12, 2, 177147],
+    [5, 3, 2, 25], [5, 4, 2, 125], [5, 5, 2, 625], [5, 6, 2, 3125],
+    [5, 7, 2, 15625], [5, 8, 2, 78125]]
+
+
 def test_criterion_06_bound_soundness_vs_oracle():
     size, _ = max_code_size(3, 4, 3)
-    rep = eb_soundness_sweep(q_set=(2, 3, 5), n_max=12, time_limit=3.0)
-    # 70 instances in the space budget, 90 outside the bound's preconditions
+    rep = eb_soundness_sweep(q_set=(2, 3, 5), n_max=12)
+    # 70 instances in the space budget, 90 outside the bound's preconditions;
+    # the budgets of space, candidates and work, not a clock, decide which
+    # 25 are solved: every d = 2 instance, A_2(7, 3) and A_3(5, 3)
     ok = (size == 9 and rep.passed and rep.payload["total_instances"] == 70
-          and rep.payload["skipped_precondition"] == 90)
-    report(6, "rate bound sound against every exhaustively solved code "
-              "within the search budget; A_3(4,3)=9 found",
+          and rep.payload["skipped_precondition"] == 90
+          and rep.payload["skipped_resource"] == 45
+          and rep.instances_checked == 25
+          and rep.payload["solved"] == CRITERION_06_SOLVED)
+    report(6, "rate bound sound against every code solved exactly within "
+              "the oracle's budgets; A_3(4,3)=9 found",
            ok, f"solved={rep.instances_checked}, "
                f"skipped_resource={rep.payload['skipped_resource']}, "
                f"skipped_precondition={rep.payload['skipped_precondition']}")

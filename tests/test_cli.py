@@ -379,7 +379,8 @@ class TestVerify:
         assert code == 0
         assert out == golden.read_text()
 
-    @pytest.mark.parametrize("suite", ["stirling", "monotonicity", "f1"])
+    @pytest.mark.parametrize("suite", ["stirling", "monotonicity", "f1",
+                                       "eb-soundness"])
     def test_deterministic_suites_match_the_golden_files(self, capsys, suite):
         # the files hold the stdout of an earlier release, byte for byte
         golden = Path(__file__).parent / "golden" / f"verify-{suite}.json"
@@ -563,6 +564,27 @@ class TestOracle:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: time_limit must be > 0 seconds, got nan\n"
+
+    def test_sum_code_exit_0(self, capsys):
+        # A_3(12, 2) = 3^11 in closed form, its witness serialized with
+        # the distance it has by construction
+        start = time.monotonic()
+        code, doc, _ = run_json(capsys, "oracle", "--q", "3", "--n", "12",
+                                "--d", "2", "--deterministic")
+        assert time.monotonic() - start < 2.0
+        assert code == 0
+        assert doc["results"]["max_code_size"]["value"] == 177147
+        assert doc["results"]["witness"].startswith("3 12 177147 2\n")
+
+    def test_work_budget_exit_2(self, capsys):
+        # the search for A_5(4, 3) needs 125,532,664 units of work; it
+        # stops at the fixed budget, whatever the machine's speed
+        start = time.monotonic()
+        code, out, err = run(capsys, "oracle", "--q", "5", "--n", "4",
+                             "--d", "3")
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: work budget 2000000 spent\n"
 
     def test_deep_clique_exit_0(self, capsys):
         code, doc, _ = run_json(capsys, "oracle", "--q", "2", "--n", "11",

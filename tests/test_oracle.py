@@ -234,12 +234,37 @@ class TestBeyondOneByteSymbols:
         assert pigeonhole_witness(code, 1) == ((256, 5), 3)
 
     def test_candidate_count(self):
-        # the words of weight 2 over 300 symbols: 299^2
-        with pytest.raises(ResourceBudgetError, match=r"\b89401 words"):
-            max_code_size(300, 2, 2)
+        # q^n <= 10^6 leaves only n = 2 for q > 256, and d <= 2 is closed
+        # form, so no such instance reaches the candidate cap
+        size, witness = max_code_size(300, 2, 2)
+        assert size == witness.size == 300
+        assert oracle._words_array(witness).dtype == np.uint16
 
 
 class TestMaxCodeSize:
+    @pytest.mark.parametrize("q, n", [(2, 2), (2, 7), (3, 5), (5, 3), (11, 2)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_closed_form_at_d_le_2(self, q, n, d):
+        size, witness = max_code_size(q, n, d)
+        assert size == q ** (n - d + 1)
+        # stored sorted, as make_code stores them; the distance set by
+        # construction is the one computed afresh
+        assert witness == make_code(q, n, witness.words)
+        assert witness.min_distance() == witness._replace().min_distance() == d
+        assert _witness_ok(witness, q, n, d, size)
+
+    def test_sum_code_is_serialized_without_a_distance_pass(self,
+                                                            monkeypatch):
+        def no_distances(a, b):
+            raise AssertionError("a distance block was computed")
+        monkeypatch.setattr(oracle, "_distance_blocks", no_distances)
+        size, witness = max_code_size(3, 12, 2)
+        assert size == 3 ** 11
+        text = serialize_code(witness)
+        assert text.startswith("3 12 177147 2\n")
+        # the last word: eleven 2s, whose sum 22 is 1 mod 3
+        assert text.endswith("\n222222222221\n")
+
     def test_whole_space_at_d1(self):
         size, witness = max_code_size(3, 4, 1)
         assert size == 81
@@ -303,8 +328,20 @@ class TestMaxCodeSize:
             build(q, n)
 
     def test_time_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            max_code_size(2, 12, 3, time_limit=0.01)
+        # the clock stays as a safety net below the work budget
+        with pytest.raises(ResourceBudgetError,
+                           match=_exactly("clique search exceeded time limit")):
+            max_code_size(2, 12, 3, time_limit=1e-6)
+
+    def test_work_budget_fits_the_search_it_must_finish(self, monkeypatch):
+        # A_3(5, 3) = 18 needs 1,955,260 units, the most of the criterion-06
+        # instances solved
+        monkeypatch.setattr(oracle, "MAX_WORK", 1_955_260)
+        assert max_code_size(3, 5, 3)[0] == 18
+        monkeypatch.setattr(oracle, "MAX_WORK", 1_955_259)
+        with pytest.raises(ResourceBudgetError,
+                           match=_exactly("work budget 1955259 spent")):
+            max_code_size(3, 5, 3)
 
     @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
     def test_time_limit_must_be_positive(self, limit):
@@ -313,10 +350,10 @@ class TestMaxCodeSize:
             max_code_size(3, 4, 3, time_limit=limit)
 
     def test_candidate_cap(self):
-        # 2^14 - 1 - 14 = 16,369 words of weight >= 2 in F_2^14
+        # 2^14 - 1 - 14 - 91 = 16,278 words of weight >= 3 in F_2^14
         with pytest.raises(ResourceBudgetError,
-                           match=r"set of 16369 words exceeds cap 8192$"):
-            max_code_size(2, 14, 2)
+                           match=r"set of 16278 words exceeds cap 8192$"):
+            max_code_size(2, 14, 3)
 
     def test_candidate_cap_counts_heavy_words(self, monkeypatch):
         # 163 words of weight >= 4 in F_2^8; fewer lie at distance >= 4
@@ -364,14 +401,24 @@ class TestMaxCodeSize:
         assert size == GRID[q, n][d]
         assert _witness_ok(witness, q, n, d, size)
 
-    def test_deep_clique(self):
-        # a clique of 1022 words beside 0 and w2; once beyond the
-        # recursion limit of a recursive search
-        size, witness = max_code_size(2, 11, 2)
-        assert size == 1024
-        assert _witness_ok(witness, 2, 11, 2, size)
+    def test_deep_clique(self, monkeypatch):
+        # the search for A_5(5, 3) stacks 78 frames before its work budget
+        # is spent, the deepest of the d >= 3 instances within the caps
+        depths = []
+        color = oracle._greedy_color_order
+
+        def watched(cand, adj):
+            # called by frame(), which max_code_size calls
+            depths.append(len(sys._getframe(2).f_locals.get("stack", ())))
+            return color(cand, adj)
+
+        monkeypatch.setattr(oracle, "_greedy_color_order", watched)
+        with pytest.raises(ResourceBudgetError, match="work budget"):
+            max_code_size(5, 5, 3)
+        assert max(depths) == 78
 
     def test_search_needs_no_recursion(self):
+        # 50 levels are fewer than the 78 frames of test_deep_clique
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -380,10 +427,10 @@ class TestMaxCodeSize:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            size, _ = max_code_size(3, 6, 2)
+            with pytest.raises(ResourceBudgetError, match="work budget"):
+                max_code_size(5, 5, 3)
         finally:
             sys.setrecursionlimit(old_limit)
-        assert size == 243
 
 
 def test_candidates_match_the_full_space_filter():
@@ -797,7 +844,7 @@ class TestRandomCode:
 
 class TestSoundnessSweep:
     def test_small_sweep_passes(self):
-        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5, time_limit=5.0)
+        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5)
         assert rep.passed
         assert rep.instances_checked > 0
         assert "skipped_precondition" in rep.payload
@@ -811,7 +858,7 @@ class TestSoundnessSweep:
             return res._replace(rate_upper=res.rate_upper / 2)
 
         monkeypatch.setattr(eb_bounds, "_eb_rate_bound", halved)
-        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5, time_limit=5.0)
+        rep = eb_soundness_sweep(q_set=(2, 3), n_max=5)
         assert not rep.passed and rep.instances_checked == 1
         cx = rep.counterexample
         assert set(cx) == {"q", "n", "d", "A", "rate", "bound"}
@@ -821,6 +868,14 @@ class TestSoundnessSweep:
         assert cx["bound"] == bound(FLOAT, *_eb_inputs(
             BoundParams(q=q, n=n, d=d))).rate_upper / 2
         assert cx["rate"] > cx["bound"]
+
+    def test_a_frozen_clock_changes_no_report(self, monkeypatch):
+        # budgets of space, candidates and work decide which instances are
+        # solved; a deadline that never passes changes nothing
+        real = eb_soundness_sweep(q_set=(2, 3), n_max=7)
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: 0.0)
+        assert eb_soundness_sweep(q_set=(2, 3), n_max=7) == real
+        assert real.payload["skipped_resource"] > 0
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"q_set": ()}, "q_set must name at least one alphabet size"),

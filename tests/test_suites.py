@@ -165,7 +165,8 @@ class TestForcedFailure:
             return True
 
         grid = [(n, d) for n in range(2, 8) for d in range(2, n + 1)]
-        third = [i for i, nd in enumerate(grid) if holds(*nd)][2]
+        checked = [i for i, nd in enumerate(grid) if holds(*nd)][:3]
+        third = checked[-1]
         n, d = grid[third]
         monkeypatch.setattr(oracle, "_rate_check", _on_call(
             3, eb_bounds._rate_check,
@@ -178,5 +179,7 @@ class TestForcedFailure:
         assert rep.payload == {
             "skipped_precondition": sum(not holds(*nd)
                                         for nd in grid[:third]),
-            "skipped_resource": 0, "total_instances": 3}
+            "skipped_resource": 0, "total_instances": 3,
+            "solved": [[2, *grid[i], oracle.max_code_size(2, *grid[i])[0]]
+                       for i in checked]}
         assert rep.payload["skipped_precondition"] > 0
