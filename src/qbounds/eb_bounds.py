@@ -10,7 +10,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError, check_int
-from .precision import evaluate, strict_sign
+from .precision import evaluate, exceeds, strict_sign
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
 # The two relative distances of the small-codimension rank caps.
@@ -146,12 +146,12 @@ def _rate_check(q, n, d, size, digits=None):
     """``(rate, bound, holds)`` for a q-ary length-n code of ``size`` words
     and minimum distance d: rate = log_q(size)/n in double precision,
     bound = eb_rate_bound at ``digits``, and holds = rate < bound, decided
-    by ``strict_sign``."""
+    by ``exceeds`` from that bound."""
     inputs = _eb_inputs(BoundParams(q=q, n=n, d=d))
     bound = evaluate(digits, _eb_rate_bound, *inputs).rate_upper
-    sign, _ = strict_sign(lambda m: _eb_rate_bound(m, *inputs).rate_upper
-                          - m.log(size) / (n * m.log(q)), digits)
-    return math.log(size) / (n * math.log(q)), bound, sign > 0
+    rate = math.log(size) / (n * math.log(q))
+    return rate, bound, exceeds(bound, rate, lambda m: _eb_rate_bound(
+        m, *inputs).rate_upper - m.log(size) / (n * m.log(q)), digits)
 
 
 def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:

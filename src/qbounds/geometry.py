@@ -6,9 +6,9 @@ Every scan asks one question of one guarded walk, ``_violation``: the
 first (or last) n in a range at which F(n, p) compares with a right-hand
 side the wrong way.  It walks n in cache-sized blocks, evaluates F once
 per block in double precision and escalates a comparison to high
-precision (``strict_sign``) only when its margin is below
-``DECISION_MARGIN``, so results are identical to a full high-precision
-scan; it stops in the block that holds the answer.  The far end of each
+precision (``strict_sign``) only where the one cut-off, ``precision.apart``,
+leaves it undecided (a tie or a NaN), so results are identical to a full
+high-precision scan; it stops in the block that holds the answer.  The far end of each
 walk is proven, not scanned: ``_first_negative`` proves a slope bound and
 then a value bound negative at doubling points.  The n0 walk runs down
 from its proven end, the N walk up towards it, and the envelope walk down
@@ -25,14 +25,13 @@ import functools
 import json
 from enum import Enum
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .eb_bounds import (_QUARTER, _THIRD, _check_odd_prime, _rank_bound,
                         is_prime)
 from .errors import DomainError, PreconditionError, check_int
-from . import precision
-from .precision import escalation_digits, evaluate, strict_sign
+from .precision import (apart, escalation_digits, evaluate, exceeds,
+                        numpy_context, strict_sign)
 from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport, first_failure
 
@@ -124,15 +123,6 @@ def threshold_F(p: int, n: int, digits=None):
     return evaluate(digits, _threshold_F, p, n)
 
 
-@functools.cache
-def _numpy():
-    """The double-precision numeric context over numpy arrays."""
-    import numpy as np
-    return SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
-                           num=lambda x: np.asarray(x, dtype=np.float64),
-                           one=1.0, digits=None)
-
-
 def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     """Vectorized double-precision F(n, p) over an integer array of n:
     threshold_F's own formula over the numpy context.  As ``check_int``
@@ -140,7 +130,7 @@ def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
     included."""
     _check_odd_prime(p)
     import numpy as np
-    m = _numpy()
+    m = numpy_context()
     ns = np.asarray(ns)
     if ns.dtype.kind not in "iu":
         raise DomainError(f"ns must be an integer array, got dtype {ns.dtype}")
@@ -182,13 +172,11 @@ def _violation(p, lo, hi, rhss, digits, last=False):
     some ``(rhs, want)`` in ``rhss``; n is None if there is none.  The walk
     goes up from lo (down from hi with ``last``) in blocks of ``_BLOCK``
     values of n and stops in the block that holds the answer.  It evaluates
-    F once per block in double precision; a comparison within the decision
-    margin is re-decided by ``strict_sign``, and ``escalations`` counts
-    those."""
+    F once per block in double precision; a difference not ``apart`` from 0
+    is re-decided by ``strict_sign``, and ``escalations`` counts those."""
     escalation_digits(digits)  # a bad digits fails even if nothing escalates
     import numpy as np
-    m = _numpy()
-    margin = precision.DECISION_MARGIN
+    m = numpy_context()
     escalations = 0
     starts = range(lo, hi + 1, _BLOCK)
     for start in reversed(starts) if last else starts:
@@ -196,9 +184,10 @@ def _violation(p, lo, hi, rhss, digits, last=False):
         F = _threshold_F(m, p, m.num(ns))
         hits = []
         for rhs, want in rhss:
-            diff = F - rhs(m, ns)
-            near = np.flatnonzero(want * diff < margin)  # not proven right
-            wrong = np.abs(diff[near]) >= margin
+            diff = want * (F - rhs(m, ns))  # positive where the sign is right
+            decided = apart(diff, 0)
+            near = np.flatnonzero(~decided | (diff < 0))  # not proven right
+            wrong = decided[near]
             for j in np.flatnonzero(~wrong):
                 n = start + int(near[j])
                 sign, esc = strict_sign(
@@ -372,16 +361,14 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     tail = None if None in ends else max(ends)
     last_bad, esc = _violation(p, n_lo, tail or n_hi,
                                ((quarter, 1), (upper, -1)), digits, last=True)
-    if last_bad == n_hi:
-        return VerificationReport(
-            suite="envelope", instances_checked=n_hi - n_lo + 1, passed=False,
-            counterexample={"p": p, "n": n_hi, "F": threshold_F(p, n_hi)})
-    n_star = n_lo if last_bad is None else last_bad + 1
+    failed = last_bad == n_hi
     return VerificationReport(
-        suite="envelope", instances_checked=n_hi - n_lo + 1, passed=True,
-        counterexample=None,
-        payload={"p": p, "n_star": n_star, "escalations": sum(escs) + esc,
-                 "tail_proven_from": tail})
+        suite="envelope", instances_checked=n_hi - n_lo + 1, passed=not failed,
+        counterexample={"p": p, "n": n_hi, "F": threshold_F(p, n_hi)}
+        if failed else None,
+        payload=None if failed else {
+            "p": p, "n_star": n_lo if last_bad is None else last_bad + 1,
+            "escalations": sum(escs) + esc, "tail_proven_from": tail})
 
 
 # one formula per flag of codim_guarantees, so that a re-decision evaluates
@@ -390,16 +377,6 @@ _CODIM_FORMULAS = (
     lambda m, p, n: _threshold_F(m, p, n),
     lambda m, p, n: _rank_bound(m, p, n // 2, _QUARTER).r_upper,
     lambda m, p, n: _rank_bound(m, p, n // 2, _THIRD).r_upper)
-
-
-def _exceeds(r: int, value, formula, digits) -> bool:
-    """r > value, ``value`` being ``formula(m)`` at ``digits``; within the
-    decision margin of it ``strict_sign`` re-decides r - formula(m).  r is
-    compared with floats, never converted, so any integer r works."""
-    margin = precision.DECISION_MARGIN
-    if not value - margin <= r <= value + margin:
-        return r > value
-    return strict_sign(lambda m: m.num(r) - formula(m), digits)[0] > 0
 
 
 class CodimReport(NamedTuple):
@@ -433,7 +410,7 @@ def codim_guarantees(p: int, n: int, r: int, digits=None) -> CodimReport:
     check_int("r", r, 1)
     values = evaluate(digits, lambda m: [f(m, p, n) for f in _CODIM_FORMULAS])
     applicable, exceeds_quarter, exceeds_third = (
-        _exceeds(r, v, lambda m, f=f: f(m, p, n), digits)
+        exceeds(r, v, lambda m, f=f: m.num(r) - f(m, p, n), digits)
         for f, v in zip(_CODIM_FORMULAS, values))
     return CodimReport(
         p=p, n=n, r=r, F_value=values[0], applicable=applicable,
@@ -481,8 +458,8 @@ def classify_rank(p: int, n: int, r: int, digits=None) -> ThresholdReport:
         cls = Classification.MAX_RANK_ONLY
     elif r >= base:
         cls = Classification.BASELINE
-    elif F is not None and _exceeds(r, F, lambda m: _threshold_F(m, p, n),
-                                    digits):
+    elif F is not None and exceeds(
+            r, F, lambda m: m.num(r) - _threshold_F(m, p, n), digits):
         cls = Classification.MAIN_THEOREM
     else:
         cls = Classification.NO_CONCLUSION

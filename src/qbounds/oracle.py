@@ -44,9 +44,11 @@ from .report import VerificationReport, first_failure
 
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
-# each colouring frame adds |cand| ceil((max cand + 1) / 64), the 64-bit words
-# its bitmask ANDs touch; A_3(5, 3) needs 1,955,260 and A_5(4, 3) 125,532,664,
-# and any cap between them solves the same criterion-06 instances
+# each colouring frame adds |cand| ceil((max cand + 1) / 64) units: a size,
+# not a count of operations, as greedy colouring does about |cand| x colours
+# bitmask ANDs, so spending the cap takes 0.3 s (A_5(5, 3)) to 1.0 s
+# (A_2(8, 3)); A_3(5, 3) needs 1,955,260 and A_5(4, 3) 125,532,664, and any
+# cap between them solves the same criterion-06 instances
 MAX_WORK = 2_000_000
 LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
 BLOCK_PAIRS = 1 << 20  # symbol pairs compared by one distance block

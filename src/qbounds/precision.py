@@ -3,20 +3,22 @@
 Each real-valued formula is written once over a numeric context ``m``
 (``log``, ``sqrt``, ``pi``, ``ceil``, ``num`` to convert an argument,
 ``one``, and ``digits``, the context's precision): ``FLOAT`` is double
-precision (``digits`` None) and ``MP`` is mpmath at the working precision;
-``geometry`` builds a numpy context over arrays.  Every function takes the
-one precision knob ``digits`` (None for double precision).  A strict
-comparison is written once too, as a difference over the context:
-``strict_sign`` decides it in double precision and re-decides it at
-``escalation_digits(digits)`` whenever the double-precision difference is
-within ``DECISION_MARGIN`` of zero.
+precision (``digits`` None), ``MP`` is mpmath at the working precision and
+``numpy_context()`` is double precision over numpy arrays.  Every function
+takes the one precision knob ``digits`` (None for double precision).  A
+strict comparison is written once too, as a difference over the context,
+and one predicate states the cut-off: ``apart`` is True where two double
+values are more than ``DECISION_MARGIN`` apart.  Where they are not (a tie
+within the margin, or a NaN), ``strict_sign`` and ``exceeds`` re-decide the
+difference at ``escalation_digits(digits)``.
 
 This module is the single entry point to mpmath, and it imports mpmath on
-first use: ``evaluate`` with ``digits``, the escalation branch of
-``strict_sign`` and the first use of ``MP``.  Work in double precision
-never loads it.
+first use: ``evaluate`` with ``digits``, an escalation and the first use of
+``MP``.  Work in double precision never loads it; ``numpy_context()``
+imports numpy on its first call.
 """
 
+import functools
 import math
 from numbers import Rational
 from types import SimpleNamespace
@@ -55,6 +57,15 @@ FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
 MP = _MPContext()
 
 
+@functools.cache
+def numpy_context():
+    """The double-precision numeric context over numpy arrays."""
+    import numpy as np
+    return SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
+                           num=lambda x: np.asarray(x, dtype=np.float64),
+                           one=1.0, digits=None)
+
+
 def evaluate(digits, formula, *args):
     """``formula(m, *args)`` in double precision when ``digits`` is None,
     else at ``digits`` decimal digits (a positive integer) with mpmath.  An
@@ -88,26 +99,39 @@ def escalation_digits(digits=None) -> int:
     return max(digits, DOUBLE_DIGITS)
 
 
+def apart(a, b):
+    """True where a and b, in double precision, are more than
+    ``DECISION_MARGIN`` apart, elementwise over arrays; a tie within the
+    margin or a NaN is not.  An int a is compared exactly, never converted."""
+    return (a < b - DECISION_MARGIN) | (a > b + DECISION_MARGIN)
+
+
 def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
     """Sign of the difference ``diff(m)``, a formula over the numeric
     context ``m``, escalating to high precision near zero.
 
-    ``diff(FLOAT)`` decides when |diff| >= DECISION_MARGIN (a value out of
-    a double's range is a DomainError, as in ``evaluate``); otherwise
+    ``diff(FLOAT)`` decides when it is ``apart`` from 0 (a value out of a
+    double's range is a DomainError, as in ``evaluate``); otherwise
     ``diff(MP)`` is re-evaluated at ``escalation_digits(digits)`` digits.
     Returns ``(sign, escalated)`` with sign in {-1, +1}.  Raises
-    AmbiguousComparisonError if the high-precision difference is still
-    below ``AMBIGUITY_FLOOR``.
+    AmbiguousComparisonError if the high-precision difference is NaN or
+    still below ``AMBIGUITY_FLOOR``.
     """
     hi = escalation_digits(digits)
     d = evaluate(None, diff)
-    if abs(d) >= DECISION_MARGIN:
+    if apart(d, 0):
         return (1 if d > 0 else -1), False
     import mpmath
     with mpmath.workdps(hi):
         hd = diff(MP)
-        if abs(hd) < mpmath.mpf(AMBIGUITY_FLOOR):
+        if not abs(hd) >= mpmath.mpf(AMBIGUITY_FLOOR):  # NaN included
             raise AmbiguousComparisonError(
                 f"comparison unresolved at {hi} digits "
                 f"(|diff| = {mpmath.nstr(abs(hd), 5)})")
         return (1 if hd > 0 else -1), True
+
+
+def exceeds(a, b, diff: Callable, digits=None) -> bool:
+    """a > b, with b already evaluated at ``digits``; where the two are not
+    ``apart``, ``strict_sign`` re-decides the difference ``diff(m)`` = a - b."""
+    return a > b if apart(a, b) else strict_sign(diff, digits)[0] > 0

@@ -44,22 +44,19 @@ def verify_envelope(digits=None) -> VerificationReport:
     """The envelope n/4 < F(n, p) <= sqrt(3) n/4 up to n = 10^5, with its
     starting point n* for every supported prime."""
     from .geometry import SUPPORTED_PRIMES, envelope_check
-    checked = 0
-    escalations = 0
-    n_star = {}
-    for p in SUPPORTED_PRIMES:
-        rep = envelope_check(p, 16, 10 ** 5, digits)
-        checked += rep.instances_checked
-        if not rep.passed:
-            return VerificationReport(suite="envelope", instances_checked=checked,
-                                      passed=False,
-                                      counterexample=rep.counterexample)
-        n_star[str(p)] = rep.payload["n_star"]
-        escalations += rep.payload["escalations"]
-    return VerificationReport(suite="envelope", instances_checked=checked,
-                              passed=True,
-                              payload={"n_star": n_star,
-                                       "escalations": escalations})
+    payload = {"n_star": {}, "escalations": 0}
+
+    def checks():
+        for p in SUPPORTED_PRIMES:
+            rep = envelope_check(p, 16, 10 ** 5, digits)
+            if rep.passed:
+                payload["n_star"][str(p)] = rep.payload["n_star"]
+                payload["escalations"] += rep.payload["escalations"]
+            yield rep.counterexample
+
+    rep = first_failure("envelope", checks(), payload)
+    # each prime decides the 99,985 values of n in [16, 10^5]
+    return rep._replace(instances_checked=99_985 * rep.instances_checked)
 
 
 SUITES = {

@@ -102,12 +102,24 @@ class TestRateCheck:
         assert bound == eb_rate_bound(BoundParams(q=q, n=n, d=d)).rate_upper
         assert verdict is holds
         signs = []
-        decide = eb_bounds.strict_sign
+        decide = precision.strict_sign
         monkeypatch.setattr(precision, "DECISION_MARGIN", 10.0)
-        monkeypatch.setattr(eb_bounds, "strict_sign", lambda diff, digits:
+        monkeypatch.setattr(precision, "strict_sign", lambda diff, digits:
                             signs.append(decide(diff, digits)) or signs[-1])
         assert _rate_check(q, n, d, size) == (rate, bound, holds)
         assert signs == [(1 if holds else -1, True)]
+
+    @pytest.mark.parametrize("size, holds", [(729, True), (3 ** 11, False)])
+    def test_clear_verdict_evaluates_the_bound_once(self, monkeypatch, size,
+                                                     holds):
+        # the verdict is decided from the bound already evaluated: one
+        # float64 evaluation of _eb_rate_bound, none for the comparison
+        calls = []
+        bound = eb_bounds._eb_rate_bound
+        monkeypatch.setattr(eb_bounds, "_eb_rate_bound", lambda m, *args:
+                            calls.append(m) or bound(m, *args))
+        assert _rate_check(3, 11, 5, size)[2] is holds
+        assert calls == [FLOAT]
 
     def test_bound_at_digits(self):
         rate, bound, holds = _rate_check(2, 8, 3, 20, digits=30)

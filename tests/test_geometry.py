@@ -284,6 +284,17 @@ class TestGuardedBlocks:
             assert _violations(p, 16, 200, rhss, last=True) == (bad[::-1], 0)
         assert bad
 
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_nan_difference_escalates(self, last):
+        # a right-hand side that is NaN in double precision is never taken
+        # as proven: each n escalates, and 50 digits find n/4 < F(n, 3) on
+        # [64, 80] (n* = 63)
+        def rhs(m, n):
+            return m.num(n) / 4 if m.digits else m.num(n) * math.nan
+
+        assert geometry._violation(3, 64, 80, ((rhs, 1),), None,
+                                   last) == (None, 17)
+
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_envelope_evaluates_nothing_past_its_proven_tail(self, monkeypatch,
                                                             p):

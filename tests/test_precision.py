@@ -1,14 +1,20 @@
-"""Guarded strict comparisons: ``strict_sign`` decides a difference written
-once over the numeric context, and ``escalation_digits`` sets the precision
-of its high-precision re-decision."""
+"""Guarded strict comparisons: ``apart`` states the one cut-off,
+``strict_sign`` and ``exceeds`` decide a difference written once over the
+numeric context, and ``escalation_digits`` sets the precision of their
+high-precision re-decision."""
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qbounds import (AmbiguousComparisonError, BoundParams, DomainError,
-                     eb_rate_bound, rank_bound, stirling_bounds, threshold_F)
-from qbounds.precision import FLOAT, escalation_digits, strict_sign
+from qbounds import (AmbiguousComparisonError, BoundParams, Classification,
+                     DomainError, classify_rank, eb_rate_bound, precision,
+                     rank_bound, stirling_bounds, threshold_F)
+from qbounds.precision import (DECISION_MARGIN, FLOAT, apart,
+                               escalation_digits, exceeds, strict_sign)
 
 
 def _sqrt2_gap(m):
@@ -30,6 +36,13 @@ def test_clear_sign_is_not_escalated():
 def test_exact_tie_is_ambiguous():
     with pytest.raises(AmbiguousComparisonError):
         strict_sign(lambda m: m.num(3) / 8 - m.num(0.375))
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+def test_nan_at_every_precision_is_ambiguous(digits):
+    # a NaN difference is never given a sign, not even at high precision
+    with pytest.raises(AmbiguousComparisonError, match="nan"):
+        strict_sign(lambda m: m.num(math.nan), digits)
 
 
 @pytest.mark.parametrize("digits, expected", [(None, 50), (5, 17), (60, 60)])
@@ -55,3 +68,85 @@ def test_int_beyond_double_is_a_domain_error(call):
     with pytest.raises(DomainError, match="digits"):
         call(None)
     call(30)
+
+
+# (a, b, apart): far pairs, ties within the margin, a tie at exactly the
+# margin, infinities and NaN
+_PAIRS = [(0.0, 0.0, False), (1.0, 1.0 + 1e-12, False),
+          (1.0, 1.0 + 2e-9, True), (5.0, -5.0, True),
+          (DECISION_MARGIN, 0.0, False), (-2 * DECISION_MARGIN, 0.0, True),
+          (math.inf, 1.0, True), (3.0, math.nan, False),
+          (math.nan, math.nan, False)]
+
+
+class TestApart:
+    def test_scalars(self):
+        assert [apart(a, b) for a, b, _ in _PAIRS] == [
+            want for _, _, want in _PAIRS]
+
+    def test_arrays_agree_with_scalars_elementwise(self):
+        a, b, _ = (np.array(column) for column in zip(*_PAIRS))
+        assert apart(a, b).tolist() == [apart(x, y) for x, y, _ in _PAIRS]
+        assert apart(a, 0.0).tolist() == [apart(x, 0.0) for x in a.tolist()]
+
+    def test_reads_the_margin_at_call_time(self, monkeypatch):
+        assert apart(1.0, 5.0)
+        monkeypatch.setattr(precision, "DECISION_MARGIN", 10.0)
+        assert not apart(1.0, 5.0)
+
+    def test_int_beyond_double_is_compared_exactly(self):
+        # 10^320 is never converted to a double, so nothing overflows
+        assert apart(10 ** 320, 1e300) and apart(-10 ** 320, 0.0)
+        assert exceeds(10 ** 320, 1e300, _never_evaluated)
+        assert not exceeds(-10 ** 320, 0.0, _never_evaluated)
+
+
+def _never_evaluated(m):
+    raise AssertionError("the comparison was decided without diff")
+
+
+def _spy_strict_sign(monkeypatch):
+    """The signs ``strict_sign`` returns, recorded as they are returned."""
+    signs = []
+    decide = precision.strict_sign
+    monkeypatch.setattr(precision, "strict_sign", lambda diff, digits=None:
+                        signs.append(decide(diff, digits)) or signs[-1])
+    return signs
+
+
+class TestExceeds:
+    def test_apart_values_are_decided_from_the_values(self):
+        assert exceeds(3, 2.5, _never_evaluated)
+        assert not exceeds(2, 2.5, _never_evaluated)
+        assert exceeds(2.5 + 1e-6, 2.5, _never_evaluated)
+
+    def test_exact_double_tie_escalates(self, monkeypatch):
+        # F(1004637445, 3) = 273222997.99999997... rounds to r = 273222998
+        # in double precision; 50 digits decide r > F
+        n, r = 1004637445, 273222998
+        F = threshold_F(3, n)
+        assert F == r and not apart(r, F)
+        signs = _spy_strict_sign(monkeypatch)
+        assert classify_rank(3, n, r).classification is (
+            Classification.MAIN_THEOREM)
+        assert signs == [(1, True)]
+
+    def test_nan_escalates(self, monkeypatch):
+        # a NaN in double precision is never decided there; the
+        # high-precision difference decides instead
+        def diff(m):
+            return m.num(math.nan) if m is FLOAT else m.one
+
+        signs = _spy_strict_sign(monkeypatch)
+        assert exceeds(1, math.nan, diff)
+        assert strict_sign(diff) == (1, True)
+        assert signs == [(1, True)]
+
+
+def test_the_cut_off_is_named_in_precision_only():
+    # every close comparison goes through precision.apart; tests may still
+    # monkeypatch precision.DECISION_MARGIN
+    naming = sorted(path.name
+                    for path in Path(precision.__file__).parent.glob("*.py")
+                    if "DECISION_MARGIN" in path.read_text())
+    assert naming == ["precision.py"]

@@ -10,11 +10,12 @@ import pytest
 from qbounds import (BoundParams, DomainError, PreconditionError,
                      VerificationReport, eb_soundness_sweep,
                      f1_monotonicity_scan, johnson_suite, parse_code,
-                     pigeonhole_suite)
+                     pigeonhole_suite, threshold_F)
 from qbounds import eb_bounds, geometry, oracle, qcore
 from qbounds.eb_bounds import _eb_inputs
 from qbounds.report import first_failure
-from qbounds.suites import verify_monotonicity, verify_stirling
+from qbounds.suites import (verify_envelope, verify_monotonicity,
+                            verify_stirling)
 
 
 def _on_call(k, fn, forced):
@@ -98,6 +99,24 @@ class TestForcedFailure:
         assert (rep.passed, rep.instances_checked) == (False, 3)
         assert rep.counterexample == {"p": 3, "n": 18}
         assert rep.payload == {}
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_envelope(self, monkeypatch, k):
+        # the k-th prime's check fails at n_hi; each prime decides the
+        # 99,985 values of n in [16, 10^5]
+        def forced(p, n_lo, n_hi, digits=None):
+            return VerificationReport(
+                "envelope", n_hi - n_lo + 1, False,
+                {"p": p, "n": n_hi, "F": threshold_F(p, n_hi)})
+
+        monkeypatch.setattr(geometry, "envelope_check",
+                            _on_call(k, geometry.envelope_check, forced))
+        rep = verify_envelope()
+        p = geometry.SUPPORTED_PRIMES[k - 1]
+        assert rep.passed is False
+        assert rep.counterexample == {"p": p, "n": 10 ** 5,
+                                      "F": threshold_F(p, 10 ** 5)}
+        assert rep.instances_checked == k * 99_985
 
     @pytest.mark.parametrize("k, counterexample", [
         (3, {"p_low": 7, "p_high": 11}),  # f1(7) < f1(11) fails
