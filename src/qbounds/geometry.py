@@ -1,22 +1,22 @@
 """Rank thresholds for Z_p^r symmetry: the constants f1..f5(p), the
-threshold F(n, p), the baseline classification rank, and the exhaustive
+threshold F(n, p), the baseline classification rank, and the guarded
 scans that re-derive the published c/n0 and N tables.
 
 Every scan asks one question of one guarded walk, ``_violation``: the
 first (or last) n in a range at which F(n, p) compares with a right-hand
-side the wrong way.  It walks n in cache-sized blocks, evaluates F once
-per block in double precision and escalates a comparison to high
-precision (``strict_sign``) only where the one cut-off, ``precision.apart``,
-leaves it undecided (a tie or a NaN), so results are identical to a full
-high-precision scan; it stops in the block that holds the answer.  The far end of each
-walk is proven, not scanned: ``_first_negative`` proves a slope bound and
-then a value bound negative at doubling points.  The n0 walk runs down
-from its proven end, the N walk up towards it, and the envelope walk down
-from the point from which both of its sides are proven;
-``escalations`` counts the comparisons a scan made and escalated.  Each
-comparison is one difference written over the numeric context.  numpy is
-imported only by the functions that build arrays, and the published
-tables are read from ``paper_constants.json`` on first use.
+side the wrong way.  It walks n in cache-sized blocks, evaluates F once per
+block in double precision and escalates a comparison to high precision
+(``strict_sign``) only where the one cut-off, ``precision.apart``, leaves
+it undecided (a tie or a NaN), so results are identical to a full
+high-precision scan; it stops in the block that holds the answer.  The far
+end of each scan is proven: ``_first_negative`` proves a slope bound
+negative at n_mono, from which the difference decreases, and then the
+difference at doubling points.  Where that makes the wrong-sign n an
+interval, ``_crossing`` bisects for its edge, one ``strict_sign`` a probe:
+the n0 scan on [n_mono, end], the N scan per residue class mod 8 after a
+walk up past n_mono.  The envelope walks down from where both of its sides
+are proven.  ``escalations`` counts the comparisons a scan escalated;
+numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -220,10 +220,11 @@ def _first_negative(bounds, n, digits, ceiling=None):
 
 
 def _scan_end(p, s, t, digits):
-    """``(n, escalations)``: an n with F(m, p) < s m + t for every m >= n,
-    once f1 < s is proven.  As f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's
-    domain), g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p), a
-    bound that falls as m grows: ``_first_negative`` proves it negative at
+    """``(n_mono, n, escalations)``: F(m, p) - s m - t strictly decreases
+    on [n_mono, inf) and is negative at n, so at every m >= n, once f1 < s
+    is proven.  As f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's domain),
+    g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p), a bound
+    that falls as m grows: ``_first_negative`` proves it negative at
     n_mono, from which g decreases, and then g itself at n = n_mono 2^k.
     The doubling starts at the double-precision estimate
     ceil(2.5/((s - f1) ln p)) + 1 (at high precision only if f1 < s itself
@@ -237,24 +238,49 @@ def _scan_end(p, s, t, digits):
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
     estimate = evaluate(escalation_digits(digits) if esc else None,
                         lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p)))))
-    n, more = _first_negative(
-        (lambda m, n: 2.5 / (n * m.log(p)) - gap(m),
-         lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t)),
-        max(estimate + 1, 16), digits)
-    return n, esc + more
+    n_mono, more = _first_negative(
+        (lambda m, n: 2.5 / (n * m.log(p)) - gap(m),), max(estimate + 1, 16),
+        digits)
+    n, most = _first_negative(
+        (lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t),),
+        n_mono, digits)
+    return n_mono, n, esc + more + most
+
+
+def _crossing(p, lo, hi, rhs, digits, step=1):
+    """``(n, escalations)``: the first n of lo + step k in (lo, hi] with
+    F(n, p) < rhs(m, n), given that those n are a final segment that holds
+    hi (F - rhs decreases there).  It bisects without evaluating lo or hi;
+    each probe is one ``strict_sign``, as ``_violation`` re-decides an n."""
+    escalations = 0
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        sign, esc = strict_sign(
+            lambda m: _threshold_F(m, p, mid) - rhs(m, mid), digits)
+        escalations += esc
+        lo, hi = (mid, hi) if sign > 0 else (lo, mid)
+    return hi, escalations
 
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
-    n >= n0, taking c(p) from the published table.  The guarded walk runs
-    down from the end ``_scan_end`` proves for (c(p), 0) to the last n
-    with F > c n."""
+    n >= n0, taking c(p) from the published table.  ``_scan_end`` proves
+    for (c(p), 0) that F - c n decreases on [n_mono, end] and is negative
+    at end, so the violations F > c n there are an initial segment, and a
+    bisection finds the n after the last.  If that is n_mono, the guarded
+    walk runs down from n_mono - 1 instead."""
     c = _published_c().get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    end, escalations = _scan_end(p, c, 0, digits)
-    last, esc = _violation(p, 16, end, ((lambda m, n: m.num(c) * n, -1),),
-                           digits, last=True)
+    n_mono, end, escalations = _scan_end(p, c, 0, digits)
+    def rhs(m, n):
+        return m.num(c) * n
+
+    after, esc = _crossing(p, n_mono - 1, end, rhs, digits)
+    last = after - 1
+    if after == n_mono:
+        last, more = _violation(p, 16, last, ((rhs, -1),), digits, last=True)
+        esc += more
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
                       cap=end, last_violation=last,
                       escalations=escalations + esc)
@@ -270,13 +296,26 @@ class DerivedN(NamedTuple):
 def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
     all n in [16, N]; also reports the first failing n (= N + 1), so the
-    anchor claim holds on [16, n_hi] iff first_failure > n_hi.  As
-    baseline_rank(n) >= 3n/8 + 1/8, the claim fails at the end
-    ``_scan_end`` proves for (3/8, 1/8) (f1(p) > 3/8 rules it out); the
-    guarded walk runs up from 16 to the first failure."""
-    end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8), digits)
-    first, esc = _violation(
-        p, 16, end, ((lambda m, n: m.num(_baseline(n)), 1),), digits)
+    anchor claim holds on [16, n_hi] iff first_failure > n_hi.
+    ``_scan_end`` proves for (3/8, 1/8) that g = F - 3n/8 - 1/8 decreases
+    on [n_mono, inf) and is negative from end on, where the claim fails as
+    baseline_rank(n) >= 3n/8 + 1/8 (f1(p) > 3/8 rules it out).  The guarded
+    walk runs up from 16, over a block or more and past n_mono + 7.  If it
+    meets no failure, each residue class mod 8, along which F - baseline is
+    g plus a constant, bisects from its last walked n to its first n at or
+    past end, and the first failure is the least of the eight."""
+    n_mono, end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8),
+                                         digits)
+    def rhs(m, n):
+        return m.num(_baseline(n))
+
+    top = min(end, max(n_mono + 7, 16 + _BLOCK - 1))
+    first, esc = _violation(p, 16, top, ((rhs, 1),), digits)
+    if first is None:
+        firsts, escs = zip(*(_crossing(p, lo, lo - (lo - end) // 8 * 8, rhs,
+                                       digits, step=8)
+                             for lo in range(top - 7, top + 1)))
+        first, esc = min(firsts), esc + sum(escs)
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
     return DerivedN(p=p, N=first - 1, first_failure=first,

@@ -781,18 +781,20 @@ _STAGES = [
       (["verify", "--suite", "f1"], 0),
       (["verify", "--suite", "monotonicity"], 0)],
      [], ["geometry"]),
+    # the n0 scan proves its end and bisects below it, comparing scalars
+    # in double precision
+    ([(["tables", "--which", "candn0"], 0)], [], ["data"]),
     ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
      [], ["oracle"]),
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], ["numpy"], []),
     # the envelope proves its tail and walks below it in double precision
     ([(["verify", "--suite", "envelope"], 0)], ["numpy"], []),
     # the N scan and the anchor table read from it end at a failure
-    # found in double precision (the first requests to read the tables),
-    # and the n0 scan's proven end is found in double precision too
+    # found in double precision
     ([(["tables", "--which", "Np", "--primes", "3"], 0),
       (["tables", "--which", "anchor", "--primes", "3"], 0),
       (["tables", "--which", "candn0", "--primes", "3"], 0)],
-     ["numpy"], ["data"]),
+     ["numpy"], []),
     # high precision
     ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0)],
      ["numpy", "mpmath"], []),

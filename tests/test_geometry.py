@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbounds import (Classification, DomainError, PreconditionError,
-                     baseline_rank, classify_rank, codim_guarantees,
-                     constants, derive_N, derive_c_n0, entropy,
-                     envelope_check, f1_monotonicity_scan, johnson_radius,
-                     paper_tables, rank_bound, threshold_F,
+from qbounds import (Classification, DerivedCN0, DerivedN, DomainError,
+                     PreconditionError, baseline_rank, classify_rank,
+                     codim_guarantees, constants, derive_N, derive_c_n0,
+                     entropy, envelope_check, f1_monotonicity_scan,
+                     johnson_radius, paper_tables, rank_bound, threshold_F,
                      threshold_F_array)
 import qbounds.precision
 from qbounds import geometry
@@ -57,6 +57,28 @@ def _anchor_signs(p, n_hi, digits=None):
     failures = set(up)
     signs = [-1 if n in failures else 1 for n in range(16, n_hi + 1)]
     return np.array(signs), escalations
+
+
+def _dense_c_n0(p, digits=None):
+    """``derive_c_n0``'s record from one guarded walk down over all of
+    [16, end], the comparison made at every n."""
+    c = geometry._published_c()[p]
+    _, end, escalations = geometry._scan_end(p, c, 0, digits)
+    last, esc = geometry._violation(p, 16, end,
+                                    ((lambda m, n: m.num(c) * n, -1),),
+                                    digits, last=True)
+    return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1, cap=end,
+                      last_violation=last, escalations=escalations + esc)
+
+
+def _dense_N(p, digits=None):
+    """``derive_N``'s record from one guarded walk up over all of
+    [16, end], the comparison made at every n."""
+    _, end, escalations = geometry._scan_end(p, Fraction(3, 8),
+                                             Fraction(1, 8), digits)
+    first, esc = geometry._violation(p, 16, end, _ANCHOR, digits)
+    return DerivedN(p=p, N=first - 1, first_failure=first,
+                    escalations=escalations + esc)
 
 
 class TestConstants:
@@ -208,20 +230,79 @@ class TestTableDerivation:
         with pytest.raises(DomainError):
             derive_N(31)
 
+    @pytest.mark.parametrize("digits", [None, 40])
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_bisection_matches_the_dense_walk(self, p, digits):
+        # the records, escalations included, are those of a walk that
+        # compares at every n of [16, end]
+        assert derive_c_n0(p, digits) == _dense_c_n0(p, digits)
+        assert derive_N(p, digits) == _dense_N(p, digits)
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_differences_decrease_past_n_mono(self, p):
+        # the property the bisections rest on, at 50 digits: past n_mono,
+        # F(n + 1, p) - F(n, p) < s for s = c(p) and s = 3/8
+        rng = random.Random(p)
+        for s, t in ((geometry._published_c()[p], 0),
+                     (Fraction(3, 8), Fraction(1, 8))):
+            n_mono, end, _ = geometry._scan_end(p, s, t, None)
+            with mpmath.workdps(50):
+                slope = mpmath.mpf(s.numerator) / s.denominator
+                for n in [n_mono, n_mono + 1, end - 1, end, 10 ** 9] + [
+                        rng.randrange(n_mono, 4 * end) for _ in range(40)]:
+                    step = (threshold_F(p, n + 1, digits=50)
+                            - threshold_F(p, n, digits=50))
+                    assert step < slope, (p, s, n)
+
+    @pytest.mark.parametrize("c", [Fraction(3, 2), Fraction(2)])
+    def test_n0_without_violations_past_n_mono(self, monkeypatch, c):
+        # F(16, 3) ~ 20.9 <= 16 c: no violation from n_mono = 16 on, so the
+        # walk below n_mono runs (here over nothing) and n0 = 16
+        monkeypatch.setattr(geometry, "_published_c", lambda: {3: c})
+        assert geometry._scan_end(3, c, 0, None)[0] == 16
+        res = derive_c_n0(3)
+        assert res == _dense_c_n0(3)
+        assert (res.n0, res.last_violation) == (16, None)
+
+    @pytest.mark.parametrize("scan, p, n_mono", [
+        (derive_c_n0, 3, 1000), (derive_c_n0, 3, 1907), (derive_c_n0, 3, 1908),
+        (derive_c_n0, 3, 1968), (derive_c_n0, 29, 208_255),
+        (derive_c_n0, 29, 208_256), (derive_c_n0, 29, 230_592),
+        (derive_N, 29, 40_000), (derive_N, 29, 145_708),
+        (derive_N, 29, 145_709), (derive_N, 29, 193_113)])
+    def test_a_later_n_mono_changes_nothing(self, monkeypatch, scan, p,
+                                            n_mono):
+        # the difference decreases past any n at or above the proven
+        # n_mono, so a later one is as valid.  n0: from n_mono past the
+        # last violation on, the walk down from n_mono - 1 finds it instead
+        # of the bisection.  N: a walk up to n_mono + 7 >= 145,716 meets
+        # the first failure; a shorter one leaves it to the bisections
+        expected = scan(p)
+        scan_end = geometry._scan_end
+
+        def later(*args):
+            proven, end, escalations = scan_end(*args)
+            return max(n_mono, proven), end, escalations
+
+        monkeypatch.setattr(geometry, "_scan_end", later)
+        assert scan(p) == expected
+
     @pytest.mark.parametrize("scan, args, margin, value, expected", [
         (derive_c_n0, (3,), 0.03, lambda r: r.n0, 1908),
         (derive_N, (3,), 0.03, lambda r: r.N, 91),
+        (derive_c_n0, (29,), 1e-4, lambda r: r.n0, 208255),
+        (derive_N, (29,), 1e-4, lambda r: r.N, 145715),
         (envelope_check, (3, 16, 200), 0.05, lambda r: r.payload["n_star"], 63),
         (f1_monotonicity_scan, (101,), 1e-3,
          lambda r: {k: v for k, v in r.payload.items() if k != "escalations"},
          {"f1_29": 0.37493847965667904, "f1_31": 0.3760368272332842}),
-    ], ids=["derive_c_n0", "derive_N", "envelope_check",
-            "f1_monotonicity_scan"])
+    ], ids=["derive_c_n0", "derive_N", "derive_c_n0-29", "derive_N-29",
+            "envelope_check", "f1_monotonicity_scan"])
     def test_forced_escalation_changes_nothing(self, monkeypatch, scan, args,
                                                margin, value, expected):
-        # widening the decision margin routes the tightest comparison
-        # (|diff| ~ 1.1e-3, 1.5e-3, 3.4e-2 and 6.2e-5 on these ranges;
-        # f1 has ten comparisons closer than 1e-3) through the
+        # widening the decision margin routes the closest comparisons a
+        # scan makes (from |diff| ~ 5e-9, the slope bound at p = 29's
+        # n_mono, up; f1 has ten closer than 1e-3) through the
         # high-precision path; the derived value must not change
         plain = scan(*args)
         monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", margin)
@@ -248,11 +329,12 @@ def _block_scans(p):
 
 class TestGuardedBlocks:
     @pytest.mark.parametrize("block", [1, 7, 64, geometry._BLOCK])
-    @pytest.mark.parametrize("p", [3, 7])
+    @pytest.mark.parametrize("p", [3, 7, 29])
     def test_block_size_changes_nothing(self, monkeypatch, p, block):
         # blocks of 7 and 64 split the ranges unevenly: this covers block
-        # edges, both walk directions and the n0/N walks' exits below the
-        # top block
+        # edges, both walk directions, the N walk's exit below the top
+        # block and, for p = 29, its walk up past n_mono before the
+        # bisections
         expected = _block_scans(p)
         monkeypatch.setattr(geometry, "_BLOCK", block)
         assert _block_scans(p) == expected
