@@ -6,17 +6,23 @@ Words are tuples of symbols in {0, ..., q-1}.  The whole-space budget is
 q^n <= ``SPACE_BUDGET`` = 10^6; ``max_code_size`` decides d <= 2 in closed
 form, and for d >= 3 takes at most ``MAX_CANDIDATES`` = 8192 words of weight
 >= d and ``MAX_WORK`` units of search.  Larger instances raise
-ResourceBudgetError, before any array is built for the space and candidate
-caps; the wall clock is a safety net.  numpy is imported only by the
-functions that build arrays.
+ResourceBudgetError, before any word is built for the space and candidate
+caps; the wall clock is a safety net.
+
+The search runs on Python-int bitsets, and half-word tables build them
+without numpy: ``_candidates`` joins the prefixes and suffixes of the
+words, grouped by their distances to the halves of the two fixed words,
+and ``_adjacency`` ORs, per candidate, the bitsets of the candidates whose
+prefix and suffix lie near its own.  A witness's distance is set by
+construction, so ``qbounds oracle`` never imports numpy; only the
+functions that build symbol arrays do.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
-the search's candidate filter (on prefix and suffix halves, never on the
-whole space), adjacency, ``Code.min_distance`` and the lemma checks' ball
-counts at radii 0 < e < n: a block is one broadcast comparison of the
-contiguous columns of a few rows of ``a`` with those of ``b`` (the long
-axis, innermost), summed over the coordinates into distances of one byte
-while n < 256, at most ``BLOCK_PAIRS`` = 2^20 symbol pairs a block.  A
+``Code.min_distance`` and the lemma checks' ball counts at radii
+0 < e < n: a block is one broadcast comparison of the contiguous columns
+of a few rows of ``a`` with those of ``b`` (the long axis, innermost),
+summed over the coordinates into distances of one byte while n < 256, at
+most ``BLOCK_PAIRS`` = 2^20 symbol pairs a block.  A
 code keeps its words as a read-only symbol array, built once
 (``random_code`` stores the one it decodes), so no check rebuilds it.
 The lemma checks decide radii 0 and n in closed form, computing no
@@ -30,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -220,38 +227,86 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _adjacency(cand: np.ndarray, d: int) -> list[int]:
-    """Row i as an int whose bit j is set iff cand[i], cand[j] are at
-    distance >= d; built a block of rows at a time."""
-    import numpy as np
-    adj: list[int] = []
-    for _, dist in _distance_blocks(cand, cand):
-        bits = np.packbits(dist >= d, axis=1, bitorder="little")
-        adj.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
-    return adj
+def _halves(q: int, w: tuple) -> dict:
+    """The q^len(w) words of length len(w) in lexicographic order, grouped
+    by (weight, distance to w)."""
+    groups: dict = {}
+    for h in itertools.product(range(q), repeat=len(w)):
+        key = len(h) - h.count(0), sum(map(operator.ne, h, w))
+        groups.setdefault(key, []).append(h)
+    return groups
 
 
-def _candidates(q: int, n: int, d: int) -> np.ndarray:
+def _candidates(q: int, n: int, d: int) -> list[tuple]:
     """The words at distance >= d from both 0 and w2 = 0^(n-d) 1^d, in
     lexicographic order.  A word's distance to either is the sum of its
-    prefix's (length k = n // 2) and its suffix's, so the kernel sees only
-    the q^k prefixes and q^(n-k) suffixes; the pairs are filtered 2^16 at
-    a time, and ``nonzero`` lists them row-major: lexicographic order."""
-    import numpy as np
+    prefix's (length k = n // 2) and its suffix's, so only the q^k prefixes
+    and q^(n-k) suffixes are enumerated, grouped by their distances to the
+    halves of 0 and w2; each prefix group joins the suffix groups that
+    bring both sums to d or more."""
     k = n // 2
-    pre, suf = all_words_array(q, k), all_words_array(q, n - k)
-    fixed = np.zeros((2, n), dtype=pre.dtype)  # the words 0 and w2
-    fixed[1, n - d:] = 1
-    dpre, dsuf = (
-        np.concatenate([dist for _, dist in _distance_blocks(part, half)])
-        for part, half in ((fixed[:, :k], pre), (fixed[:, k:], suf)))
-    rows = max(1, (1 << 16) // len(suf))
-    parts = []
-    for lo in range(0, len(pre), rows):
-        ok = (dpre[:, lo:lo + rows, None] + dsuf[:, None] >= d).all(axis=0)
-        i, j = ok.nonzero()
-        parts.append(np.concatenate((pre[lo + i], suf[j]), axis=1))
-    return np.concatenate(parts)
+    w2 = (0,) * (n - d) + (1,) * d
+    pre, suf = _halves(q, w2[:k]), _halves(q, w2[k:])
+    cand = [p + s for (wp, dp), ps in pre.items()
+            for (ws, ds), ss in suf.items() if wp + ws >= d and dp + ds >= d
+            for p in ps for s in ss]
+    cand.sort()
+    return cand
+
+
+def _adjacency(cand: list[tuple], d: int) -> list[int]:
+    """Row i as an int whose bit j is set iff cand[i], cand[j] are at
+    distance >= d.
+
+    Bitsets over the candidates: ``agree[c][s]`` holds those with symbol s
+    at coordinate c.  For a half h of a word (its first k = n // 2
+    coordinates, or the rest), near[t] holds the candidates whose same half
+    is within distance t of h, t < d; one pass over h's coordinates builds
+    it, near[t] <- near[t - 1] | (near[t] & agree) from t = d - 1 down.
+    cand[i] and cand[j] are within d - 1 iff their prefixes are within a
+    and their suffixes within d - 1 - a for some a, so row i is the
+    complement of the union of those pairs of bitsets.  The prefix tables
+    serve a run of rows (the candidates are in lexicographic order), the
+    suffix tables are kept per distinct suffix."""
+    if not cand:
+        return []
+    n, size = len(cand[0]), len(cand)
+    k = n // 2
+    full = (1 << size) - 1
+    # symbols fit a byte: q^n <= SPACE_BUDGET with n >= d >= 3 puts q <= 100;
+    # int(text, 2) reads the last character as bit 0, so columns run backward
+    columns = [bytes(col[::-1]) for col in zip(*cand)]
+    marks = [bytes(48 + (b == s) for b in range(256))  # s -> "1", else "0"
+             for s in range(max(map(max, columns)) + 1)]
+    agree = [[int(col.translate(m), 2) for m in marks] for col in columns]
+
+    def near(h: tuple, first: int) -> list[int]:
+        rows = [full] * d
+        for j, s in enumerate(h):
+            a = agree[first + j][s]
+            # rows[t] with t > j stays full: j + 1 coordinates differ in <= t
+            for t in range(min(j, d - 1), 0, -1):
+                rows[t] = rows[t - 1] | (rows[t] & a)
+            rows[0] &= a
+        return rows
+
+    # a prefix is within k of any other, a suffix within n - k
+    pairs = range(max(0, d - 1 - (n - k)), min(d - 1, k) + 1)
+    suffix_tables: dict = {}
+    adj: list[int] = []
+    prefix = None
+    for w in cand:
+        if w[:k] != prefix:
+            prefix = w[:k]
+            pre = near(prefix, 0)
+        suf = suffix_tables.get(w[k:])
+        if suf is None:
+            suf = suffix_tables[w[k:]] = near(w[k:], k)
+        close = 0
+        for a in pairs:
+            close |= pre[a] & suf[d - 1 - a]
+        adj.append(full ^ close)
+    return adj
 
 
 def max_code_size(q: int, n: int, d: int, *,
@@ -270,8 +325,12 @@ def max_code_size(q: int, n: int, d: int, *,
     permuting coordinates and, in each coordinate, the symbols with 0
     fixed, maps the pair to (0, w2); all three are isometries.  The
     remaining words are a maximum clique among the candidates, the words
-    at distance >= d from both 0 and w2, in the distance->=d graph; built
-    from word halves, they take memory in proportion to q^ceil(n/2).
+    at distance >= d from both 0 and w2, in the distance->=d graph.  Both
+    the candidates and the graph's rows are built from word halves in
+    pure Python, no numpy: memory follows q^ceil(n/2) words of half length
+    and, for the rows, d bitsets over the candidates per distinct suffix.
+    The witness's minimum distance is d by construction (0 and w2 are at
+    distance d), so serializing it computes no distance.
 
     Search: the incumbent is seeded with the greedy clique taken in
     candidate (lexicographic) order; a depth-first search on an explicit
@@ -351,9 +410,11 @@ def max_code_size(q: int, n: int, d: int, *,
             if best_size == target:
                 break
 
-    witness_words = [(0,) * n, (0,) * (n - d) + (1,) * d] + [
-        tuple(int(s) for s in cand[v]) for v in best_clique]
-    return best_size + 2, make_code(q, n, witness_words)
+    witness = make_code(q, n, [(0,) * n, (0,) * (n - d) + (1,) * d]
+                        + [cand[v] for v in best_clique])
+    # 0 and w2 are at distance d, and the clique puts every other pair >= d
+    witness._min_distance = d
+    return witness.size, witness
 
 
 # --- exhaustive lemma checks ---------------------------------------------

@@ -21,8 +21,9 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
                      pigeonhole_witness, random_code, serialize_code)
 from qbounds import eb_bounds, oracle
 from qbounds.eb_bounds import _eb_inputs
-from qbounds.oracle import (Code, _candidates, _distance_blocks, _lemma_space,
-                            _symbol_dtype, all_words_array, upper_bound)
+from qbounds.oracle import (Code, _adjacency, _candidates, _distance_blocks,
+                            _lemma_space, _symbol_dtype, all_words_array,
+                            upper_bound)
 from qbounds.precision import FLOAT
 
 
@@ -265,6 +266,21 @@ class TestMaxCodeSize:
         # the last word: eleven 2s, whose sum 22 is 1 mod 3
         assert text.endswith("\n222222222221\n")
 
+    @pytest.mark.parametrize("q, n, d, size", [
+        (3, 4, 3, 9), (3, 5, 3, 18), (2, 8, 4, 16), (5, 6, 6, 5)])
+    def test_searched_code_is_serialized_without_a_distance_pass(
+            self, monkeypatch, q, n, d, size):
+        def no_distances(a, b):
+            raise AssertionError("a distance block was computed")
+        monkeypatch.setattr(oracle, "_distance_blocks", no_distances)
+        got, witness = max_code_size(q, n, d)
+        assert got == size
+        assert serialize_code(witness).startswith(f"{q} {n} {size} {d}\n")
+        monkeypatch.undo()
+        # the distance set by construction is the one computed afresh
+        assert witness._replace().min_distance() == d
+        assert _witness_ok(witness, q, n, d, size)
+
     def test_whole_space_at_d1(self):
         size, witness = max_code_size(3, 4, 1)
         assert size == 81
@@ -370,17 +386,17 @@ class TestMaxCodeSize:
 
     def test_cap_rejection_builds_no_words(self, monkeypatch):
         # 2^19 - V_2(19, 2) = 524,097 words of weight >= 3: the count is
-        # closed-form, so no word array exists when the cap rejects it
-        def no_words(q, n):
-            raise AssertionError(f"all_words_array({q}, {n}) was called")
-        monkeypatch.setattr(oracle, "all_words_array", no_words)
+        # closed-form, so no candidate exists when the cap rejects it
+        def no_words(q, n, d):
+            raise AssertionError(f"_candidates({q}, {n}, {d}) was called")
+        monkeypatch.setattr(oracle, "_candidates", no_words)
         with pytest.raises(ResourceBudgetError,
                            match=r"set of 524097 words exceeds cap 8192$"):
             max_code_size(2, 19, 3)
 
     def test_memory_follows_the_candidates(self):
         # 2^19 words would take 10 MB; the two halves take 2^9 and 2^10
-        max_code_size(2, 19, 15)  # numpy and its caches are loaded
+        max_code_size(2, 19, 15)  # the modules the search uses are loaded
         tracemalloc.start()
         try:
             assert max_code_size(2, 19, 15)[0] == 2
@@ -435,7 +451,7 @@ class TestMaxCodeSize:
 
 def test_candidates_match_the_full_space_filter():
     # every (q, n, d) with q^n <= 2^14 and 2 <= d <= n: n = 2, odd n and
-    # d > n / 2 included; same words, same lexicographic order, same dtype
+    # d > n / 2 included; same words, same lexicographic order
     checked = 0
     for q in range(2, 129):
         for n in range(2, 15):
@@ -447,10 +463,45 @@ def test_candidates_match_the_full_space_filter():
                 w2 = np.array([0] * (n - d) + [1] * d)
                 keep = (weight >= d) & ((space != w2).sum(axis=1) >= d)
                 got = _candidates(q, n, d)
-                assert got.dtype == space.dtype, (q, n, d)
-                assert np.array_equal(got, space[keep]), (q, n, d)
+                assert got == list(map(tuple, space[keep].tolist())), (q, n, d)
                 checked += 1
     assert checked == 340
+
+
+def _searched_instances():
+    """The (q, n, d), d >= 3, of the pinned grid and of criterion 06 whose
+    words of weight >= d are within the candidate cap."""
+    sweep = set()
+    for q in (2, 3, 5):
+        for n in range(3, 13):
+            if q ** n > oracle.SPACE_BUDGET:
+                break
+            for d in range(3, n + 1):
+                try:
+                    _eb_inputs(BoundParams(q=q, n=n, d=d))
+                except (DomainError, PreconditionError):
+                    continue
+                if (q ** n - hamming_ball_volume(q, n, d - 1)
+                        <= oracle.MAX_CANDIDATES):
+                    sweep.add((q, n, d))
+    grid = {(q, n, d) for (q, n), row in GRID.items() for d in row if d >= 3}
+    return sorted(grid | sweep)
+
+
+def test_adjacency_matches_the_distance_kernel():
+    # row i is bit j set iff dist(cand[i], cand[j]) >= d, each row taken
+    # from the blocked numpy kernel, the reference
+    instances = _searched_instances()
+    assert len(instances) == 69
+    for q, n, d in instances:
+        cand = _candidates(q, n, d)
+        want = []
+        for _, dist in _distance_blocks(np.array(cand).reshape(-1, n),
+                                        np.array(cand).reshape(-1, n)):
+            bits = np.packbits(dist >= d, axis=1, bitorder="little")
+            want.extend(int.from_bytes(row.tobytes(), "little")
+                        for row in bits)
+        assert _adjacency(cand, d) == want, (q, n, d)
 
 
 class TestUpperBound:
