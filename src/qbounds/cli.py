@@ -12,9 +12,9 @@ converts its numbers in one walk, writes it to stdout (JSON, ``--pretty`` or
 ``tables --format csv``) and returns the status.  stderr gets one
 ``error:`` line, or one line on a table mismatch.  Exit codes: 0 = success,
 1 = a suite failed or a table disagrees with the published value, 2 = usage
-or precondition error, 141 = the reader closed stdout.  QB_PRECISION
-(decimal digits) sets the working precision; --digits beats it.  Every
-integer argument goes through ``errors.check_int``, whose error names it.
+or precondition error, 141 = the reader closed stdout.  --digits (decimal
+digits) sets the working precision.  Every integer argument goes through
+``errors.check_int``, whose error names it.
 """
 
 import argparse
@@ -67,21 +67,6 @@ def _render_pretty(doc):
 
     walk(doc, "", 0)
     return "\n".join(out)
-
-
-def _digits(args):
-    source, digits = "--digits", args.digits
-    if digits is None:
-        env = os.environ.get("QB_PRECISION")
-        if not env:
-            return None
-        source = "QB_PRECISION"
-        try:
-            digits = int(env)
-        except ValueError:
-            raise DomainError(f"QB_PRECISION must be an integer, got {env!r}")
-    check_int(source, digits, 1)
-    return digits
 
 
 def _json_ready(x, digits):
@@ -264,8 +249,7 @@ def cmd_verify(args, dig):
 def cmd_oracle(args, dig):
     from .eb_bounds import _rate_check
     from .oracle import max_code_size, serialize_code, upper_bound
-    size, witness = max_code_size(args.q, args.n, args.d,
-                                  time_limit=args.time_limit)
+    size, witness = max_code_size(args.q, args.n, args.d)
     ub = upper_bound(args.q, args.n, args.d)
     results = {
         "max_code_size": computed(size),
@@ -315,8 +299,7 @@ _COMMON = [
     ("--deterministic", {"action": "store_true",
                          "help": "suppress the timestamp field"}),
     ("--digits", {"type": int, "default": None,
-                  "help": "decimal digits of working precision "
-                          "(beats QB_PRECISION)"}),
+                  "help": "decimal digits of working precision"}),
 ]
 _INT = {"type": int}
 _REQUIRED_INT = {"type": int, "required": True}
@@ -344,8 +327,7 @@ _COMMANDS = {
         ("--seed", {"type": int, "default": 0})]),
     "oracle": ("exact A_q(n, d) by exhaustive search", cmd_oracle, [
         ("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT),
-        ("--d", _REQUIRED_INT),
-        ("--time-limit", {"type": float, "default": 60.0})]),
+        ("--d", _REQUIRED_INT)]),
     "classify": ("rank classification report", cmd_classify, [
         ("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT),
         ("--r", _REQUIRED_INT)]),
@@ -380,7 +362,9 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        digits = _digits(args)
+        digits = args.digits
+        if digits is not None:
+            check_int("--digits", digits, 1)
         inputs, results, diagnostics, status = args.func(args, digits)
         if digits is not None:
             inputs["digits"] = digits

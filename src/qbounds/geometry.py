@@ -123,7 +123,7 @@ def threshold_F(p: int, n: int, digits=None):
     return evaluate(digits, _threshold_F, p, n)
 
 
-def threshold_F_array(p: int, ns: np.ndarray) -> np.ndarray:
+def threshold_F_array(p: int, ns):
     """Vectorized double-precision F(n, p) over an integer array of n:
     threshold_F's own formula over the numpy context.  As ``check_int``
     does for a scalar n, it rejects an array of any other kind, bool

@@ -58,6 +58,7 @@ MAX_CANDIDATES = 8192
 # cap between them solves the same criterion-06 instances
 MAX_WORK = 2_000_000
 LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
+LEMMA_N_MAX = 7  # the lemma suites draw word lengths up to it
 BLOCK_PAIRS = 1 << 20  # symbol pairs compared by one distance block
 
 
@@ -77,7 +78,7 @@ class Code(_CodeFields):
     """
 
     _min_distance: int | None = None
-    _array: np.ndarray | None = None
+    _array = None
 
     @property
     def size(self) -> int:
@@ -121,7 +122,7 @@ def _symbol_dtype(q: int):
     return np.uint8 if q <= 256 else np.min_scalar_type(q - 1)
 
 
-def _words_array(code: Code) -> np.ndarray:
+def _words_array(code: Code):
     """The words as a read-only (size, n) array of ``_symbol_dtype(q)``,
     built once and cached on the code."""
     if code._array is None:
@@ -142,7 +143,7 @@ def _space_size(q: int, n: int, budget: int = SPACE_BUDGET) -> int:
     return total
 
 
-def all_words_array(q: int, n: int) -> np.ndarray:
+def all_words_array(q: int, n: int):
     """All q^n words as a (q^n, n) array of ``_symbol_dtype(q)`` in
     lexicographic order."""
     total = _space_size(q, n)
@@ -150,7 +151,7 @@ def all_words_array(q: int, n: int) -> np.ndarray:
     return np.indices((q,) * n, dtype=_symbol_dtype(q)).reshape(n, total).T
 
 
-def _distance_blocks(a: np.ndarray, b: np.ndarray):
+def _distance_blocks(a, b):
     """Yield ``(lo, D)`` over blocks of rows of ``a``: ``D[i, j]`` is the
     Hamming distance of ``a[lo + i]`` and ``b[j]``, in the narrowest
     unsigned type that holds n (uint8 while n < 256).  A block is one
@@ -420,7 +421,7 @@ def max_code_size(q: int, n: int, d: int, *,
 # --- exhaustive lemma checks ---------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _lemma_space(q: int, n: int) -> np.ndarray:
+def _lemma_space(q: int, n: int):
     """``all_words_array(q, n)``, read-only and kept for the lemma checks."""
     space = all_words_array(q, n)
     space.flags.writeable = False
@@ -495,35 +496,32 @@ def random_code(q: int, n: int, size: int, seed: int) -> Code:
     return code
 
 
-def _check_suite_args(q_set, n_max: int, n_min: int,
-                      trials: int = 1, seed: int = 0) -> None:
-    """A suite draws an alphabet from ``q_set`` and a length in
-    [n_min, n_max]; an empty set or range, an alphabet that is no integer
-    >= 2, or no trial, would pass with no check.  A negative seed would
-    draw the codes of its absolute value."""
+def _check_suite_args(q_set, trials: int = 1, seed: int = 0) -> None:
+    """A suite draws an alphabet from ``q_set``; an empty set, an alphabet
+    that is no integer >= 2, or no trial, would pass with no check.  A
+    negative seed would draw the codes of its absolute value."""
     if not q_set:
         raise DomainError("q_set must name at least one alphabet size")
     for q in q_set:
         check_int("q", q, 2)
-    check_int("n_max", n_max, n_min)
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)
 
 
-def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
+def pigeonhole_suite(*, q_set=(2, 3), trials: int = 200,
                      seed: int = 0) -> VerificationReport:
     """Lemma check: for seeded random codes, the best-center count from an
     exhaustive scan meets the averaging bound, decided in integers as
     count q^n >= |C| V_q(n, e).  The payload counts the checks at a
     degenerate radius, e in {0, n}."""
-    _check_suite_args(q_set, n_max, 2, trials, seed)
+    _check_suite_args(q_set, trials, seed)
     rng = random.Random(seed)
     payload = {"degenerate_radius": 0}
 
     def checks():
         for t in range(trials):
             q = q_set[t % len(q_set)]
-            n = rng.randint(2, n_max)
+            n = rng.randint(2, LEMMA_N_MAX)
             size = rng.randint(1, min(q ** n, 40))
             code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
             e = rng.randint(0, n)
@@ -537,20 +535,20 @@ def pigeonhole_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
     return first_failure("pigeonhole", checks(), payload)
 
 
-def johnson_suite(*, q_set=(2, 3), n_max: int = 7, trials: int = 200,
+def johnson_suite(*, q_set=(2, 3), trials: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Lemma check: the Johnson ball cap holds exhaustively for seeded
     random codes at the decoding radius e = ceil(n J_q(d/n)) - 1; a code
     with d q > (q-1) n is drawn again, with at most 50·trials draws in
     all.  The payload counts the checks at the degenerate radius e = 0."""
-    _check_suite_args(q_set, n_max, 3, trials, seed)
+    _check_suite_args(q_set, trials, seed)
     rng = random.Random(seed)
     payload = {"degenerate_radius": 0}
 
     def checks():
         for attempt in range(1, 50 * trials + 1):
             q = q_set[attempt % len(q_set)]
-            n = rng.randint(3, n_max)
+            n = rng.randint(3, LEMMA_N_MAX)
             size = rng.randint(2, min(q ** n, 30))
             code = random_code(q, n, size, seed=rng.randrange(2 ** 30))
             d = code.min_distance()
@@ -573,7 +571,8 @@ def eb_soundness_sweep(q_set=(2, 3, 5), n_max: int = 7) -> VerificationReport:
     candidate or work budget are skipped and counted, no clock deciding
     which; the payload lists each solved instance as [q, n, d, A].
     """
-    _check_suite_args(q_set, n_max, 2)
+    _check_suite_args(q_set)
+    check_int("n_max", n_max, 2)
     payload = {"skipped_precondition": 0, "skipped_resource": 0,
                "total_instances": 0, "solved": []}
 

@@ -56,10 +56,8 @@ _ENTRY_POINTS = [
     (max_code_size, {"q": 2, "n": 4, "d": 2}, {"q": 1, "n": 0, "d": 5}),
     (pigeonhole_witness, {"code": _CODE, "e": 1}, {"e": 7}),
     (johnson_ball_check, {"code": _CODE, "e": 1}, {"e": 7}),
-    (pigeonhole_suite, {"n_max": 4, "trials": 2},
-     {"n_max": 1, "trials": 0, "seed": -1}),
-    (johnson_suite, {"n_max": 4, "trials": 2},
-     {"n_max": 2, "trials": 0, "seed": -1}),
+    (pigeonhole_suite, {"trials": 2}, {"trials": 0, "seed": -1}),
+    (johnson_suite, {"trials": 2}, {"trials": 0, "seed": -1}),
     (eb_soundness_sweep, {"q_set": (2,), "n_max": 4}, {"n_max": 1}),
 ]
 

@@ -74,6 +74,16 @@ def _witness_ok(code, q, n, d, size):
                for i in range(size - 1))
 
 
+def _peak_memory(q, n, d):
+    """A_q(n, d) and the peak memory its second computation takes."""
+    max_code_size(q, n, d)  # the modules the search uses are loaded
+    tracemalloc.start()
+    try:
+        return max_code_size(q, n, d)[0], tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _distance(a, b):
     """Hamming distance of two words through the blocked kernel."""
     (_, dist), = _distance_blocks(np.array([a]), np.array([b]))
@@ -396,14 +406,14 @@ class TestMaxCodeSize:
 
     def test_memory_follows_the_candidates(self):
         # 2^19 words would take 10 MB; the two halves take 2^9 and 2^10
-        max_code_size(2, 19, 15)  # the modules the search uses are loaded
-        tracemalloc.start()
-        try:
-            assert max_code_size(2, 19, 15)[0] == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        size, peak = _peak_memory(2, 19, 15)
+        assert size == 2 and peak < 2_000_000
+
+    def test_memory_of_the_search_follows_the_candidates(self):
+        # A_4(6, 4) = 64 searches 2,854 candidates, about 1.4 MB with their
+        # adjacency rows; a 4^6 x 4^6 distance matrix alone would take 16 MB
+        size, peak = _peak_memory(4, 6, 4)
+        assert size == 64 and peak < 4_000_000
 
     def test_leaves_the_lemma_space_cache_alone(self):
         before = _lemma_space.cache_info()
@@ -680,13 +690,8 @@ class TestJohnsonCheck:
 
 
 class TestSuiteArguments:
-    @pytest.mark.parametrize("suite, n_min", [(pigeonhole_suite, 2),
-                                              (johnson_suite, 3)])
-    def test_bad_arguments_raise_domain_error(self, suite, n_min):
-        for n_max in (n_min - 1, 0, 7.0, None):
-            with pytest.raises(DomainError, match=_exactly(
-                    f"n_max must be an integer >= {n_min}, got {n_max!r}")):
-                suite(n_max=n_max)
+    @pytest.mark.parametrize("suite", [pigeonhole_suite, johnson_suite])
+    def test_bad_arguments_raise_domain_error(self, suite):
         with pytest.raises(DomainError, match="q_set"):
             suite(q_set=())
         for trials in (0, -3, 2.0):
@@ -694,7 +699,7 @@ class TestSuiteArguments:
             with pytest.raises(DomainError, match=_exactly(
                     f"trials must be an integer >= 1, got {trials!r}")):
                 suite(trials=trials)
-        assert suite(n_max=n_min, trials=3).passed
+        assert suite(trials=3).passed
 
 
 def _loop_distance(a, b):
