@@ -10,10 +10,11 @@ summarize its behaviour:
   N(p)  - the largest length for which F(n, p) still beats the baseline
           rank floor(3n/8) + O(1) at every n in [16, N(p)].
 
-Both are recomputed here by direct scan and compared to the shipped
-reference values.  Each scan stops at a length past which F(n, p) - s n
-is proven to decrease and is already negative (s = c(p), resp. 3/8), so
-both tables hold for every n, not just up to a cap.
+Both are recomputed here and compared to the shipped reference values.
+Each scan first proves, with an enclosure of F(n, p) - s n over whole
+ranges of n (s = c(p), resp. 3/8), a length from which the comparison
+holds (fails) for every larger n, and then searches the lengths below it,
+so both tables hold for every n, not just up to a cap.
 """
 
 from qbounds.geometry import (SUPPORTED_PRIMES, baseline_rank, constants,

@@ -2,30 +2,47 @@
 threshold F(n, p), the baseline classification rank, and the guarded
 scans that re-derive the published c/n0 and N tables.
 
-Every scan asks one question of one guarded walk, ``_violation``: the
-first (or last) n in a range at which F(n, p) compares with a right-hand
-side the wrong way.  It walks n in cache-sized blocks, evaluates F once per
-block in double precision and escalates a comparison to high precision
-(``strict_sign``) only where the one cut-off, ``precision.apart``, leaves
-it undecided (a tie or a NaN), so results are identical to a full
-high-precision scan; it stops in the block that holds the answer.  The far
-end of each scan is proven: ``_first_negative`` proves a slope bound
-negative at n_mono, from which the difference decreases, and then the
-difference at doubling points.  Where that makes the wrong-sign n an
-interval, ``_crossing`` bisects for its edge, one ``strict_sign`` a probe:
-the n0 scan on [n_mono, end], the N scan per residue class mod 8 after a
-walk up past n_mono.  The envelope walks down from where both of its sides
-are proven.  ``escalations`` counts the comparisons a scan escalated;
-numpy is imported only by the functions that build arrays.
+Each scan compares F(n, p) with rhs(n) = s n + t(n): n0 takes s = c(p),
+the envelope s = 1/4 and sqrt(3)/4, with t = 0, and N takes s = 3/8 and
+t(n) = baseline_rank(n) - 3n/8, which depends on n mod 8 only.  With
+
+    F(n, p) - s n = h(n) + B(n),   h(x) = (f1 - s) x + 2.5 log_p x + f2,
+    B(x) = f3/(x - 1) + f4/(f5 (x - 1) - 2),
+
+h is concave and, as f3, f4, f5 > 0 and f5 (x - 1) > 2 for x >= 16, B is
+positive and decreasing.  So over the reals in [a, b], 16 <= a, b = inf
+allowed, F(x, p) - s x lies in the enclosure
+
+    [min(h(a), h(b)) + B(b),  h(clamp(x*, a, b)) + B(a)],
+
+x* = 2.5/((s - f1) ln p) where h peaks if f1 < s, else x* = inf; h(inf)
+is -inf in the lower bound unless f1 is ``apart`` above s.  Less the
+largest (smallest) t(n) of the range, it bounds F - rhs.  A scan proves
+its tail at the first of n, 2n, 4n, ... where the double-precision
+``_enclosure`` decides [n, inf) (n0 and N from the n_mono of
+``_falling``, the envelope from n_lo up to n_hi), and ``_search`` finds
+the first (last) n below it where F - rhs has the wrong sign: a range the
+enclosure puts ``apart`` from 0 is decided, any other is split, and a
+single n is decided by ``strict_sign``, which escalates where the cut-off
+leaves it undecided (a tie or a NaN).  So a scan answers as a comparison
+at every n would; ``escalations`` counts the comparisons it escalated.
+
+The double-precision enclosure is sound within the cut-off while n is at
+most about 10^6: its terms are then at most about 10^5 in size and their
+rounding error below 1e-10, under the cut-off's margin of 1e-9 (rounding
+x* moves h(x*) only to second order, as h'(x*) = 0).  Past that a cut-off
+relative to the size of the terms is needed.  The scans import no numpy;
+only ``threshold_F_array`` builds arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .eb_bounds import (_QUARTER, _THIRD, _check_odd_prime, _rank_bound,
                         is_prime)
@@ -157,132 +174,146 @@ class DerivedCN0(NamedTuple):
     p: int
     c: Fraction
     n0: int
-    cap: int  # the proven end of the scan
+    cap: int  # from here on the enclosure proves F < c n for every n
     last_violation: int | None  # None if F <= c n on all of F's domain
     escalations: int
 
 
-# n per block of a guarded scan: its temporaries (64 KiB) stay in cache
-_BLOCK = 1 << 13
+class _Side(NamedTuple):
+    """F(n, p) - rhs(n) must have the sign ``want``, where rhs(n) - slope n
+    lies in [t_lo, t_hi]; ``rhs(m, n)`` is rhs over a numeric context."""
+
+    slope: float
+    t_lo: float
+    t_hi: float
+    want: int
+    rhs: Callable
 
 
-def _violation(p, lo, hi, rhss, digits, last=False):
-    """``(n, escalations)``: the first n in [lo, hi] (the last with
-    ``last``) at which the sign of F(n, p) - rhs(m, n) is not ``want`` for
-    some ``(rhs, want)`` in ``rhss``; n is None if there is none.  The walk
-    goes up from lo (down from hi with ``last``) in blocks of ``_BLOCK``
-    values of n and stops in the block that holds the answer.  It evaluates
-    F once per block in double precision; a difference not ``apart`` from 0
-    is re-decided by ``strict_sign``, and ``escalations`` counts those."""
+# baseline_rank(n) - 3n/8 depends on n mod 8 only, from 1/8 to 3/2
+_ANCHOR = _Side(0.375, 0.125, 1.5, 1, lambda m, n: m.num(_baseline(n)))
+_ENVELOPE = (_Side(0.25, 0, 0, 1, lambda m, n: m.num(n) / 4),
+             _Side(math.sqrt(3) / 4, 0, 0, -1,
+                   lambda m, n: m.sqrt(3) * m.num(n) / 4))
+
+
+def _enclosure(p, sides):
+    """``verdict(a, b)``: 1 if the enclosure over [a, b] (b = inf allowed)
+    puts want (F(n, p) - rhs(n)) ``apart`` above 0 for every side, -1 if
+    apart below 0 for some side, else 0.  An end point's log term and B
+    are evaluated once for all sides and ranges."""
+    f1, f2, f3, f4, f5 = _constant_values(p, None)
+    lp, inf = math.log(p), math.inf
+    ends = {}
+
+    def end(x):  # 2.5 log_p x + f2 and B(x)
+        y = x - 1
+        ends[x] = 2.5 * math.log(x) / lp + f2, f3 / y + f4 / (f5 * y - 2)
+        return ends[x]
+
+    shapes = []  # per side: f1 - s, x*, h(x*), h(inf) for the lower bound
+    for side in sides:
+        d = f1 - side.slope
+        xs = max(2.5 / (-d * lp), 16) if d < 0 else inf
+        shapes.append((d, xs, d * xs + end(xs)[0] if d < 0 else inf,
+                       inf if d > 0 and apart(f1, side.slope) else -inf,
+                       side.t_lo, side.t_hi, side.want))
+
+    def verdict(a, b):
+        ga, Ba = ends.get(a) or end(a)
+        gb, Bb = (ends.get(b) or end(b)) if b < inf else (0, 0)
+        result = 1
+        for d, xs, top, h_inf, t_lo, t_hi, want in shapes:
+            ha = d * a + ga
+            hb = d * b + gb if b < inf else h_inf
+            lower = min(ha, hb) + Bb - t_hi
+            upper = (ha if xs <= a else top if xs <= b else hb) + Ba - t_lo
+            if want < 0:
+                lower, upper = -upper, -lower
+            if upper < 0 and apart(upper, 0):
+                return -1
+            if not (lower > 0 and apart(lower, 0)):
+                result = 0
+        return result
+
+    return verdict
+
+
+def _tail(verdict, n, want, ceiling=math.inf):
+    """The first of n, 2n, 4n, ... (not past ``ceiling``) from which the
+    ``verdict`` is ``want``; None if there is none."""
+    while n <= ceiling and verdict(n, math.inf) != want:
+        n *= 2
+    return n if n <= ceiling else None
+
+
+def _search(p, verdict, sides, lo, hi, digits, last=False):
+    """``(n, escalations)``: the first n in [lo, hi) (the last with
+    ``last``) at which F(n, p) - rhs(n) has not the sign ``want`` for some
+    side, None if there is none.  A range [a, b) is skipped if its
+    ``verdict`` is 1, answers with its first (last) n if it is -1, and is
+    split in two otherwise, the half nearer the answer searched first.  A
+    single n is decided by ``strict_sign``."""
     escalation_digits(digits)  # a bad digits fails even if nothing escalates
-    import numpy as np
-    m = numpy_context()
     escalations = 0
-    starts = range(lo, hi + 1, _BLOCK)
-    for start in reversed(starts) if last else starts:
-        ns = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.int64)
-        F = _threshold_F(m, p, m.num(ns))
-        hits = []
-        for rhs, want in rhss:
-            diff = want * (F - rhs(m, ns))  # positive where the sign is right
-            decided = apart(diff, 0)
-            near = np.flatnonzero(~decided | (diff < 0))  # not proven right
-            wrong = decided[near]
-            for j in np.flatnonzero(~wrong):
-                n = start + int(near[j])
-                sign, esc = strict_sign(
-                    lambda m: _threshold_F(m, p, n) - rhs(m, n), digits)
-                wrong[j] = sign != want
+    todo = [(lo, hi)] if lo < hi else []
+    while todo:
+        a, b = todo.pop()
+        if b - a == 1:
+            for side in sides:
+                s, esc = strict_sign(
+                    lambda m: _threshold_F(m, p, a) - side.rhs(m, a), digits)
                 escalations += esc
-            if wrong.any():
-                hits.append(int(near[wrong][-1 if last else 0]))
-        if hits:
-            return start + (max(hits) if last else min(hits)), escalations
+                if s != side.want:
+                    return a, escalations
+            continue
+        proven = verdict(a, b)
+        if proven < 0:
+            return (b - 1 if last else a), escalations
+        if proven == 0:
+            halves = (a, (a + b) // 2), ((a + b) // 2, b)
+            todo += halves if last else halves[::-1]
     return None, escalations
 
 
-def _first_negative(bounds, n, digits, ceiling=None):
-    """``(n, escalations)``: proves ``bounds`` negative one after another,
-    each ``bound(m, n)`` by ``strict_sign`` at the first of n, 2n, 4n, ...
-    where it is, the next bound starting from there; n is the point of the
-    last proof, None if a proof would pass ``ceiling`` (if given)."""
-    escalations = 0
-    for bound in bounds:
-        while ceiling is None or n <= ceiling:
-            sign, esc = strict_sign(lambda m: bound(m, n), digits)
-            escalations += esc
-            if sign < 0:
-                break
-            n *= 2
-        else:
-            return None, escalations
-    return n, escalations
-
-
-def _scan_end(p, s, t, digits):
-    """``(n_mono, n, escalations)``: F(m, p) - s m - t strictly decreases
-    on [n_mono, inf) and is negative at n, so at every m >= n, once f1 < s
-    is proven.  As f3, f4, f5 > 0 (and f5 (m-1) > 2 on F's domain),
-    g(m) = F(m, p) - s m - t has g'(m) < f1 - s + 2.5/(m ln p), a bound
-    that falls as m grows: ``_first_negative`` proves it negative at
-    n_mono, from which g decreases, and then g itself at n = n_mono 2^k.
-    The doubling starts at the double-precision estimate
-    ceil(2.5/((s - f1) ln p)) + 1 (at high precision only if f1 < s itself
-    had to escalate), and not below 16."""
+def _falling(p, s, digits):
+    """``(n_mono, escalations)``: ``strict_sign`` proves the slope of h,
+    f1 - s + 2.5/(n ln p), negative at n_mono, the first of n, 2n, ... from
+    n = ceil(x*) + 1 >= 16.  A DomainError unless f1(p) < s, also in double
+    precision (else F - s n is unbounded, or no tail proof would end)."""
     _check_odd_prime(p)
     def gap(m):
         return m.num(s) - _constant_values(p, m.digits)[0]
 
-    sign, esc = strict_sign(gap, digits)
-    if sign < 0:
+    sign, escalations = strict_sign(gap, digits)
+    if sign < 0 or not _constant_values(p, None)[0] < float(s):
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
-    estimate = evaluate(escalation_digits(digits) if esc else None,
-                        lambda m: int(m.ceil(2.5 / (gap(m) * m.log(p)))))
-    n_mono, more = _first_negative(
-        (lambda m, n: 2.5 / (n * m.log(p)) - gap(m),), max(estimate + 1, 16),
-        digits)
-    n, most = _first_negative(
-        (lambda m, n: _threshold_F(m, p, n) - m.num(s) * n - m.num(t),),
-        n_mono, digits)
-    return n_mono, n, esc + more + most
-
-
-def _crossing(p, lo, hi, rhs, digits, step=1):
-    """``(n, escalations)``: the first n of lo + step k in (lo, hi] with
-    F(n, p) < rhs(m, n), given that those n are a final segment that holds
-    hi (F - rhs decreases there).  It bisects without evaluating lo or hi;
-    each probe is one ``strict_sign``, as ``_violation`` re-decides an n."""
-    escalations = 0
-    while hi - lo > step:
-        mid = lo + (hi - lo) // (2 * step) * step
-        sign, esc = strict_sign(
-            lambda m: _threshold_F(m, p, mid) - rhs(m, mid), digits)
+    n = evaluate(escalation_digits(digits) if escalations else None, lambda m:
+                 max(16, int(m.ceil(2.5 / (gap(m) * m.log(p)))) + 1))
+    while True:
+        sign, esc = strict_sign(lambda m: 2.5 / (n * m.log(p)) - gap(m),
+                                digits)
         escalations += esc
-        lo, hi = (mid, hi) if sign > 0 else (lo, mid)
-    return hi, escalations
+        if sign < 0:
+            return n, escalations
+        n *= 2
 
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
-    n >= n0, taking c(p) from the published table.  ``_scan_end`` proves
-    for (c(p), 0) that F - c n decreases on [n_mono, end] and is negative
-    at end, so the violations F > c n there are an initial segment, and a
-    bisection finds the n after the last.  If that is n_mono, the guarded
-    walk runs down from n_mono - 1 instead."""
+    n >= n0, taking c(p) from the published table.  The enclosure proves
+    F < c n on [cap, inf) at the first such cap of n_mono, 2 n_mono, ...,
+    and the search runs down [16, cap) for the last violation."""
     c = _published_c().get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    n_mono, end, escalations = _scan_end(p, c, 0, digits)
-    def rhs(m, n):
-        return m.num(c) * n
-
-    after, esc = _crossing(p, n_mono - 1, end, rhs, digits)
-    last = after - 1
-    if after == n_mono:
-        last, more = _violation(p, 16, last, ((rhs, -1),), digits, last=True)
-        esc += more
+    n_mono, escalations = _falling(p, c, digits)
+    sides = [_Side(float(c), 0, 0, -1, lambda m, n: m.num(c) * n)]
+    verdict = _enclosure(p, sides)
+    cap = _tail(verdict, n_mono, 1)
+    last, esc = _search(p, verdict, sides, 16, cap, digits, last=True)
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
-                      cap=end, last_violation=last,
+                      cap=cap, last_violation=last,
                       escalations=escalations + esc)
 
 
@@ -296,26 +327,15 @@ class DerivedN(NamedTuple):
 def derive_N(p: int, digits=None) -> DerivedN:
     """Re-derive N(p): the largest N with F(n, p) > baseline_rank(n) for
     all n in [16, N]; also reports the first failing n (= N + 1), so the
-    anchor claim holds on [16, n_hi] iff first_failure > n_hi.
-    ``_scan_end`` proves for (3/8, 1/8) that g = F - 3n/8 - 1/8 decreases
-    on [n_mono, inf) and is negative from end on, where the claim fails as
-    baseline_rank(n) >= 3n/8 + 1/8 (f1(p) > 3/8 rules it out).  The guarded
-    walk runs up from 16, over a block or more and past n_mono + 7.  If it
-    meets no failure, each residue class mod 8, along which F - baseline is
-    g plus a constant, bisects from its last walked n to its first n at or
-    past end, and the first failure is the least of the eight."""
-    n_mono, end, escalations = _scan_end(p, Fraction(3, 8), Fraction(1, 8),
-                                         digits)
-    def rhs(m, n):
-        return m.num(_baseline(n))
-
-    top = min(end, max(n_mono + 7, 16 + _BLOCK - 1))
-    first, esc = _violation(p, 16, top, ((rhs, 1),), digits)
-    if first is None:
-        firsts, escs = zip(*(_crossing(p, lo, lo - (lo - end) // 8 * 8, rhs,
-                                       digits, step=8)
-                             for lo in range(top - 7, top + 1)))
-        first, esc = min(firsts), esc + sum(escs)
+    anchor claim holds on [16, n_hi] iff first_failure > n_hi.  The
+    enclosure proves F < 3n/8 + 1/8 <= baseline_rank(n) on [end, inf) at
+    the first such end of n_mono, 2 n_mono, ..., and the search runs up
+    [16, end) for the first failure, else end is the first."""
+    n_mono, escalations = _falling(p, Fraction(3, 8), digits)
+    verdict = _enclosure(p, [_ANCHOR])
+    end = _tail(verdict, n_mono, -1)
+    first, esc = _search(p, verdict, [_ANCHOR], 16, end, digits)
+    first = end if first is None else first
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
     return DerivedN(p=p, N=first - 1, first_failure=first,
@@ -358,48 +378,21 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     n/4 < F(n, p) <= sqrt(3) n / 4 holds for every n up to n_hi.
 
     Both comparisons are guarded by ``strict_sign``; an exact tie on the
-    upper side is irrational and so cannot occur.  The check proves its
-    tail instead of walking it: as f3, f4, f5 > 0 and f5 (m-1) > 2 for
-    m >= 16, U(m) = F(m, p) - sqrt(3) m/4 and L(m) = F(m, p) - m/4 have
-
-        U'(m) < f1 - sqrt(3)/4 + 2.5/(m ln p), a bound falling in m;
-        L'(m) > f1 - 1/4 - f3/(m-1)^2 - f4 f5/(f5 (m-1) - 2)^2, rising in m.
-
-    ``_first_negative`` proves U' < 0 and then U < 0 at points of
-    n_lo, 2 n_lo, 4 n_lo, ..., up to n_hi, so U < 0 from the second point
-    on; likewise -L' < 0 and then -L < 0.  From the larger of the two
-    points, reported as ``tail_proven_from``, both sides hold for every n,
-    and the guarded walk runs down from it to the last n where a side
-    fails.  Without a proof up to n_hi (f1 >= sqrt(3)/4, f1 <= 1/4, or
-    n_hi too small) the walk runs down from n_hi and ``tail_proven_from``
-    is None.  Either way n* and the counterexample depend on n_hi only,
-    and ``instances_checked`` = n_hi - n_lo + 1 counts every n decided, by
-    walk or by proof."""
+    upper side is irrational and so cannot occur.  ``tail_proven_from`` is
+    the first of n_lo, 2 n_lo, 4 n_lo, ..., up to n_hi, from which the
+    enclosure proves both sides for every n, and the search runs down from
+    below it; without one (f1 >= sqrt(3)/4, f1 <= 1/4, or n_hi too small)
+    it is None and the search runs down from n_hi.  Either way n* and the
+    counterexample depend on n_hi only, and ``instances_checked`` =
+    n_hi - n_lo + 1 counts every n decided, by search or by proof."""
     _check_odd_prime(p)
     check_int("n_lo", n_lo, 16)
     check_int("n_hi", n_hi, n_lo + 1)
-    def quarter(m, n):
-        return m.num(n) / 4
-
-    def upper(m, n):
-        return m.sqrt(3) * m.num(n) / 4
-
-    def upper_slope(m, n):  # the bound on U'(n)
-        return (_constant_values(p, m.digits)[0] - m.sqrt(3) / 4
-                + 2.5 / (n * m.log(p)))
-
-    def lower_slope(m, n):  # minus the bound on L'(n)
-        f1, _, f3, f4, f5 = _constant_values(p, m.digits)
-        return (m.num(1) / 4 - f1 + f3 / (n - 1) ** 2
-                + f4 * f5 / (f5 * (n - 1) - 2) ** 2)
-
-    sides = ((upper_slope, lambda m, n: _threshold_F(m, p, n) - upper(m, n)),
-             (lower_slope, lambda m, n: quarter(m, n) - _threshold_F(m, p, n)))
-    ends, escs = zip(*(_first_negative(bounds, n_lo, digits, n_hi)
-                       for bounds in sides))
-    tail = None if None in ends else max(ends)
-    last_bad, esc = _violation(p, n_lo, tail or n_hi,
-                               ((quarter, 1), (upper, -1)), digits, last=True)
+    verdict = _enclosure(p, _ENVELOPE)
+    tail = _tail(verdict, n_lo, 1, n_hi)
+    last_bad, esc = _search(p, verdict, _ENVELOPE, n_lo,
+                            n_hi + 1 if tail is None else tail, digits,
+                            last=True)
     failed = last_bad == n_hi
     return VerificationReport(
         suite="envelope", instances_checked=n_hi - n_lo + 1, passed=not failed,
@@ -407,7 +400,7 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
         if failed else None,
         payload=None if failed else {
             "p": p, "n_star": n_lo if last_bad is None else last_bad + 1,
-            "escalations": sum(escs) + esc, "tail_proven_from": tail})
+            "escalations": esc, "tail_proven_from": tail})
 
 
 # one formula per flag of codim_guarantees, so that a re-decision evaluates

@@ -774,25 +774,25 @@ _STAGES = [
       (["verify", "--suite", "f1"], 0),
       (["verify", "--suite", "monotonicity"], 0)],
      [], ["geometry"]),
-    # the n0 scan proves its end and bisects below it, comparing scalars
-    # in double precision
+    # the n0 scan proves its tail and searches below it with scalar
+    # enclosures in double precision
     ([(["tables", "--which", "candn0"], 0)], [], ["data"]),
     ([(["oracle", "--q", "2", "--n", "30", "--d", "3"], 2)],  # over budget
      [], ["oracle"]),
     # the search's candidates and rows come from half-word bitset tables,
     # and its witness's distance is set by construction
     ([(["oracle", "--q", "3", "--n", "4", "--d", "3"], 0)], [], []),
-    # the envelope proves its tail and walks below it in double precision
-    ([(["verify", "--suite", "envelope"], 0)], ["numpy"], []),
-    # the N scan and the anchor table read from it end at a failure
-    # found in double precision
+    # the envelope proves its tail and searches below it with scalar
+    # enclosures in double precision
+    ([(["verify", "--suite", "envelope"], 0)], [], []),
+    # so do the N scan and the anchor table read from it
     ([(["tables", "--which", "Np", "--primes", "3"], 0),
       (["tables", "--which", "anchor", "--primes", "3"], 0),
       (["tables", "--which", "candn0", "--primes", "3"], 0)],
-     ["numpy"], []),
+     [], []),
     # high precision
     ([(["eval", "entropy", "--q", "3", "--x", "0.3", "--digits", "50"], 0)],
-     ["numpy", "mpmath"], []),
+     ["mpmath"], []),
 ]
 
 _IMPORT_PROBE = """
@@ -975,6 +975,7 @@ _ARGV_CORPUS = [
     ["nope"],  # unknown subcommand
     ["eval", "nope", "--q", "3"],  # invalid choice
     ["bound", "--q", "x", "--n", "5"],  # bad int
+    ["eval", "entropy", "--q", "3", "--x", "abc"],  # bad float
     ["oracle", "--q", "3", "--n", "4", "--d", "3", "--time-limit", "abc"],
     ["eval", "entropy", "--q", "3", "--x", "0.3", "--bogus"],  # unrecognized
     ["eval", "entropy", "--q", "3", "--x", "0.3", "stray"],

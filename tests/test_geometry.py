@@ -4,6 +4,7 @@ and rank classification."""
 from fractions import Fraction
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -11,35 +12,60 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qbounds import (Classification, DerivedCN0, DerivedN, DomainError,
-                     PreconditionError, baseline_rank, classify_rank,
-                     codim_guarantees, constants, derive_N, derive_c_n0,
-                     entropy, envelope_check, f1_monotonicity_scan,
-                     johnson_radius, paper_tables, rank_bound, threshold_F,
-                     threshold_F_array)
+from qbounds import (Classification, DomainError, PreconditionError,
+                     baseline_rank, classify_rank, codim_guarantees,
+                     constants, derive_N, derive_c_n0, entropy,
+                     envelope_check, f1_monotonicity_scan, johnson_radius,
+                     paper_tables, rank_bound, threshold_F, threshold_F_array)
 import qbounds.precision
 from qbounds import geometry
 from qbounds.geometry import SUPPORTED_PRIMES, primes_up_to
 from qbounds.qcore import _johnson_ceil
 
 
-# the anchor comparison F(n, p) > baseline_rank(n) and the envelope's two
-# sides, n/4 < F(n, p) and F(n, p) < sqrt(3) n/4, as ``_violation`` takes them
-_ANCHOR = ((lambda m, n: m.num(geometry._baseline(n)), 1),)
-_QUARTER = ((lambda m, n: m.num(n) / 4, 1),)
-_UPPER = ((lambda m, n: m.sqrt(3) * m.num(n) / 4, -1),)
+# right-hand sides rhs(n) of the table comparisons F(n, p) vs rhs(n), each
+# as a pair: over an integer array in double precision, and over one int at
+# the current mpmath precision
+@functools.cache
+def _c_rhs(c):
+    return (lambda ns: float(c) * ns,
+            lambda n: mpmath.mpf(c.numerator) / c.denominator * n)
 
 
-def _violations(p, lo, hi, rhss, digits=None, last=False):
-    """``(ns, escalations)``: every n in [lo, hi] that ``_violation`` names,
-    in walk order, found by restarting the walk past each one, and the
-    escalations of all the walks."""
+_BASELINE_RHS = (lambda ns: 3 * ns // 8 + 1 + ((ns % 8 == 2) | (ns % 8 == 4)),
+                 baseline_rank)
+_QUARTER_RHS = (lambda ns: ns / 4, lambda n: mpmath.mpf(n) / 4)
+_UPPER_RHS = (lambda ns: math.sqrt(3) * ns / 4,
+              lambda n: mpmath.sqrt(3) * n / 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_signs(p, lo, hi, rhs):
+    """The signs of F(n, p) - rhs(n) at every n in [lo, hi], found without
+    the search or its cut-off: ``threshold_F_array`` at every n, and each
+    n where |diff| < 1e-6 re-decided at 50 digits."""
+    ns = np.arange(lo, hi + 1)
+    diff = threshold_F_array(p, ns) - rhs[0](ns)
+    signs = np.where(diff > 0, 1, -1)
+    with mpmath.workdps(50):
+        for i in np.flatnonzero(np.abs(diff) < 1e-6):
+            n = lo + int(i)
+            signs[i] = 1 if threshold_F(p, n, digits=50) - rhs[1](n) > 0 else -1
+    signs.flags.writeable = False
+    return signs
+
+
+def _violations(p, lo, hi, sides, digits=None, last=False):
+    """``(ns, escalations)``: every n in [lo, hi] at which the search finds
+    a side of ``sides`` failing, in search order, found by restarting the
+    search past each one, and the escalations of all the searches."""
+    verdict = geometry._enclosure(p, sides)
     found, escalations = [], 0
     while True:
-        n, esc = geometry._violation(p, lo, hi, rhss, digits, last)
+        n, esc = geometry._search(p, verdict, sides, lo, hi + 1, digits, last)
         escalations += esc
         if n is None:
             return found, escalations
@@ -49,36 +75,14 @@ def _violations(p, lo, hi, rhss, digits=None, last=False):
 
 def _anchor_signs(p, n_hi, digits=None):
     """``(signs, escalations)`` of the guarded anchor comparison
-    F(n, p) > baseline_rank(n) over [16, n_hi], read off the failures
-    ``_violation`` names walking up; walking down names the same."""
-    up, escalations = _violations(p, 16, n_hi, _ANCHOR, digits)
-    down, _ = _violations(p, 16, n_hi, _ANCHOR, digits, last=True)
+    F(n, p) > baseline_rank(n) over [16, n_hi], read off the failures the
+    search finds going up; going down finds the same."""
+    up, escalations = _violations(p, 16, n_hi, [geometry._ANCHOR], digits)
+    down, _ = _violations(p, 16, n_hi, [geometry._ANCHOR], digits, last=True)
     assert down == up[::-1]
     failures = set(up)
     signs = [-1 if n in failures else 1 for n in range(16, n_hi + 1)]
     return np.array(signs), escalations
-
-
-def _dense_c_n0(p, digits=None):
-    """``derive_c_n0``'s record from one guarded walk down over all of
-    [16, end], the comparison made at every n."""
-    c = geometry._published_c()[p]
-    _, end, escalations = geometry._scan_end(p, c, 0, digits)
-    last, esc = geometry._violation(p, 16, end,
-                                    ((lambda m, n: m.num(c) * n, -1),),
-                                    digits, last=True)
-    return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1, cap=end,
-                      last_violation=last, escalations=escalations + esc)
-
-
-def _dense_N(p, digits=None):
-    """``derive_N``'s record from one guarded walk up over all of
-    [16, end], the comparison made at every n."""
-    _, end, escalations = geometry._scan_end(p, Fraction(3, 8),
-                                             Fraction(1, 8), digits)
-    first, esc = geometry._violation(p, 16, end, _ANCHOR, digits)
-    return DerivedN(p=p, N=first - 1, first_failure=first,
-                    escalations=escalations + esc)
 
 
 class TestConstants:
@@ -205,14 +209,17 @@ class TestTableDerivation:
 
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_scan_end_is_proven(self, p):
-        # past n_mono, F(n, p) - c n decreases; it is negative at the end
+        # from cap on, F(n, p) < c n: at cap and at sampled n up to 10^9,
+        # at 50 digits
         res = derive_c_n0(p)
+        rng = random.Random(p)
         with mpmath.workdps(50):
             c = mpmath.mpf(res.c.numerator) / res.c.denominator
-            f1 = constants(p, digits=50).f1
-            n_mono = int(mpmath.ceil(2.5 / ((c - f1) * mpmath.log(p)))) + 1
-            assert res.cap >= n_mono
             assert threshold_F(p, res.cap, digits=50) < c * res.cap
+            for n in [res.cap + 1, 10 ** 9] + [
+                    rng.randrange(res.cap, 10 ** k) for k in range(7, 10)
+                    for _ in range(10)]:
+                assert threshold_F(p, n, digits=50) < c * n, (p, n)
 
     @pytest.mark.parametrize("scan, args", [
         (derive_c_n0, (3,)), (derive_N, (3,)),
@@ -233,19 +240,54 @@ class TestTableDerivation:
     @pytest.mark.parametrize("digits", [None, 40])
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_bisection_matches_the_dense_walk(self, p, digits):
-        # the records, escalations included, are those of a walk that
-        # compares at every n of [16, end]
-        assert derive_c_n0(p, digits) == _dense_c_n0(p, digits)
-        assert derive_N(p, digits) == _dense_N(p, digits)
+        # n0 and N are those of a walk that compares at every n of
+        # [16, 2 cap] (of [16, 2 first_failure]); the search escalates none
+        cn0 = derive_c_n0(p, digits)
+        signs = _dense_signs(p, 16, 2 * cn0.cap, _c_rhs(cn0.c))
+        violations = np.flatnonzero(signs > 0)
+        last = 16 + int(violations[-1]) if violations.size else None
+        assert (cn0.n0, cn0.last_violation) == (
+            16 if last is None else last + 1, last)
+        assert last is None or last < cn0.cap
+        N = derive_N(p, digits)
+        signs = _dense_signs(p, 16, 2 * N.first_failure, _BASELINE_RHS)
+        first = 16 + int(np.flatnonzero(signs < 0)[0])
+        assert (N.N, N.first_failure) == (first - 1, first)
+        assert cn0.escalations == N.escalations == 0
+
+    @pytest.mark.parametrize("digits", [None, 40])
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_anchor_signs_match_the_dense_walk(self, p, digits):
+        signs, escalations = _anchor_signs(p, 1000, digits)
+        assert signs.tolist() == _dense_signs(p, 16, 1000,
+                                              _BASELINE_RHS).tolist()
+        assert escalations == 0
+
+    @pytest.mark.parametrize("n_lo, n_hi", [(16, 40), (16, 200), (16, 9000),
+                                            (16, 20_000), (60, 90)])
+    @pytest.mark.parametrize("digits", [None, 40])
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_envelope_matches_the_dense_walk(self, p, digits, n_lo, n_hi):
+        # n* is the n after the last one where a side fails, and the check
+        # fails where that is n_hi
+        bad = np.flatnonzero(
+            (_dense_signs(p, n_lo, n_hi, _QUARTER_RHS) < 0)
+            | (_dense_signs(p, n_lo, n_hi, _UPPER_RHS) > 0))
+        last = n_lo + int(bad[-1]) if bad.size else None
+        rep = envelope_check(p, n_lo, n_hi, digits)
+        assert rep.passed == (last != n_hi)
+        if rep.passed:
+            assert rep.payload["n_star"] == (n_lo if last is None else last + 1)
+            assert rep.payload["escalations"] == 0
 
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_differences_decrease_past_n_mono(self, p):
-        # the property the bisections rest on, at 50 digits: past n_mono,
+        # the property the tail proofs rest on, at 50 digits: past n_mono,
         # F(n + 1, p) - F(n, p) < s for s = c(p) and s = 3/8
         rng = random.Random(p)
-        for s, t in ((geometry._published_c()[p], 0),
-                     (Fraction(3, 8), Fraction(1, 8))):
-            n_mono, end, _ = geometry._scan_end(p, s, t, None)
+        for s, end in ((geometry._published_c()[p], derive_c_n0(p).cap),
+                       (Fraction(3, 8), derive_N(p).first_failure)):
+            n_mono, _ = geometry._falling(p, s, None)
             with mpmath.workdps(50):
                 slope = mpmath.mpf(s.numerator) / s.denominator
                 for n in [n_mono, n_mono + 1, end - 1, end, 10 ** 9] + [
@@ -257,12 +299,12 @@ class TestTableDerivation:
     @pytest.mark.parametrize("c", [Fraction(3, 2), Fraction(2)])
     def test_n0_without_violations_past_n_mono(self, monkeypatch, c):
         # F(16, 3) ~ 20.9 <= 16 c: no violation from n_mono = 16 on, so the
-        # walk below n_mono runs (here over nothing) and n0 = 16
+        # tail is proven from 16, the search runs over nothing and n0 = 16
         monkeypatch.setattr(geometry, "_published_c", lambda: {3: c})
-        assert geometry._scan_end(3, c, 0, None)[0] == 16
+        assert geometry._falling(3, c, None)[0] == 16
         res = derive_c_n0(3)
-        assert res == _dense_c_n0(3)
-        assert (res.n0, res.last_violation) == (16, None)
+        assert (res.n0, res.cap, res.last_violation) == (16, 16, None)
+        assert not (_dense_signs(3, 16, 1000, _c_rhs(c)) > 0).any()
 
     @pytest.mark.parametrize("scan, p, n_mono", [
         (derive_c_n0, 3, 1000), (derive_c_n0, 3, 1907), (derive_c_n0, 3, 1908),
@@ -272,20 +314,22 @@ class TestTableDerivation:
         (derive_N, 29, 145_709), (derive_N, 29, 193_113)])
     def test_a_later_n_mono_changes_nothing(self, monkeypatch, scan, p,
                                             n_mono):
-        # the difference decreases past any n at or above the proven
-        # n_mono, so a later one is as valid.  n0: from n_mono past the
-        # last violation on, the walk down from n_mono - 1 finds it instead
-        # of the bisection.  N: a walk up to n_mono + 7 >= 145,716 meets
-        # the first failure; a shorter one leaves it to the bisections
+        # h falls past any n at or above the proven n_mono, so a later one
+        # is as valid: the tail proof starts there, at or past the answer
+        # for some, and the search below it finds the same n0 (N)
         expected = scan(p)
-        scan_end = geometry._scan_end
+        falling = geometry._falling
 
         def later(*args):
-            proven, end, escalations = scan_end(*args)
-            return max(n_mono, proven), end, escalations
+            proven, escalations = falling(*args)
+            return max(n_mono, proven), escalations
 
-        monkeypatch.setattr(geometry, "_scan_end", later)
-        assert scan(p) == expected
+        monkeypatch.setattr(geometry, "_falling", later)
+        result = scan(p)
+        if scan is derive_c_n0:  # the tail is proven from a later point
+            assert result.cap >= n_mono
+            result = result._replace(cap=expected.cap)
+        assert result == expected
 
     @pytest.mark.parametrize("scan, args, margin, value, expected", [
         (derive_c_n0, (3,), 0.03, lambda r: r.n0, 1908),
@@ -315,33 +359,13 @@ class TestTableDerivation:
             assert escalations == 10
 
 
-def _block_scans(p):
-    signs, escalations = _anchor_signs(p, 1000)
-    return {"derive_c_n0": derive_c_n0(p), "derive_N": derive_N(p),
-            "anchor_signs": (signs.tolist(), escalations),
-            "envelope_sides": _violations(p, 16, 200, _QUARTER + _UPPER),
-            "envelope_check": envelope_check(p, 16, 9000),
-            # n_hi past the first block: the walk starts at the proven tail
-            "envelope_tail": envelope_check(p, 16, 20_000),
-            # no proof up to n_hi: the walk starts at n_hi
-            "envelope_fails": envelope_check(p, 16, 40)}
-
-
 class TestGuardedBlocks:
-    @pytest.mark.parametrize("block", [1, 7, 64, geometry._BLOCK])
-    @pytest.mark.parametrize("p", [3, 7, 29])
-    def test_block_size_changes_nothing(self, monkeypatch, p, block):
-        # blocks of 7 and 64 split the ranges unevenly: this covers block
-        # edges, both walk directions, the N walk's exit below the top
-        # block and, for p = 29, its walk up past n_mono before the
-        # bisections
-        expected = _block_scans(p)
-        monkeypatch.setattr(geometry, "_BLOCK", block)
-        assert _block_scans(p) == expected
+    """The search over blocks [a, b) of n: a block is decided by the
+    enclosure or split, and a single n by ``strict_sign``."""
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_anchor_signs_match_scalar_comparisons(self, p):
-        # every failure the walk names, up and down, is a scalar one
+        # every failure the search names, up and down, is a scalar one
         signs, escalations = _anchor_signs(p, 1000)
         assert escalations == 0
         assert signs.tolist() == [
@@ -351,47 +375,86 @@ class TestGuardedBlocks:
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_envelope_sides_match_scalar_comparisons(self, p):
-        # each side alone and both together, walked up and down
+        # each side alone and both together, searched up and down
         def quarter(n):
             return n / 4 < threshold_F(p, n)
 
         def upper(n):
             return threshold_F(p, n) < math.sqrt(3) * n / 4
 
-        for rhss, holds in ((_QUARTER, quarter), (_UPPER, upper),
-                            (_QUARTER + _UPPER,
-                             lambda n: quarter(n) and upper(n))):
+        lower_side, upper_side = geometry._ENVELOPE
+        for sides, holds in (([lower_side], quarter), ([upper_side], upper),
+                             ([lower_side, upper_side],
+                              lambda n: quarter(n) and upper(n))):
             bad = [n for n in range(16, 201) if not holds(n)]
-            assert _violations(p, 16, 200, rhss) == (bad, 0)
-            assert _violations(p, 16, 200, rhss, last=True) == (bad[::-1], 0)
+            assert _violations(p, 16, 200, sides) == (bad, 0)
+            assert _violations(p, 16, 200, sides, last=True) == (bad[::-1], 0)
         assert bad
+
+    @seed(31)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(p=st.sampled_from(SUPPORTED_PRIMES + (31, 37)), data=st.data())
+    def test_enclosure_is_sound(self, p, data):
+        # the 50-digit v = F(n, p) - s n lies inside the enclosure over
+        # [a, b], widened by the cut-off, at a, at b and at 20 n in between:
+        # the verdict proves neither F - s n - v > 0 nor F - s n - v < 0
+        # over [a, b], as a lower bound above v or an upper one below it
+        # would
+        slopes = [Fraction(3, 8), Fraction(1, 4), "sqrt3/4"]
+        if p in SUPPORTED_PRIMES:
+            slopes.append(geometry._published_c()[p])
+        s = data.draw(st.sampled_from(slopes))
+        a = data.draw(st.integers(16, 10 ** 6))
+        b = data.draw(st.integers(a, 10 ** 6) | st.just(math.inf))
+        ns = [a, *([] if b == math.inf else [b]), *data.draw(st.lists(
+            st.integers(a, 10 ** 9 if b == math.inf else b),
+            min_size=20, max_size=20))]
+        with mpmath.workdps(50):
+            slope = (mpmath.sqrt(3) / 4 if s == "sqrt3/4"
+                     else mpmath.mpf(s.numerator) / s.denominator)
+            values = [float(threshold_F(p, n, digits=50) - slope * n)
+                      for n in ns]
+        for v, n in zip(values, ns):
+            for want in (1, -1):
+                side = geometry._Side(float(slope), v, v, want, None)
+                assert geometry._enclosure(p, [side])(a, b) != 1, (
+                    s, a, b, n, want)
 
     @pytest.mark.parametrize("last", [False, True])
     def test_a_nan_difference_escalates(self, last):
-        # a right-hand side that is NaN in double precision is never taken
-        # as proven: each n escalates, and 50 digits find n/4 < F(n, 3) on
-        # [64, 80] (n* = 63)
+        # a side that is NaN in double precision is never taken as proven:
+        # no block is decided, each n escalates, and 50 digits find
+        # n/4 < F(n, 3) on [64, 80] (n* = 63)
         def rhs(m, n):
             return m.num(n) / 4 if m.digits else m.num(n) * math.nan
 
-        assert geometry._violation(3, 64, 80, ((rhs, 1),), None,
-                                   last) == (None, 17)
+        side = geometry._Side(math.nan, 0, 0, 1, rhs)
+        verdict = geometry._enclosure(3, [side])
+        assert geometry._search(3, verdict, [side], 64, 81, None,
+                                last) == (None, 17)
 
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_envelope_evaluates_nothing_past_its_proven_tail(self, monkeypatch,
                                                             p):
-        # the walk covers [16, tail_proven_from] only, and from there on
+        # the search covers [16, tail_proven_from) only, and from there on
         # both sides hold by proof; a scalar check agrees over 10^4 more n
-        threshold, top = geometry._threshold_F, []
+        enclosure, threshold = geometry._enclosure, geometry._threshold_F
+        ends, tops = [], []
 
-        def recording(m, p, n):
-            if isinstance(n, np.ndarray):
-                top.append(n.max())
+        def recording_enclosure(p, sides):
+            verdict = enclosure(p, sides)
+            return lambda a, b: ends.append((a, b)) or verdict(a, b)
+
+        def recording_F(m, p, n):
+            tops.append(n)
             return threshold(m, p, n)
 
-        monkeypatch.setattr(geometry, "_threshold_F", recording)
+        monkeypatch.setattr(geometry, "_enclosure", recording_enclosure)
+        monkeypatch.setattr(geometry, "_threshold_F", recording_F)
         tail = envelope_check(p, 16, 10 ** 5).payload["tail_proven_from"]
-        assert tail <= 128 and top and max(top) <= tail
+        assert tail <= 128 and ends
+        assert max(b for _, b in ends if b < math.inf) <= tail
+        assert max(tops, default=16) < tail
         monkeypatch.undo()
         for n in range(tail, tail + 10 ** 4 + 1):
             assert n / 4 < threshold_F(p, n) <= math.sqrt(3) * n / 4, n
