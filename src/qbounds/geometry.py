@@ -31,8 +31,9 @@ The double-precision enclosure is sound within the cut-off while n is at
 most about 10^6: its terms are then at most about 10^5 in size and their
 rounding error below 1e-10, under the cut-off's margin of 1e-9 (rounding
 x* moves h(x*) only to second order, as h'(x*) = 0).  Past that a cut-off
-relative to the size of the terms is needed.  The scans import no numpy;
-only ``threshold_F_array`` builds arrays.
+relative to the size of the terms is needed.  Every F is the one
+double-precision or mpmath formula ``_threshold_F``: ``threshold_F_array``
+is ``threshold_F`` at each n of an array, and the scans import no numpy.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ import json
 import math
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .eb_bounds import (_QUARTER, _THIRD, _check_odd_prime, _rank_bound,
                         is_prime)
 from .errors import DomainError, PreconditionError, check_int
 from .precision import (apart, escalation_digits, evaluate, exceeds,
-                        numpy_context, strict_sign)
+                        strict_sign)
 from .qcore import _entropy, _johnson_radius
 from .report import VerificationReport, first_failure
 
@@ -60,23 +62,24 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def paper_tables() -> dict:
-    """The published c(p)/n0(p)/N(p) tables (provenance: paper-constant)."""
+    """The published c(p)/n0(p)/N(p) tables (provenance: paper-constant):
+    a fresh dict over the data file's one parse, its tables read-only."""
+    return dict(_parsed_tables())
+
+
+@functools.cache
+def _parsed_tables():
     import importlib.resources
     raw = json.loads(importlib.resources.files("qbounds.data")
                      .joinpath("paper_constants.json").read_text())
     return {
         "provenance": raw["provenance"],
         "primes": tuple(raw["primes"]),
-        "c": {int(p): Fraction(*v) for p, v in raw["c"].items()},
-        "n0": {int(p): v for p, v in raw["n0"].items()},
-        "N": {int(p): v for p, v in raw["N"].items()},
+        "c": MappingProxyType({int(p): Fraction(*v)
+                               for p, v in raw["c"].items()}),
+        "n0": MappingProxyType({int(p): v for p, v in raw["n0"].items()}),
+        "N": MappingProxyType({int(p): v for p, v in raw["N"].items()}),
     }
-
-
-@functools.lru_cache(maxsize=1)
-def _published_c() -> dict:
-    """The published c(p) table, read from the data file on first use."""
-    return paper_tables()["c"]
 
 
 class PrimeConstants(NamedTuple):
@@ -141,20 +144,19 @@ def threshold_F(p: int, n: int, digits=None):
 
 
 def threshold_F_array(p: int, ns):
-    """Vectorized double-precision F(n, p) over an integer array of n:
-    threshold_F's own formula over the numpy context.  As ``check_int``
-    does for a scalar n, it rejects an array of any other kind, bool
-    included."""
+    """Double-precision ``threshold_F`` at each n of an integer array, as a
+    float64 array of its shape.  As ``check_int`` does for a scalar n, it
+    rejects an array of any other kind, bool included."""
     _check_odd_prime(p)
     import numpy as np
-    m = numpy_context()
     ns = np.asarray(ns)
     if ns.dtype.kind not in "iu":
         raise DomainError(f"ns must be an integer array, got dtype {ns.dtype}")
-    ns = m.num(ns)
     if ns.size:
         _check_F_domain(ns.min())
-    return _threshold_F(m, p, ns)
+    return np.array([evaluate(None, _threshold_F, p, n)
+                     for n in ns.ravel().tolist()],
+                    dtype=np.float64).reshape(ns.shape)
 
 
 def baseline_rank(n: int) -> int:
@@ -162,12 +164,7 @@ def baseline_rank(n: int) -> int:
     floor(3n/8)+2 for n = 2, 4 mod 8, floor(3n/8)+1 otherwise (n >= 13),
     and the maximal rank floor(n/2) for 5 <= n <= 12."""
     check_int("n", n, 5)
-    return n // 2 if n <= 12 else _baseline(n)
-
-
-def _baseline(n):
-    """baseline_rank(n) for n >= 13, over integers and integer arrays alike."""
-    return 3 * n // 8 + 1 + ((n % 8 == 2) | (n % 8 == 4))
+    return n // 2 if n <= 12 else 3 * n // 8 + 1 + (n % 8 in (2, 4))
 
 
 class DerivedCN0(NamedTuple):
@@ -191,7 +188,7 @@ class _Side(NamedTuple):
 
 
 # baseline_rank(n) - 3n/8 depends on n mod 8 only, from 1/8 to 3/2
-_ANCHOR = _Side(0.375, 0.125, 1.5, 1, lambda m, n: m.num(_baseline(n)))
+_ANCHOR = _Side(0.375, 0.125, 1.5, 1, lambda m, n: m.num(baseline_rank(n)))
 _ENVELOPE = (_Side(0.25, 0, 0, 1, lambda m, n: m.num(n) / 4),
              _Side(math.sqrt(3) / 4, 0, 0, -1,
                    lambda m, n: m.sqrt(3) * m.num(n) / 4))
@@ -304,7 +301,7 @@ def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     n >= n0, taking c(p) from the published table.  The enclosure proves
     F < c n on [cap, inf) at the first such cap of n_mono, 2 n_mono, ...,
     and the search runs down [16, cap) for the last violation."""
-    c = _published_c().get(p)
+    c = paper_tables()["c"].get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
     n_mono, escalations = _falling(p, c, digits)

@@ -2,23 +2,22 @@
 
 Each real-valued formula is written once over a numeric context ``m``
 (``log``, ``sqrt``, ``pi``, ``ceil``, ``num`` to convert an argument,
-``one``, and ``digits``, the context's precision): ``FLOAT`` is double
-precision (``digits`` None), ``MP`` is mpmath at the working precision and
-``numpy_context()`` is double precision over numpy arrays.  Every function
-takes the one precision knob ``digits`` (None for double precision).  A
-strict comparison is written once too, as a difference over the context,
-and one predicate states the cut-off: ``apart`` is True where two double
-values are more than ``DECISION_MARGIN`` apart.  Where they are not (a tie
-within the margin, or a NaN), ``strict_sign`` and ``exceeds`` re-decide the
-difference at ``escalation_digits(digits)``.
+``one``, and ``digits``, the context's precision).  There are two
+contexts: ``FLOAT`` is double precision (``digits`` None) and ``MP`` is
+mpmath at the working precision.  Every function takes the one precision
+knob ``digits`` (None for double precision).  A strict comparison is
+written once too, as a difference over the context, and one predicate
+states the cut-off: ``apart`` is True where two double values are more
+than ``DECISION_MARGIN`` apart.  Where they are not (a tie within the
+margin, or a NaN), ``strict_sign`` and ``exceeds`` re-decide the difference
+at ``escalation_digits(digits)``.  No decision rests on a value computed
+with fewer digits than a double carries.
 
 This module is the single entry point to mpmath, and it imports mpmath on
 first use: ``evaluate`` with ``digits``, an escalation and the first use of
-``MP``.  Work in double precision never loads it; ``numpy_context()``
-imports numpy on its first call.
+``MP``.  Work in double precision never loads it.
 """
 
-import functools
 import math
 from numbers import Rational
 from types import SimpleNamespace
@@ -57,15 +56,6 @@ FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
 MP = _MPContext()
 
 
-@functools.cache
-def numpy_context():
-    """The double-precision numeric context over numpy arrays."""
-    import numpy as np
-    return SimpleNamespace(log=np.log, sqrt=np.sqrt, pi=np.pi,
-                           num=lambda x: np.asarray(x, dtype=np.float64),
-                           one=1.0, digits=None)
-
-
 def evaluate(digits, formula, *args):
     """``formula(m, *args)`` in double precision when ``digits`` is None,
     else at ``digits`` decimal digits (a positive integer) with mpmath.  An
@@ -101,9 +91,9 @@ def escalation_digits(digits=None) -> int:
 
 def apart(a, b):
     """True where a and b, in double precision, are more than
-    ``DECISION_MARGIN`` apart, elementwise over arrays; a tie within the
-    margin or a NaN is not.  An int a is compared exactly, never converted."""
-    return (a < b - DECISION_MARGIN) | (a > b + DECISION_MARGIN)
+    ``DECISION_MARGIN`` apart; a tie within the margin or a NaN is not.  An
+    int a is compared exactly, never converted."""
+    return a < b - DECISION_MARGIN or a > b + DECISION_MARGIN
 
 
 def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
@@ -132,6 +122,9 @@ def strict_sign(diff: Callable, digits=None) -> tuple[int, bool]:
 
 
 def exceeds(a, b, diff: Callable, digits=None) -> bool:
-    """a > b, with b already evaluated at ``digits``; where the two are not
-    ``apart``, ``strict_sign`` re-decides the difference ``diff(m)`` = a - b."""
-    return a > b if apart(a, b) else strict_sign(diff, digits)[0] > 0
+    """a > b, one side already evaluated at ``digits``.  The values decide
+    where they are ``apart`` and carry at least a double's digits;
+    otherwise ``strict_sign`` re-decides the difference ``diff(m)`` = a - b."""
+    if (digits is None or digits >= DOUBLE_DIGITS) and apart(a, b):
+        return a > b
+    return strict_sign(diff, digits)[0] > 0

@@ -127,6 +127,17 @@ class TestRateCheck:
                                       ).rate_upper
         assert rate == math.log(20) / (8 * math.log(2)) and holds
 
+    @pytest.mark.parametrize("q, n, d, size, digits, holds", [
+        (2, 21, 10, 4096, 1, True), (2, 26, 11, 65536, 1, False),
+        (3, 24, 15, 59049, 2, True), (4, 30, 20, 4194304, 2, False)])
+    def test_fewer_digits_decide_as_double_precision(self, q, n, d, size,
+                                                     digits, holds):
+        # at 1 or 2 digits the bound lands on the other side of the rate
+        # (0.5625 against 0.5714 at the first); the verdict is the double one
+        rate, bound, verdict = _rate_check(q, n, d, size, digits)
+        assert (bound > rate) is not holds
+        assert verdict is holds is _rate_check(q, n, d, size)[2]
+
     @pytest.mark.parametrize("q, n, d, error", [
         (3, 9, 6, DomainError), (3, 4, 1, PreconditionError),
         (3, 10, 2.5, DomainError)])

@@ -135,7 +135,7 @@ class TestThresholdF:
         ns = np.arange(16, 200)
         arr = threshold_F_array(3, ns)
         for i in (0, 50, 150):
-            assert arr[i] == pytest.approx(threshold_F(3, int(ns[i])), rel=1e-14)
+            assert arr[i] == threshold_F(3, int(ns[i]))
 
     @pytest.mark.parametrize("ns", [np.array([16.5, 17]), np.array([16.0]),
                                     np.array([True, True]), []],
@@ -285,7 +285,7 @@ class TestTableDerivation:
         # the property the tail proofs rest on, at 50 digits: past n_mono,
         # F(n + 1, p) - F(n, p) < s for s = c(p) and s = 3/8
         rng = random.Random(p)
-        for s, end in ((geometry._published_c()[p], derive_c_n0(p).cap),
+        for s, end in ((paper_tables()["c"][p], derive_c_n0(p).cap),
                        (Fraction(3, 8), derive_N(p).first_failure)):
             n_mono, _ = geometry._falling(p, s, None)
             with mpmath.workdps(50):
@@ -300,7 +300,7 @@ class TestTableDerivation:
     def test_n0_without_violations_past_n_mono(self, monkeypatch, c):
         # F(16, 3) ~ 20.9 <= 16 c: no violation from n_mono = 16 on, so the
         # tail is proven from 16, the search runs over nothing and n0 = 16
-        monkeypatch.setattr(geometry, "_published_c", lambda: {3: c})
+        monkeypatch.setattr(geometry, "paper_tables", lambda: {"c": {3: c}})
         assert geometry._falling(3, c, None)[0] == 16
         res = derive_c_n0(3)
         assert (res.n0, res.cap, res.last_violation) == (16, 16, None)
@@ -402,7 +402,7 @@ class TestGuardedBlocks:
         # would
         slopes = [Fraction(3, 8), Fraction(1, 4), "sqrt3/4"]
         if p in SUPPORTED_PRIMES:
-            slopes.append(geometry._published_c()[p])
+            slopes.append(paper_tables()["c"][p])
         s = data.draw(st.sampled_from(slopes))
         a = data.draw(st.integers(16, 10 ** 6))
         b = data.draw(st.integers(a, 10 ** 6) | st.just(math.inf))
@@ -533,6 +533,19 @@ class TestScans:
             assert constants(p).f1 < float(paper["c"][p])
 
 
+class TestPaperTables:
+    def test_parsed_once_and_read_only(self):
+        # every call shares one parse of the data file; rebinding a table
+        # in one call's dict leaves the next call's alone
+        tables = paper_tables()
+        assert tables["c"] is paper_tables()["c"]
+        assert tables["c"][3] == Fraction(9, 32) and tables["N"][3] == 91
+        tables["N"] = {3: 100}
+        assert paper_tables()["N"][3] == 91
+        with pytest.raises(TypeError):
+            paper_tables()["n0"][3] = 1
+
+
 class TestCodimGuarantees:
     def test_caps_and_applicability(self):
         rep = codim_guarantees(3, 2000, 600)
@@ -645,6 +658,23 @@ class TestClassifyRank:
                  for rep in (codim_guarantees(p, n, r),
                              codim_guarantees(p, n, r, digits=40))]
         assert flags[0] == flags[1]
+
+    def test_fewer_digits_decide_as_double_precision(self):
+        # below a double's digits F and the rank bounds may land on the
+        # other side of r (F(100, 3) = 38.29 is 37.5 at one digit); each
+        # decision is still the double-precision one
+        def decisions(p, n, r, digits):
+            rep = codim_guarantees(p, n, r, digits)
+            return (classify_rank(p, n, r, digits).classification,
+                    rep.applicable, rep.exceeds_quarter, rep.exceeds_third)
+
+        for p, n in itertools.product((3, 5, 7), range(16, 400, 3)):
+            rep = codim_guarantees(p, n, 1)
+            for r in {f(v) for f in (math.floor, math.ceil) for v in (
+                    rep.F_value, rep.rank_bound_quarter, rep.rank_bound_third)}:
+                want = decisions(p, n, r, None)
+                for digits in (1, 2, 3, 5):
+                    assert decisions(p, n, r, digits) == want, (p, n, r, digits)
 
     def test_small_n_has_no_F(self):
         rep = classify_rank(3, 10, 5)

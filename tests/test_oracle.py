@@ -1,6 +1,7 @@
 """Tests for the exhaustive oracle: metric axioms, exact extremal code
 sizes, lemma checks, and the witness serialization format."""
 
+import functools
 import itertools
 import math
 import operator
@@ -631,6 +632,61 @@ class TestPigeonhole:
         with pytest.raises(ValueError):
             space[0, 0] = 1
         assert _lemma_space(3, 5)[0].tolist() == [0] * 5
+
+
+def _linear_code(q, rows):
+    """The code spanned over GF(q), q prime, by the generator ``rows``."""
+    return make_code(q, len(rows[0]), (
+        [sum(c * row[i] for c, row in zip(coeffs, rows)) % q
+         for i in range(len(rows[0]))]
+        for coeffs in itertools.product(range(q), repeat=len(rows))))
+
+
+def _shifts(q, g, n):
+    """Generator rows of the length-n cyclic code of polynomial g over
+    GF(q), coefficients lowest degree first."""
+    return [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
+
+
+# perfect codes: [7, 4, 3]_2 Hamming, [4, 2, 3]_3 tetracode and the
+# [11, 6, 5]_3 Golay code (g(x) = x^5 + x^4 - x^3 + x^2 - 1)
+_PERFECT = {
+    "hamming": (2, _shifts(2, [1, 1, 0, 1], 7), 3),
+    "tetracode": (3, [[1, 0, 1, 1], [0, 1, 1, 2]], 3),
+    "golay": (3, _shifts(3, [2, 0, 1, 2, 1, 1], 11), 5),
+}
+
+
+@functools.cache
+def _perfect_count(name):
+    """``(code, e, count)``: a perfect code, its packing radius and the
+    best-center count of ``pigeonhole_witness`` there."""
+    q, rows, d = _PERFECT[name]
+    code = _linear_code(q, rows)
+    assert code.min_distance() == d
+    e = (d - 1) // 2
+    return code, e, pigeonhole_witness(code, e)[1]
+
+
+class TestPigeonholeTight:
+    """At the packing radius the balls around a perfect code's words tile
+    the space, so the pigeonhole bound count q^n >= |C| V_q(n, e) is met
+    with equality: a check there fails if the bound is off by one word."""
+
+    @pytest.mark.parametrize("name", sorted(_PERFECT))
+    def test_perfect_code_meets_the_bound(self, name):
+        code, e, count = _perfect_count(name)
+        q, n = code.q, code.n
+        assert count * q ** n == code.size * oracle.hamming_ball_volume(q, n, e)
+
+    @pytest.mark.parametrize("name", sorted(_PERFECT))
+    def test_a_ball_one_word_larger_fails(self, monkeypatch, name):
+        code, e, count = _perfect_count(name)
+        volume = oracle.hamming_ball_volume
+        monkeypatch.setattr(oracle, "hamming_ball_volume",
+                            lambda q, n, e: volume(q, n, e) + 1)
+        q, n = code.q, code.n
+        assert count * q ** n < code.size * oracle.hamming_ball_volume(q, n, e)
 
 
 class TestJohnsonCheck:

@@ -7,12 +7,11 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qbounds import (AmbiguousComparisonError, BoundParams, Classification,
-                     DomainError, classify_rank, eb_rate_bound, precision,
-                     rank_bound, stirling_bounds, threshold_F)
+                     DomainError, classify_rank, eb_rate_bound, geometry,
+                     precision, rank_bound, stirling_bounds, threshold_F)
 from qbounds.precision import (DECISION_MARGIN, FLOAT, apart,
                                escalation_digits, exceeds, strict_sign)
 
@@ -84,11 +83,6 @@ class TestApart:
         assert [apart(a, b) for a, b, _ in _PAIRS] == [
             want for _, _, want in _PAIRS]
 
-    def test_arrays_agree_with_scalars_elementwise(self):
-        a, b, _ = (np.array(column) for column in zip(*_PAIRS))
-        assert apart(a, b).tolist() == [apart(x, y) for x, y, _ in _PAIRS]
-        assert apart(a, 0.0).tolist() == [apart(x, 0.0) for x in a.tolist()]
-
     def test_reads_the_margin_at_call_time(self, monkeypatch):
         assert apart(1.0, 5.0)
         monkeypatch.setattr(precision, "DECISION_MARGIN", 10.0)
@@ -130,6 +124,19 @@ class TestExceeds:
         assert classify_rank(3, n, r).classification is (
             Classification.MAIN_THEOREM)
         assert signs == [(1, True)]
+
+    @pytest.mark.parametrize("digits", [1, 2, 16])
+    def test_fewer_digits_than_a_double_are_re_decided(self, monkeypatch,
+                                                       digits):
+        # F(100, 3) = 38.29 is 37.5 at one digit, apart from r = 38 and
+        # below it; the double-precision difference decides r < F instead
+        F = threshold_F(3, 100, digits)
+        if digits == 1:
+            assert apart(38, F) and 38 > F
+        signs = _spy_strict_sign(monkeypatch)
+        assert not exceeds(38, F, lambda m: m.num(38) - geometry._threshold_F(
+            m, 3, 100), digits)
+        assert signs == [(-1, False)]
 
     def test_nan_escalates(self, monkeypatch):
         # a NaN in double precision is never decided there; the
