@@ -134,7 +134,7 @@ def cmd_eval(args, dig):
 
 
 def cmd_bound(args, dig):
-    from .eb_bounds import (BoundParams, eb_rate_bound,
+    from .eb_bounds import (BoundParams, _vacuous, eb_rate_bound,
                             eb_rate_bound_continuous, rank_bound)
     if args.q is not None and args.p is not None:
         raise DomainError("--p is an alias for --q: give one of them")
@@ -154,6 +154,7 @@ def cmd_bound(args, dig):
         res = fn(params, digits=dig)
         results = {"rate_upper": computed(res.rate_upper),
                    "e": computed(res.e)}
+    results["vacuous"] = _vacuous(args.form, params, res[0], dig)
     results["terms"] = [{"label": lab, **computed(val)}
                         for lab, val in res.terms]
     return inputs, results, [], 0

@@ -9,7 +9,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
 
-from .errors import DomainError, PreconditionError, check_int
+from .errors import (AmbiguousComparisonError, DomainError,
+                     PreconditionError, check_int)
 from .precision import evaluate, exceeds, strict_sign
 from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
 
@@ -152,6 +153,20 @@ def _rate_check(q, n, d, size, digits=None):
     rate = math.log(size) / (n * math.log(q))
     return rate, bound, exceeds(bound, rate, lambda m: _eb_rate_bound(
         m, *inputs).rate_upper - m.log(size) / (n * m.log(q)), digits)
+
+
+def _vacuous(form, params, value, digits=None):
+    """Whether the ``form`` bound ``value`` (at ``digits``) rules out no code:
+    a rate >= 1 or a rank >= n, by ``exceeds``; None if that cannot decide."""
+    q, n, delta, e = _eb_inputs(params)
+    cap, f, args = {
+        "finite": (1, _eb_rate_bound, (q, n, delta, e)),
+        "continuous": (1, _eb_rate_bound_continuous, (q, n, delta, e)),
+        "rank": (n, _rank_bound, (q, n, delta))}[form]
+    try:
+        return not exceeds(cap, value, lambda m: cap - f(m, *args)[0], digits)
+    except (AmbiguousComparisonError, DomainError):  # at the cap, or overflow
+        return None
 
 
 def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:

@@ -12,10 +12,10 @@ caps; the wall clock is a safety net.
 The search runs on Python-int bitsets, and half-word tables build them
 without numpy: ``_candidates`` joins the prefixes and suffixes of the
 words, grouped by their distances to the halves of the two fixed words,
-and ``_adjacency`` ORs, per candidate, the bitsets of the candidates whose
-prefix and suffix lie near its own.  A witness's distance is set by
-construction, so ``qbounds oracle`` never imports numpy; only the
-functions that build symbol arrays do.
+and ``_conflicts`` ORs, per candidate, the bitsets of the candidates whose
+prefix and suffix lie near its own: the rows the search colours and
+branches on.  A witness's distance is set by construction, so the
+``oracle`` command never imports numpy; only symbol arrays need it.
 
 One blocked Hamming-distance kernel, ``_distance_blocks(a, b)``, serves
 ``Code.min_distance`` and the lemma checks' ball counts at radii
@@ -51,11 +51,10 @@ from .report import VerificationReport, first_failure
 
 SPACE_BUDGET = 10 ** 6
 MAX_CANDIDATES = 8192
-# each colouring frame adds |cand| ceil((max cand + 1) / 64) units: a size,
-# not a count of operations, as greedy colouring does about |cand| x colours
-# bitmask ANDs, so spending the cap takes 0.3 s (A_5(5, 3)) to 1.0 s
-# (A_2(8, 3)); A_3(5, 3) needs 1,955,260 and A_5(4, 3) 125,532,664, and any
-# cap between them solves the same criterion-06 instances
+# each colouring frame adds |cand| ceil((max cand + 1) / 64) units, its cost
+# in 64-bit word operations up to a small factor: spending the cap takes
+# 0.03 s (A_5(5, 3)) to 0.3 s (A_2(8, 3)).  A_3(5, 3) needs 1,955,260 and
+# A_5(4, 3) 125,532,664; any cap between solves the same criterion-06 set
 MAX_WORK = 2_000_000
 LEMMA_CACHE_WORDS = 1 << 16  # larger lemma spaces are built per call
 LEMMA_N_MAX = 7  # the lemma suites draw word lengths up to it
@@ -196,36 +195,20 @@ def upper_bound(q: int, n: int, d: int) -> UpperBound:
     return UpperBound(packing, "sphere-packing")
 
 
-def _greedy_color_order(cand: list[int], adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set; returns candidates reordered
-    by color class with matching color numbers (the clique upper bound)."""
-    order: list[int] = []
-    bounds: list[int] = []
-    uncolored = list(cand)
-    color = 0
-    while uncolored:
-        color += 1
-        cls_mask = 0
-        rest = []
-        for v in uncolored:
-            if adj[v] & cls_mask:
-                rest.append(v)
-            else:
-                cls_mask |= 1 << v
-                order.append(v)
-                bounds.append(color)
-        uncolored = rest
-    return order, bounds
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
+def _color_classes(mask: int, conflict: list[int]) -> tuple[list[int], list[int]]:
+    """The candidates of ``mask`` by greedy colour class (each takes, in
+    order, those in conflict with all of it) and their class numbers."""
+    order, bounds, color = [], [], 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        color, free = color + 1, mask
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append(v)
+            bounds.append(color)
+            mask ^= low
+            free &= conflict[v] ^ low  # v's conflicts, v itself excluded
+    return order, bounds
 
 
 def _halves(q: int, w: tuple) -> dict:
@@ -255,9 +238,9 @@ def _candidates(q: int, n: int, d: int) -> list[tuple]:
     return cand
 
 
-def _adjacency(cand: list[tuple], d: int) -> list[int]:
+def _conflicts(cand: list[tuple], d: int) -> list[int]:
     """Row i as an int whose bit j is set iff cand[i], cand[j] are at
-    distance >= d.
+    distance < d (bit i included).
 
     Bitsets over the candidates: ``agree[c][s]`` holds those with symbol s
     at coordinate c.  For a half h of a word (its first k = n // 2
@@ -265,15 +248,14 @@ def _adjacency(cand: list[tuple], d: int) -> list[int]:
     is within distance t of h, t < d; one pass over h's coordinates builds
     it, near[t] <- near[t - 1] | (near[t] & agree) from t = d - 1 down.
     cand[i] and cand[j] are within d - 1 iff their prefixes are within a
-    and their suffixes within d - 1 - a for some a, so row i is the
-    complement of the union of those pairs of bitsets.  The prefix tables
-    serve a run of rows (the candidates are in lexicographic order), the
-    suffix tables are kept per distinct suffix."""
+    and their suffixes within d - 1 - a for some a, so row i is the union
+    of those pairs of bitsets.  The prefix tables serve a run of rows (the
+    candidates are in lexicographic order), the suffix tables are kept per
+    distinct suffix."""
     if not cand:
         return []
-    n, size = len(cand[0]), len(cand)
+    n = len(cand[0])
     k = n // 2
-    full = (1 << size) - 1
     # symbols fit a byte: q^n <= SPACE_BUDGET with n >= d >= 3 puts q <= 100;
     # int(text, 2) reads the last character as bit 0, so columns run backward
     columns = [bytes(col[::-1]) for col in zip(*cand)]
@@ -282,32 +264,31 @@ def _adjacency(cand: list[tuple], d: int) -> list[int]:
     agree = [[int(col.translate(m), 2) for m in marks] for col in columns]
 
     def near(h: tuple, first: int) -> list[int]:
-        rows = [full] * d
+        rows = [-1] * d  # every bit set: all candidates
         for j, s in enumerate(h):
             a = agree[first + j][s]
-            # rows[t] with t > j stays full: j + 1 coordinates differ in <= t
+            # rows[t] with t > j stays -1: j + 1 coordinates differ in <= t
             for t in range(min(j, d - 1), 0, -1):
                 rows[t] = rows[t - 1] | (rows[t] & a)
             rows[0] &= a
         return rows
 
-    # a prefix is within k of any other, a suffix within n - k
+    # a prefix is within k of any other (pre[k] = -1), a suffix within n - k
+    # (suf[n - k] = -1); as d <= n, no pair of the union takes both
     pairs = range(max(0, d - 1 - (n - k)), min(d - 1, k) + 1)
     suffix_tables: dict = {}
-    adj: list[int] = []
-    prefix = None
-    for w in cand:
-        if w[:k] != prefix:
-            prefix = w[:k]
-            pre = near(prefix, 0)
-        suf = suffix_tables.get(w[k:])
-        if suf is None:
-            suf = suffix_tables[w[k:]] = near(w[k:], k)
-        close = 0
-        for a in pairs:
-            close |= pre[a] & suf[d - 1 - a]
-        adj.append(full ^ close)
-    return adj
+    conflict: list[int] = []
+    for prefix, words in itertools.groupby(cand, lambda w: w[:k]):
+        pre = near(prefix, 0)
+        for w in words:
+            suf = suffix_tables.get(w[k:])
+            if suf is None:
+                suf = suffix_tables[w[k:]] = near(w[k:], k)
+            close = 0
+            for a in pairs:
+                close |= pre[a] & suf[d - 1 - a]
+            conflict.append(close)
+    return conflict
 
 
 def max_code_size(q: int, n: int, d: int, *,
@@ -326,19 +307,19 @@ def max_code_size(q: int, n: int, d: int, *,
     permuting coordinates and, in each coordinate, the symbols with 0
     fixed, maps the pair to (0, w2); all three are isometries.  The
     remaining words are a maximum clique among the candidates, the words
-    at distance >= d from both 0 and w2, in the distance->=d graph.  Both
-    the candidates and the graph's rows are built from word halves in
-    pure Python, no numpy: memory follows q^ceil(n/2) words of half length
+    at distance >= d from both 0 and w2, in the distance->=d graph.  The
+    candidates and their conflict rows (distance < d) are built from word
+    halves in pure Python: memory follows q^ceil(n/2) words of half length
     and, for the rows, d bitsets over the candidates per distinct suffix.
     The witness's minimum distance is d by construction (0 and w2 are at
     distance d), so serializing it computes no distance.
 
     Search: the incumbent is seeded with the greedy clique taken in
     candidate (lexicographic) order; a depth-first search on an explicit
-    stack with greedy-coloring upper bounds then tries to beat it.  Both
-    stop as soon as the code meets the proven ``upper_bound``, so a
-    result equal to that bound is optimal by the bound, and any other
-    result by the exhausted search.  Deterministic.
+    stack with greedy-colouring upper bounds, taken on the conflict rows,
+    then tries to beat it.  Both stop as soon as the code meets the proven
+    ``upper_bound``, so a result equal to that bound is optimal by the
+    bound, and any other result by the exhausted search.  Deterministic.
 
     Raises DomainError when ``time_limit`` is not > 0 (NaN included, as a
     NaN deadline never passes), and ResourceBudgetError when q^n exceeds
@@ -364,15 +345,14 @@ def max_code_size(q: int, n: int, d: int, *,
             f"candidate set of {heavy} words exceeds cap {MAX_CANDIDATES}")
     deadline = time.monotonic() + time_limit
     cand = _candidates(q, n, d)
-    adj = _adjacency(cand, d)
+    conflict = _conflicts(cand, d)
     target = upper_bound(q, n, d).value - 2  # a clique this big is optimal
 
-    best_mask = 0
-    for v in range(len(cand)):
-        if adj[v] & best_mask == best_mask:
+    best_clique, best_mask = [], 0
+    for v, row in enumerate(conflict):
+        if not row & best_mask:
+            best_clique.append(v)
             best_mask |= 1 << v
-    best_clique = _bits(best_mask)
-    best_size = len(best_clique)
 
     work = 0  # see MAX_WORK
 
@@ -381,34 +361,30 @@ def max_code_size(q: int, n: int, d: int, *,
         work += cand_mask.bit_count() * -(-cand_mask.bit_length() // 64)
         if work > MAX_WORK:
             raise ResourceBudgetError(f"work budget {MAX_WORK} spent")
-        order, bounds = _greedy_color_order(_bits(cand_mask), adj)
+        order, bounds = _color_classes(cand_mask, conflict)
         return [order, bounds, len(order) - 1, cand_mask]
 
     # each frame: [coloring order, color bounds, next index, candidate mask];
     # current[k] is the vertex chosen in frame k
-    stack = [frame((1 << len(cand)) - 1)] if best_size < target else []
+    stack = [frame((1 << len(cand)) - 1)] if len(best_clique) < target else []
     current: list[int] = []
     while stack:
-        top = stack[-1]
-        order, bounds, idx, cand_mask = top
-        if idx < 0 or len(current) + bounds[idx] <= best_size:
+        order, bounds, idx, cand_mask = top = stack[-1]
+        if idx < 0 or len(current) + bounds[idx] <= len(best_clique):
             stack.pop()
-            if current:
-                current.pop()
+            del current[-1:]  # the root frame chose no vertex
             continue
         v = order[idx]
-        top[2] = idx - 1
-        top[3] = cand_mask & ~(1 << v)
-        sub = cand_mask & adj[v]
+        top[2:] = idx - 1, cand_mask & ~(1 << v)
+        sub = cand_mask & ~conflict[v]
         if sub:
             if time.monotonic() > deadline:
                 raise ResourceBudgetError("clique search exceeded time limit")
             current.append(v)
             stack.append(frame(sub))
-        elif len(current) + 1 > best_size:
+        elif len(current) + 1 > len(best_clique):
             best_clique = current + [v]
-            best_size = len(best_clique)
-            if best_size == target:
+            if len(best_clique) == target:
                 break
 
     witness = make_code(q, n, [(0,) * n, (0,) * (n - d) + (1,) * d]

@@ -184,6 +184,29 @@ class TestBound:
         assert total == pytest.approx(doc["results"]["rate_upper"]["value"],
                                       rel=1e-12)
 
+    @pytest.mark.parametrize("argv, vacuous", [
+        (["--q", "2", "--n", "12", "--d", "2"], True),  # rate 1.168
+        (["--q", "2", "--n", "12", "--d", "2", "--form", "continuous"], True),
+        (["--q", "3", "--n", "100", "--d", "25"], False),  # rate 0.667
+        (["--p", "3", "--n", "16", "--delta", "0.25", "--form", "rank"],
+         True),  # 17.5 ranks of 16
+        (["--p", "3", "--n", "100", "--delta", "0.25", "--form", "rank"],
+         False),  # 67.0 ranks of 100
+    ])
+    @pytest.mark.parametrize("digits", [[], ["--digits", "30"]])
+    def test_vacuous(self, capsys, argv, vacuous, digits):
+        code, doc, _ = run_json(capsys, "bound", *argv, *digits,
+                                "--deterministic")
+        assert code == 0
+        assert doc["results"]["vacuous"] is vacuous
+
+    def test_vacuous_is_null_when_undecided(self, capsys):
+        # the rate bound at n = 10^320 is within 1e-300 of 1
+        code, doc, _ = run_json(capsys, "bound", "--q", "3", "--n", _HUGE,
+                                "--d", "5", "--digits", "30",
+                                "--deterministic")
+        assert code == 0 and doc["results"]["vacuous"] is None
+
     @pytest.mark.parametrize("p", ["3", "5"])
     def test_q_and_p_together_exit_2(self, capsys, p):
         code, out, err = run(capsys, "bound", "--q", "3", "--p", p, "--n",
@@ -504,8 +527,8 @@ class TestOracle:
                                          (4, 5, 4), (5, 6, 6), (2, 19, 15)])
     def test_matches_the_golden_files(self, capsys, q, n, d):
         # the files hold an earlier release's stdout, whose search built its
-        # candidates and adjacency rows with numpy; the witness, the bound
-        # and the verdict must not move
+        # candidates and rows with numpy; the witness, the bound and the
+        # verdict must not move
         golden = Path(__file__).parent / "golden" / f"oracle-q{q}-n{n}-d{d}.json"
         code, out, _ = run(capsys, "oracle", "--q", str(q), "--n", str(n),
                            "--d", str(d), "--deterministic")

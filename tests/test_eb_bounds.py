@@ -11,7 +11,7 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
                      entropy, is_prime, johnson_radius, max_code_size,
                      rank_bound, verify_rank_monotonicity)
 from qbounds import eb_bounds, precision
-from qbounds.eb_bounds import _rank_bound, _rate_check
+from qbounds.eb_bounds import _rank_bound, _rate_check, _vacuous
 from qbounds.precision import FLOAT, escalation_digits, evaluate
 
 
@@ -144,6 +144,33 @@ class TestRateCheck:
     def test_outside_the_bound_raises(self, q, n, d, error):
         with pytest.raises(error):
             _rate_check(q, n, d, 2)
+
+
+class TestVacuous:
+    @pytest.mark.parametrize("form, params, vacuous", [
+        ("finite", BoundParams(q=2, n=12, d=2), True),
+        ("continuous", BoundParams(q=2, n=12, d=2), True),
+        ("finite", BoundParams(q=3, n=100, d=25), False),
+        ("rank", BoundParams(q=3, n=16, delta=0.25), True),
+        ("rank", BoundParams(q=3, n=100, delta=0.25), False)])
+    def test_a_value_at_the_cap_is_decided_by_the_formula(self, form, params,
+                                                          vacuous):
+        # a value apart from the cap decides; one at it (here a stand-in,
+        # not the bound) is re-decided from the formula by strict_sign
+        cap = params.n if form == "rank" else 1
+        assert _vacuous(form, params, cap - 0.5) is False
+        assert _vacuous(form, params, cap + 0.5) is True
+        assert _vacuous(form, params, cap) is vacuous
+
+    def test_undecided_is_none(self, monkeypatch):
+        # at n = 10^320 a double overflows; with every comparison escalated
+        # and none resolved, the difference is ambiguous
+        huge = BoundParams(q=3, n=10 ** 320, d=5)
+        assert _vacuous("finite", huge, 1, digits=30) is None
+        params = BoundParams(q=2, n=12, d=2)
+        monkeypatch.setattr(precision, "DECISION_MARGIN", 10.0)
+        monkeypatch.setattr(precision, "AMBIGUITY_FLOOR", 10.0)
+        assert _vacuous("finite", params, 1.168) is None
 
 
 class TestIntegerJohnsonRadius:

@@ -22,9 +22,9 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
                      pigeonhole_witness, random_code, serialize_code)
 from qbounds import eb_bounds, oracle
 from qbounds.eb_bounds import _eb_inputs
-from qbounds.oracle import (Code, _adjacency, _candidates, _distance_blocks,
-                            _lemma_space, _symbol_dtype, all_words_array,
-                            upper_bound)
+from qbounds.oracle import (Code, _candidates, _color_classes, _conflicts,
+                            _distance_blocks, _lemma_space, _symbol_dtype,
+                            all_words_array, upper_bound)
 from qbounds.precision import FLOAT
 
 
@@ -412,7 +412,7 @@ class TestMaxCodeSize:
 
     def test_memory_of_the_search_follows_the_candidates(self):
         # A_4(6, 4) = 64 searches 2,854 candidates, about 1.4 MB with their
-        # adjacency rows; a 4^6 x 4^6 distance matrix alone would take 16 MB
+        # conflict rows; a 4^6 x 4^6 distance matrix alone would take 16 MB
         size, peak = _peak_memory(4, 6, 4)
         assert size == 64 and peak < 4_000_000
 
@@ -432,14 +432,14 @@ class TestMaxCodeSize:
         # the search for A_5(5, 3) stacks 78 frames before its work budget
         # is spent, the deepest of the d >= 3 instances within the caps
         depths = []
-        color = oracle._greedy_color_order
+        color = oracle._color_classes
 
-        def watched(cand, adj):
+        def watched(mask, conflict):
             # called by frame(), which max_code_size calls
             depths.append(len(sys._getframe(2).f_locals.get("stack", ())))
-            return color(cand, adj)
+            return color(mask, conflict)
 
-        monkeypatch.setattr(oracle, "_greedy_color_order", watched)
+        monkeypatch.setattr(oracle, "_color_classes", watched)
         with pytest.raises(ResourceBudgetError, match="work budget"):
             max_code_size(5, 5, 3)
         assert max(depths) == 78
@@ -499,9 +499,9 @@ def _searched_instances():
     return sorted(grid | sweep)
 
 
-def test_adjacency_matches_the_distance_kernel():
-    # row i is bit j set iff dist(cand[i], cand[j]) >= d, each row taken
-    # from the blocked numpy kernel, the reference
+def test_conflicts_match_the_distance_kernel():
+    # row i is bit j set iff dist(cand[i], cand[j]) < d, bit i included,
+    # each row taken from the blocked numpy kernel, the reference
     instances = _searched_instances()
     assert len(instances) == 69
     for q, n, d in instances:
@@ -509,10 +509,49 @@ def test_adjacency_matches_the_distance_kernel():
         want = []
         for _, dist in _distance_blocks(np.array(cand).reshape(-1, n),
                                         np.array(cand).reshape(-1, n)):
-            bits = np.packbits(dist >= d, axis=1, bitorder="little")
+            bits = np.packbits(dist < d, axis=1, bitorder="little")
             want.extend(int.from_bytes(row.tobytes(), "little")
                         for row in bits)
-        assert _adjacency(cand, d) == want, (q, n, d)
+        assert _conflicts(cand, d) == want, (q, n, d)
+        assert all(row >> i & 1 for i, row in enumerate(want)), (q, n, d)
+
+
+def _sequential_coloring(mask, conflict):
+    """The reference greedy colouring: the candidates of ``mask`` are
+    visited in ascending order, once per class, and each joins the class
+    when it conflicts with every candidate already in it."""
+    order, bounds = [], []
+    uncolored = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    color = 0
+    while uncolored:
+        color += 1
+        members, rest = [], []
+        for v in uncolored:
+            if all(conflict[v] >> u & 1 for u in members):
+                members.append(v)
+                order.append(v)
+                bounds.append(color)
+            else:
+                rest.append(v)
+        uncolored = rest
+    return order, bounds
+
+
+@pytest.mark.parametrize("q, n, d", [(2, 12, 7), (2, 8, 4), (3, 5, 3),
+                                     (5, 4, 3)])
+def test_color_classes_match_the_sequential_coloring(q, n, d):
+    # the classes, their order and their bounds decide every search frame
+    conflict = _conflicts(_candidates(q, n, d), d)
+    size, rng = len(conflict), random.Random(q * 1000 + n * 10 + d)
+    # the whole set, 10 masks of density 1/4 and 10 of density 1/2
+    masks = [(1 << size) - 1] + [
+        rng.getrandbits(size) & rng.getrandbits(size) for _ in range(10)] + [
+        rng.getrandbits(size) for _ in range(10)]
+    for mask in masks:
+        assert _color_classes(mask, conflict) == \
+            _sequential_coloring(mask, conflict), (q, n, d, mask)
+    assert _color_classes(0, conflict) == _sequential_coloring(0, conflict) \
+        == ([], [])
 
 
 class TestUpperBound:
@@ -648,10 +687,17 @@ def _shifts(q, g, n):
     return [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
 
 
-# perfect codes: [7, 4, 3]_2 Hamming, [4, 2, 3]_3 tetracode and the
-# [11, 6, 5]_3 Golay code (g(x) = x^5 + x^4 - x^3 + x^2 - 1)
+# perfect codes: the [7, 4, 3]_2 and [15, 11, 3]_2 Hamming codes (cyclic,
+# g(x) = 1 + x + x^3 and 1 + x + x^4), the [6, 4, 3]_5 Hamming code (its
+# parity-check columns (1, 1), (1, 2), (1, 3), (1, 4), (1, 0), (0, 1) are
+# the six points of PG(1, 5), so the generator is [I | -A^T]), the
+# [4, 2, 3]_3 tetracode and the [11, 6, 5]_3 Golay code
+# (g(x) = x^5 + x^4 - x^3 + x^2 - 1)
 _PERFECT = {
     "hamming": (2, _shifts(2, [1, 1, 0, 1], 7), 3),
+    "hamming-15": (2, _shifts(2, [1, 1, 0, 0, 1], 15), 3),
+    "hamming-5ary": (5, [[1, 0, 0, 0, 4, 4], [0, 1, 0, 0, 4, 3],
+                         [0, 0, 1, 0, 4, 2], [0, 0, 0, 1, 4, 1]], 3),
     "tetracode": (3, [[1, 0, 1, 1], [0, 1, 1, 2]], 3),
     "golay": (3, _shifts(3, [2, 0, 1, 2, 1, 1], 11), 5),
 }
