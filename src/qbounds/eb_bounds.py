@@ -1,7 +1,10 @@
 """Finite-length Elias-Bassalygo rate bounds and the injection-rank bound.
 
 Every bound returns a per-term breakdown whose values sum to the headline
-number; the term labels are a stable contract consumed by the CLI.
+number; the term labels are a stable contract consumed by the CLI.  The
+continuous relaxation is the rank bound over n (a rank-r image is a code
+of p^r words, so r <= n R): its terms are the rank bound's eight, each
+divided by n, under the same labels.
 """
 
 import math
@@ -12,7 +15,8 @@ from typing import NamedTuple
 from .errors import (AmbiguousComparisonError, DomainError,
                      PreconditionError, check_int)
 from .precision import evaluate, exceeds, strict_sign
-from .qcore import _check_delta, _entropy, _johnson_ceil, _johnson_radius
+from .qcore import (_check_delta, _entropy, _entropy_d1, _johnson_ceil,
+                    _johnson_radius)
 
 # The two relative distances of the small-codimension rank caps.
 _QUARTER, _THIRD = Fraction(1, 4), Fraction(1, 3)
@@ -103,16 +107,21 @@ class RankBoundResult(NamedTuple):
     terms: tuple[tuple[str, float], ...]
 
 
-def _eb_inputs(params):
-    """``(q, n, delta, e)`` of an instance in the bounds' domain."""
-    q, n = params.q, params.n
-    delta = params.delta_value
+def _radius(q, n, delta):
+    """e = ceil(n J_q(delta)) - 1, decided exactly, for 0 < delta <
+    (q-1)/q; every bound needs e >= 1, that is n > 1/J_q(delta)."""
     _check_delta(q, delta, open_lower=True, open_upper=True)
     e = _johnson_ceil(q, n, delta) - 1
     if e < 1:
         raise PreconditionError(
             f"n > 1/J_q(delta) required (e = {e} < 1 at n = {n})")
-    return q, n, delta, e
+    return e
+
+
+def _eb_inputs(params):
+    """``(q, n, delta, e)`` of an instance in the bounds' domain."""
+    q, n, delta = params.q, params.n, params.delta_value
+    return q, n, delta, _radius(q, n, delta)
 
 
 def eb_rate_bound(params: BoundParams, digits=None) -> BoundResult:
@@ -159,46 +168,33 @@ def _vacuous(form, params, value, digits=None):
     """Whether the ``form`` bound ``value`` (at ``digits``) rules out no code:
     a rate >= 1 or a rank >= n, by ``exceeds``; None if that cannot decide."""
     q, n, delta, e = _eb_inputs(params)
-    cap, f, args = {
-        "finite": (1, _eb_rate_bound, (q, n, delta, e)),
-        "continuous": (1, _eb_rate_bound_continuous, (q, n, delta, e)),
-        "rank": (n, _rank_bound, (q, n, delta))}[form]
+    if form == "finite":
+        cap, gap = 1, lambda m: 1 - _eb_rate_bound(m, q, n, delta, e)[0]
+    else:  # the continuous rate is the rank over n: R >= 1 exactly if r >= n
+        cap = n if form == "rank" else 1
+        gap = lambda m: (n - _rank_bound(m, q, n, delta)[0]) * cap / n
     try:
-        return not exceeds(cap, value, lambda m: cap - f(m, *args)[0], digits)
+        return not exceeds(cap, value, gap, digits)
     except (AmbiguousComparisonError, DomainError):  # at the cap, or overflow
         return None
 
 
 def eb_rate_bound_continuous(params: BoundParams, digits=None) -> BoundResult:
-    """Continuous relaxation of the finite-length bound (no ceilings):
-
-        R <= 1 - H_q(J) + (1/n) log_q((q-1)(1-J)/J) + (1/2n) log_q(2 pi n J)
-             + (1/n) log_q(q n^2 delta) + 1/(12 n^2 ln q) + 2/(13 n ln q)
-             + (1/(2 n^2 ln q)) (1/(J - 1/n) + 1/(1 - J)),   J = J_q(delta).
-
-    Always >= eb_rate_bound on the same parameters.
-    """
+    """Continuous relaxation of the finite-length bound (no ceilings), for
+    any q: R <= r/n, rank_bound's terms each divided by n, under its
+    labels.  Always >= eb_rate_bound on the same parameters."""
     return evaluate(digits, _eb_rate_bound_continuous, *_eb_inputs(params))
 
 
 def _eb_rate_bound_continuous(m, q, n, delta, e):
-    delta = m.num(delta)
-    J = _johnson_radius(m, q, delta)
-    lq = m.log(q)
-    terms = (
-        ("one_minus_entropy_at_J", 1 - _entropy(m, q, J)),
-        ("taylor_first_order", m.log((q - 1) * (1 - J) / J) / (n * lq)),
-        ("half_log_2pinJ", m.log(2 * m.pi * n * J) / (2 * n * lq)),
-        ("log_qn2delta", m.log(q * n * n * delta) / (n * lq)),
-        ("residues", 1 / (12 * n * n * lq) + 2 / (13 * n * lq)
-         + (1 / (J - m.one / n) + 1 / (1 - J)) / (2 * n * n * lq)),
-    )
+    terms = tuple((label, v / n)
+                  for label, v in _rank_bound(m, q, n, delta).terms)
     return BoundResult(rate_upper=sum(v for _, v in terms), e=e, terms=terms)
 
 
 def rank_bound(p: int, n: int, delta, digits=None) -> RankBoundResult:
     """Rank cap r(delta) for injections Z_p^r -> Z_p^n whose nonzero images
-    all have Hamming weight >= delta*n:
+    all have Hamming weight >= delta*n, for every prime p:
 
         r <= (1 - H_p(J)) n + 2.5 log_p n + log_p((p-1)(1-J)/J)
              + 0.5 log_p(2 pi J) + log_p(p delta) + 2/(13 ln p)
@@ -208,10 +204,7 @@ def rank_bound(p: int, n: int, delta, digits=None) -> RankBoundResult:
     if not is_prime(p):
         raise DomainError(f"rank_bound requires a prime alphabet, got p={p!r}")
     check_int("n", n, 1)
-    _check_delta(p, delta, open_lower=True, open_upper=True)
-    if _johnson_ceil(p, n, delta) <= 1:
-        raise PreconditionError(
-            f"n > 1/J_p(delta) required (p={p}, n={n}, delta={delta})")
+    _radius(p, n, delta)
     return evaluate(digits, _rank_bound, p, n, delta)
 
 
@@ -222,7 +215,7 @@ def _rank_bound(m, p, n, delta):
     terms = (
         ("dominant_linear", (1 - _entropy(m, p, J)) * n),
         ("log_p_n", 2.5 * m.log(n) / lp),
-        ("entropy_slope_at_J", m.log((p - 1) * (1 - J) / J) / lp),
+        ("entropy_slope_at_J", _entropy_d1(m, p, J)),
         ("half_log_2piJ", m.log(2 * m.pi * J) / (2 * lp)),
         ("log_p_pdelta", m.log(p * delta) / lp),
         ("two_over_13lnp", 2 / (13 * lp)),

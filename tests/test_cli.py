@@ -200,6 +200,20 @@ class TestBound:
         assert code == 0
         assert doc["results"]["vacuous"] is vacuous
 
+    @pytest.mark.parametrize("form, argv", [
+        ("finite", ["--q", "3", "--n", "100", "--d", "25"]),
+        ("continuous", ["--q", "3", "--n", "100", "--d", "25",
+                        "--form", "continuous"]),
+        ("rank", ["--p", "3", "--n", "1000", "--delta", "0.25",
+                  "--form", "rank"])])
+    def test_readme_examples_match_the_golden_files(self, capsys, form, argv):
+        # the finite and rank files hold an earlier release's stdout; the
+        # continuous one prints the rank's eight labels, each over n
+        golden = Path(__file__).parent / "golden" / f"bound-{form}.json"
+        code, out, _ = run(capsys, "bound", *argv, "--deterministic")
+        assert code == 0
+        assert out == golden.read_text()
+
     def test_vacuous_is_null_when_undecided(self, capsys):
         # the rate bound at n = 10^320 is within 1e-300 of 1
         code, doc, _ = run_json(capsys, "bound", "--q", "3", "--n", _HUGE,

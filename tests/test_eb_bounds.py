@@ -1,8 +1,10 @@
 """Tests for the rate and rank bounds."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qbounds import (BoundParams, DomainError, PreconditionError,
 from qbounds import eb_bounds, precision
 from qbounds.eb_bounds import _rank_bound, _rate_check, _vacuous
 from qbounds.precision import FLOAT, escalation_digits, evaluate
+from qbounds.qcore import _entropy, _johnson_ceil, _johnson_radius
 
 
 class TestBoundParams:
@@ -244,6 +247,59 @@ class TestContinuousForm:
         res = eb_rate_bound_continuous(BoundParams(q=7, n=300, d=50))
         assert res.rate_upper == pytest.approx(
             sum(v for _, v in res.terms), rel=1e-12)
+
+    @staticmethod
+    def _five_terms(m, q, n, delta):
+        # the continuous relaxation as an earlier release wrote it, on its
+        # own: five terms, summed left to right
+        delta = m.num(delta)
+        J = _johnson_radius(m, q, delta)
+        lq = m.log(q)
+        terms = (
+            1 - _entropy(m, q, J),
+            m.log((q - 1) * (1 - J) / J) / (n * lq),
+            m.log(2 * m.pi * n * J) / (2 * n * lq),
+            m.log(q * n * n * delta) / (n * lq),
+            1 / (12 * n * n * lq) + 2 / (13 * n * lq)
+            + (1 / (J - m.one / n) + 1 / (1 - J)) / (2 * n * n * lq),
+        )
+        return sum(terms)
+
+    def test_the_rank_bound_over_n_is_the_five_term_formula(self):
+        # 4 ulps in double precision and 1e-45 relative at 50 digits, plus
+        # what both forms lose as nJ -> 1 in their Johnson tail
+        # t = 1/(2 n ln q (nJ - 1)), whose condition is kappa = t nJ/(nJ - 1)
+        rng = random.Random(34)
+        near = 0
+        for _ in range(600):
+            q = rng.randint(2, 40)
+            n = rng.choice((rng.randint(2, 200), rng.randint(200, 10 ** 6)))
+            d = 1  # the least d with nJ > 1, or one at random
+            while q * d < (q - 1) * n and _johnson_ceil(
+                    q, n, Fraction(d, n)) < 2:
+                d += 1
+            d = rng.choice((d, d + 1, rng.randint(d, n)))
+            if q * d >= (q - 1) * n:
+                continue
+            params = BoundParams(q=q, n=n, d=d)
+            with mpmath.workdps(60):
+                nJ = n * evaluate(60, _johnson_radius, q, params.delta_value)
+                kappa = float(nJ / (2 * n * mpmath.log(q) * (nJ - 1) ** 2))
+                near += nJ < 1.01
+            for digits, tol in ((None, lambda ref: 4 * math.ulp(ref)
+                                 + 4 * 2.0 ** -52 * kappa),
+                                (50, lambda ref: 1e-45 * abs(ref)
+                                 + 4e-50 * kappa)):
+                res = eb_rate_bound_continuous(params, digits)
+                ref = evaluate(digits, self._five_terms, q, n,
+                               params.delta_value)
+                with mpmath.workdps(60):
+                    assert abs(res.rate_upper - ref) <= tol(ref), (q, n, d)
+                if is_prime(q):
+                    rank = rank_bound(q, n, params.delta_value, digits)
+                    assert res.terms == evaluate(digits, lambda m: tuple(
+                        (label, v / n) for label, v in rank.terms))
+        assert near >= 100
 
 
 class TestRankBound:

@@ -676,6 +676,20 @@ class TestClassifyRank:
                 for digits in (1, 2, 3, 5):
                     assert decisions(p, n, r, digits) == want, (p, n, r, digits)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: exceeds lets a "
+                       "17-digit F decide with the absolute 1e-9 cut-off")
+    @pytest.mark.parametrize("digits", [17, 20, 25])
+    def test_too_few_digits_do_not_decide_at_n_10_320(self, digits):
+        # r = floor(F(10^320, 3)) at 30 digits lies 6.4e287 below F; at 17
+        # to 25 digits F carries an error far above that, and no decision
+        # may rest on it (ROADMAP item 1)
+        n = 10 ** 320
+        r = int(qbounds.precision.evaluate(30, geometry._threshold_F, 3, n))
+        assert qbounds.precision.evaluate(
+            400, lambda m: m.num(r) - geometry._threshold_F(m, 3, n)) < -1e287
+        assert (classify_rank(3, n, r, digits=digits).classification
+                is Classification.NO_CONCLUSION)
+
     def test_small_n_has_no_F(self):
         rep = classify_rank(3, 10, 5)
         assert rep.F_value is None
