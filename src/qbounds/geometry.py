@@ -15,13 +15,13 @@ allowed, F(x, p) - s x lies in the enclosure
 
     [min(h(a), h(b)) + B(b),  h(clamp(x*, a, b)) + B(a)],
 
-x* = 2.5/((s - f1) ln p) where h peaks if f1 < s, else x* = inf; h(inf)
-is -inf in the lower bound unless f1 is ``apart`` above s.  Less the
-largest (smallest) t(n) of the range, it bounds F - rhs.  A scan proves
-its tail at the first of n, 2n, 4n, ... where the double-precision
-``_enclosure`` decides [n, inf) (n0 and N from the n_mono of
-``_falling``, the envelope from n_lo up to n_hi), and ``_search`` finds
-the first (last) n below it where F - rhs has the wrong sign: a range the
+x* = 2.5/((s - f1) ln p) where h peaks if f1 < s, else x* = inf; h(inf) is
+-inf in the lower bound unless f1 is ``apart`` above s.  Less the largest
+(smallest) t(n) of the range, it bounds F - rhs.  ``_scan`` proves a
+scan's tail at the first of lo, 2 lo, 4 lo, ... where the double-precision
+``_enclosure`` decides [n, inf) (n0 and N from lo = 16 once f1 < s is
+proven, the envelope from n_lo up to n_hi), and ``_search`` finds the
+first (last) n below it where F - rhs has the wrong sign: a range the
 enclosure puts ``apart`` from 0 is decided, any other is split, and a
 single n is decided by ``strict_sign``, which escalates where the cut-off
 leaves it undecided (a tie or a NaN).  So a scan answers as a comparison
@@ -171,7 +171,7 @@ class DerivedCN0(NamedTuple):
     p: int
     c: Fraction
     n0: int
-    cap: int  # from here on the enclosure proves F < c n for every n
+    cap: int  # a 16 2^k from which the enclosure proves F < c n
     last_violation: int | None  # None if F <= c n on all of F's domain
     escalations: int
 
@@ -236,14 +236,6 @@ def _enclosure(p, sides):
     return verdict
 
 
-def _tail(verdict, n, want, ceiling=math.inf):
-    """The first of n, 2n, 4n, ... (not past ``ceiling``) from which the
-    ``verdict`` is ``want``; None if there is none."""
-    while n <= ceiling and verdict(n, math.inf) != want:
-        n *= 2
-    return n if n <= ceiling else None
-
-
 def _search(p, verdict, sides, lo, hi, digits, last=False):
     """``(n, escalations)``: the first n in [lo, hi) (the last with
     ``last``) at which F(n, p) - rhs(n) has not the sign ``want`` for some
@@ -273,42 +265,40 @@ def _search(p, verdict, sides, lo, hi, digits, last=False):
     return None, escalations
 
 
-def _falling(p, s, digits):
-    """``(n_mono, escalations)``: ``strict_sign`` proves the slope of h,
-    f1 - s + 2.5/(n ln p), negative at n_mono, the first of n, 2n, ... from
-    n = ceil(x*) + 1 >= 16.  A DomainError unless f1(p) < s, also in double
-    precision (else F - s n is unbounded, or no tail proof would end)."""
-    _check_odd_prime(p)
-    def gap(m):
-        return m.num(s) - _constant_values(p, m.digits)[0]
+def _scan(p, sides, lo, want, digits, last=False, hi=math.inf):
+    """``(tail, n, escalations)``: the tail is the first of lo, 2 lo, 4 lo,
+    ... (not past ``hi``; None if there is none) from which the enclosure's
+    verdict over [tail, inf) is ``want``, and n and escalations are
+    ``_search``'s over [lo, tail) (over [lo, hi] without a tail)."""
+    verdict, tail = _enclosure(p, sides), lo
+    while tail <= hi and verdict(tail, math.inf) != want:
+        tail *= 2
+    found = _search(p, verdict, sides, lo, min(tail, hi + 1), digits, last)
+    return (tail if tail <= hi else None, *found)
 
-    sign, escalations = strict_sign(gap, digits)
+
+def _check_bounded(p, s, digits):
+    """The escalations of proving f1(p) < s, also in double precision; a
+    DomainError where it fails, as F - s n is then unbounded."""
+    _check_odd_prime(p)
+    sign, escalations = strict_sign(
+        lambda m: m.num(s) - _constant_values(p, m.digits)[0], digits)
     if sign < 0 or not _constant_values(p, None)[0] < float(s):
         raise DomainError(f"f1({p}) > {s}: F(n, {p}) - {s} n is unbounded")
-    n = evaluate(escalation_digits(digits) if escalations else None, lambda m:
-                 max(16, int(m.ceil(2.5 / (gap(m) * m.log(p)))) + 1))
-    while True:
-        sign, esc = strict_sign(lambda m: 2.5 / (n * m.log(p)) - gap(m),
-                                digits)
-        escalations += esc
-        if sign < 0:
-            return n, escalations
-        n *= 2
+    return escalations
 
 
 def derive_c_n0(p: int, digits=None) -> DerivedCN0:
     """Re-derive n0(p): the least n0 with F(n, p) <= c(p) n for every
     n >= n0, taking c(p) from the published table.  The enclosure proves
-    F < c n on [cap, inf) at the first such cap of n_mono, 2 n_mono, ...,
-    and the search runs down [16, cap) for the last violation."""
+    F < c n on [cap, inf) at the first such cap of 16, 32, 64, ..., and
+    the search runs down [16, cap) for the last violation."""
     c = paper_tables()["c"].get(p)
     if c is None:
         raise DomainError(f"no published c(p) for p={p}")
-    n_mono, escalations = _falling(p, c, digits)
-    sides = [_Side(float(c), 0, 0, -1, lambda m, n: m.num(c) * n)]
-    verdict = _enclosure(p, sides)
-    cap = _tail(verdict, n_mono, 1)
-    last, esc = _search(p, verdict, sides, 16, cap, digits, last=True)
+    escalations = _check_bounded(p, c, digits)
+    side = _Side(float(c), 0, 0, -1, lambda m, n: m.num(c) * n)
+    cap, last, esc = _scan(p, [side], 16, 1, digits, last=True)
     return DerivedCN0(p=p, c=c, n0=16 if last is None else last + 1,
                       cap=cap, last_violation=last,
                       escalations=escalations + esc)
@@ -326,12 +316,10 @@ def derive_N(p: int, digits=None) -> DerivedN:
     all n in [16, N]; also reports the first failing n (= N + 1), so the
     anchor claim holds on [16, n_hi] iff first_failure > n_hi.  The
     enclosure proves F < 3n/8 + 1/8 <= baseline_rank(n) on [end, inf) at
-    the first such end of n_mono, 2 n_mono, ..., and the search runs up
-    [16, end) for the first failure, else end is the first."""
-    n_mono, escalations = _falling(p, Fraction(3, 8), digits)
-    verdict = _enclosure(p, [_ANCHOR])
-    end = _tail(verdict, n_mono, -1)
-    first, esc = _search(p, verdict, [_ANCHOR], 16, end, digits)
+    the first such end of 16, 32, ..., and the search runs up [16, end)
+    for the first failure, else end is the first."""
+    escalations = _check_bounded(p, Fraction(3, 8), digits)
+    end, first, esc = _scan(p, [_ANCHOR], 16, -1, digits)
     first = end if first is None else first
     if first == 16:
         raise DomainError(f"anchor property already fails at n = 16 for p = {p}")
@@ -385,11 +373,8 @@ def envelope_check(p: int, n_lo: int, n_hi: int,
     _check_odd_prime(p)
     check_int("n_lo", n_lo, 16)
     check_int("n_hi", n_hi, n_lo + 1)
-    verdict = _enclosure(p, _ENVELOPE)
-    tail = _tail(verdict, n_lo, 1, n_hi)
-    last_bad, esc = _search(p, verdict, _ENVELOPE, n_lo,
-                            n_hi + 1 if tail is None else tail, digits,
-                            last=True)
+    tail, last_bad, esc = _scan(p, _ENVELOPE, n_lo, 1, digits, last=True,
+                                hi=n_hi)
     failed = last_bad == n_hi
     return VerificationReport(
         suite="envelope", instances_checked=n_hi - n_lo + 1, passed=not failed,

@@ -1,7 +1,7 @@
 """Numeric contexts, the working precision and guarded strict comparisons.
 
 Each real-valued formula is written once over a numeric context ``m``
-(``log``, ``sqrt``, ``pi``, ``ceil``, ``num`` to convert an argument,
+(``log``, ``sqrt``, ``pi``, ``num`` to convert an argument,
 ``one``, and ``digits``, the context's precision).  There are two
 contexts: ``FLOAT`` is double precision (``digits`` None) and ``MP`` is
 mpmath at the working precision.  Every function takes the one precision
@@ -41,7 +41,7 @@ class _MPContext(SimpleNamespace):
     def __getattr__(self, name):
         import mpmath
         vars(self).update(log=mpmath.log, sqrt=mpmath.sqrt, pi=mpmath.pi,
-                          ceil=mpmath.ceil, num=_mpf, one=mpmath.mpf(1))
+                          num=_mpf, one=mpmath.mpf(1))
         return object.__getattribute__(self, name)
 
     @property
@@ -52,7 +52,7 @@ class _MPContext(SimpleNamespace):
 
 
 FLOAT = SimpleNamespace(log=math.log, sqrt=math.sqrt, pi=math.pi,
-                        ceil=math.ceil, num=float, one=1.0, digits=None)
+                        num=float, one=1.0, digits=None)
 MP = _MPContext()
 
 

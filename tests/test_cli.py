@@ -387,6 +387,14 @@ class TestTables:
             assert out.splitlines()[1] == "3,9/32,1909,1908,False"
 
 
+# the table and envelope goldens by test id: the file and its request
+_SCAN_GOLDENS = {
+    "anchor": ("tables-anchor", ["tables", "--which", "anchor"]),
+    "Np": ("tables-Np", ["tables", "--which", "Np"]),
+    "candn0": ("tables-candn0", ["tables", "--which", "candn0"]),
+    "envelope": ("verify-envelope", ["verify", "--suite", "envelope"])}
+
+
 class TestVerify:
     def test_pigeonhole_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "pigeonhole",
@@ -451,20 +459,21 @@ class TestVerify:
         assert code == 0
         assert out == golden.read_text()
 
-    @pytest.mark.parametrize("golden, argv", [
-        ("tables-anchor", ["tables", "--which", "anchor"]),
-        ("tables-Np", ["tables", "--which", "Np"]),
-        ("tables-candn0", ["tables", "--which", "candn0"]),
-        ("verify-envelope", ["verify", "--suite", "envelope"])],
-        ids=["anchor", "Np", "candn0", "envelope"])
-    def test_scan_goldens_hold_at_40_digits(self, capsys, golden, argv):
-        # more digits re-decide only the close comparisons, and no scan
-        # decision changes: the document is the golden one but for its
-        # inputs.digits
-        code, doc, _ = run_json(capsys, *argv, "--digits", "40",
+    # explicit ids: the 40-digit ones are tracked across versions
+    @pytest.mark.parametrize("which, digits", [
+        pytest.param(which, digits,
+                     id=which if digits == 40 else f"{which}-{digits}")
+        for digits in (40, 17, 1) for which in _SCAN_GOLDENS])
+    def test_scan_goldens_hold_at_40_digits(self, capsys, which, digits):
+        # more digits re-decide only the close comparisons, and fewer than a
+        # double carries decide nothing (17 is the escalation floor): no
+        # scan decision changes, and the document is the golden one but for
+        # its inputs.digits
+        golden, argv = _SCAN_GOLDENS[which]
+        code, doc, _ = run_json(capsys, *argv, "--digits", str(digits),
                                 "--deterministic")
         assert code == 0
-        assert doc["inputs"].pop("digits") == 40
+        assert doc["inputs"].pop("digits") == digits
         path = Path(__file__).parent / "golden" / f"{golden}.json"
         assert doc == json.loads(path.read_text())
 

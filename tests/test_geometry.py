@@ -282,58 +282,62 @@ class TestTableDerivation:
 
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_differences_decrease_past_n_mono(self, p):
-        # the property the tail proofs rest on, at 50 digits: past n_mono,
-        # F(n + 1, p) - F(n, p) < s for s = c(p) and s = 3/8
+        # the tails the table scans prove by the enclosure alone hold at 50
+        # digits: F < c n from n0's cap on and F < 3n/8 + 1/8 from N's end
+        # on, each a 16 2^k, at the tail, the next n, 10^9 and sampled n
+        end = geometry._scan(p, [geometry._ANCHOR], 16, -1, None)[0]
+        assert derive_N(p).first_failure <= end
         rng = random.Random(p)
-        for s, end in ((paper_tables()["c"][p], derive_c_n0(p).cap),
-                       (Fraction(3, 8), derive_N(p).first_failure)):
-            n_mono, _ = geometry._falling(p, s, None)
+        for tail, s, t in ((derive_c_n0(p).cap, paper_tables()["c"][p], 0),
+                           (end, Fraction(3, 8), Fraction(1, 8))):
+            assert tail % 16 == 0 and (tail // 16).bit_count() == 1
             with mpmath.workdps(50):
-                slope = mpmath.mpf(s.numerator) / s.denominator
-                for n in [n_mono, n_mono + 1, end - 1, end, 10 ** 9] + [
-                        rng.randrange(n_mono, 4 * end) for _ in range(40)]:
-                    step = (threshold_F(p, n + 1, digits=50)
-                            - threshold_F(p, n, digits=50))
-                    assert step < slope, (p, s, n)
+                slope, shift = (mpmath.mpf(v.numerator) / v.denominator
+                                for v in (Fraction(s), Fraction(t)))
+                for n in [tail, tail + 1, 10 ** 9] + [
+                        rng.randrange(tail, 4 * tail) for _ in range(40)]:
+                    assert (threshold_F(p, n, digits=50)
+                            < slope * n + shift), (p, s, n)
 
     @pytest.mark.parametrize("c", [Fraction(3, 2), Fraction(2)])
     def test_n0_without_violations_past_n_mono(self, monkeypatch, c):
-        # F(16, 3) ~ 20.9 <= 16 c: no violation from n_mono = 16 on, so the
-        # tail is proven from 16, the search runs over nothing and n0 = 16
+        # F(16, 3) ~ 20.9 <= 16 c: no violation from 16 on, so the tail is
+        # proven from 16, the search runs over nothing and n0 = 16
         monkeypatch.setattr(geometry, "paper_tables", lambda: {"c": {3: c}})
-        assert geometry._falling(3, c, None)[0] == 16
         res = derive_c_n0(3)
         assert (res.n0, res.cap, res.last_violation) == (16, 16, None)
         assert not (_dense_signs(3, 16, 1000, _c_rhs(c)) > 0).any()
 
-    @pytest.mark.parametrize("scan, p, n_mono", [
+    @pytest.mark.parametrize("scan, p, start", [
         (derive_c_n0, 3, 1000), (derive_c_n0, 3, 1907), (derive_c_n0, 3, 1908),
         (derive_c_n0, 3, 1968), (derive_c_n0, 29, 208_255),
         (derive_c_n0, 29, 208_256), (derive_c_n0, 29, 230_592),
         (derive_N, 29, 40_000), (derive_N, 29, 145_708),
         (derive_N, 29, 145_709), (derive_N, 29, 193_113)])
     def test_a_later_n_mono_changes_nothing(self, monkeypatch, scan, p,
-                                            n_mono):
-        # h falls past any n at or above the proven n_mono, so a later one
-        # is as valid: the tail proof starts there, at or past the answer
-        # for some, and the search below it finds the same n0 (N)
+                                            start):
+        # the enclosure proves every [n, inf) past the proven tail, so a
+        # later tail is as valid: with [a, inf) left undecided below start,
+        # _scan's tail lands at or past start and the search below it, at
+        # or past the answer for some, finds the same n0 (N)
         expected = scan(p)
-        falling = geometry._falling
+        enclosure = geometry._enclosure
 
-        def later(*args):
-            proven, escalations = falling(*args)
-            return max(n_mono, proven), escalations
+        def later(p, sides):
+            verdict = enclosure(p, sides)
+            return lambda a, b: (0 if a < start and b == math.inf
+                                 else verdict(a, b))
 
-        monkeypatch.setattr(geometry, "_falling", later)
+        monkeypatch.setattr(geometry, "_enclosure", later)
         result = scan(p)
         if scan is derive_c_n0:  # the tail is proven from a later point
-            assert result.cap >= n_mono
+            assert result.cap >= start
             result = result._replace(cap=expected.cap)
         assert result == expected
 
     @pytest.mark.parametrize("scan, args, margin, value, expected", [
         (derive_c_n0, (3,), 0.03, lambda r: r.n0, 1908),
-        (derive_N, (3,), 0.03, lambda r: r.N, 91),
+        (derive_N, (3,), 0.07, lambda r: r.N, 91),
         (derive_c_n0, (29,), 1e-4, lambda r: r.n0, 208255),
         (derive_N, (29,), 1e-4, lambda r: r.N, 145715),
         (envelope_check, (3, 16, 200), 0.05, lambda r: r.payload["n_star"], 63),
@@ -345,9 +349,10 @@ class TestTableDerivation:
     def test_forced_escalation_changes_nothing(self, monkeypatch, scan, args,
                                                margin, value, expected):
         # widening the decision margin routes the closest comparisons a
-        # scan makes (from |diff| ~ 5e-9, the slope bound at p = 29's
-        # n_mono, up; f1 has ten closer than 1e-3) through the
-        # high-precision path; the derived value must not change
+        # scan makes (from |diff| ~ 2e-5, F - c n near n0(29), up; the
+        # closest for N(3) is |F(92, 3) - 36| = 0.064, and f1 has ten
+        # closer than 1e-3) through the high-precision path; the derived
+        # value must not change
         plain = scan(*args)
         monkeypatch.setattr(qbounds.precision, "DECISION_MARGIN", margin)
         result = scan(*args)
